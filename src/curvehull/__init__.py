@@ -5,9 +5,9 @@ block moment pencils with independent hull oracles, and a CLI."""
 
 from .diagonal import (BlockPartition, DivisibilityError, SchurMonomialIdeal,
                        TaylorFactorization, TensorMatrix, evaluation_matrix,
-                       factor_taylor_determinant, in_schur_ideal,
-                       normalize_basis_orders, taylor_process,
-                       taylor_remainder_check, vandermonde_cofactor)
+                       factor_taylor_determinant, normalize_basis_orders,
+                       taylor_process, taylor_remainder_check,
+                       vandermonde_cofactor)
 from .hull import (CrossValidationReport, CurveSegment, RationalEnclosure,
                    cross_validate, finite_hull_membership,
                    lmi_support_enclosure, moment_curve, sample_curve,
@@ -16,7 +16,7 @@ from .linalg import SymMatrix, char_poly, psd_check_exact
 from .lmi import (Block, BlockLMI, SosxCertificate, emit_sdpa, hankel_lmi,
                   interval_moment_lmi, lmi_from_json, lmi_membership,
                   lmi_to_json, sosx_certificate)
-from .multipoly import MultiPoly, exact_divide, poly_det
+from .multipoly import MultiPoly, poly_det
 from .rays import (CandidateMatrix, ExtremeReport, IntervalValidation,
                    LinearSystem, ZeroPattern, candidate_matrix,
                    chebyshev_det_sign, extreme_candidate,

@@ -20,7 +20,8 @@ from .unipoly import Interval, UniPoly
 
 
 class CLIError(Exception):
-    """Domain-level failure: reported as a diagnostic with exit code 1."""
+    """Domain-level failure: reported as a diagnostic with exit code 1, as is
+    any ValueError a handler lets through."""
 
 
 class UsageError(Exception):
@@ -113,13 +114,10 @@ def parse_zeros(s: str) -> rays.ZeroPattern:
 def _cmd_schur(args) -> dict:
     m = parse_seq(args.seq)
     out = {"seq": list(m)}
-    try:
-        if args.method in ("tableaux", "both"):
-            out["tableaux"] = schur.schur_via_tableaux(m).to_string("x")
-        if args.method in ("bialternant", "both"):
-            out["bialternant"] = schur.schur_via_bialternant(m).to_string("x")
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    if args.method in ("tableaux", "both"):
+        out["tableaux"] = schur.schur_via_tableaux(m).to_string("x")
+    if args.method in ("bialternant", "both"):
+        out["bialternant"] = schur.schur_via_bialternant(m).to_string("x")
     if args.method == "both":
         out["equal"] = out["tableaux"] == out["bialternant"]
     return out
@@ -158,7 +156,7 @@ def _cmd_verify_diagonal(args) -> dict:
     blocks = parse_seq(args.blocks)
     try:
         result = diagonal.factor_taylor_determinant(basis, blocks)
-    except (ValueError, diagonal.DivisibilityError) as exc:
+    except diagonal.DivisibilityError as exc:
         raise CLIError(str(exc)) from None
     return {
         "blocks": list(blocks),
@@ -177,10 +175,7 @@ def _cmd_verify_diagonal(args) -> dict:
 def _system_from_args(args) -> tuple:
     basis = parse_basis(args.basis)
     s = parse_interval(args.interval)
-    try:
-        system = rays.profile_and_normalize(basis, s.lo)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    system = rays.profile_and_normalize(basis, s.lo)
     local = Interval(0, s.hi - s.lo)
     return system, s, local
 
@@ -190,10 +185,7 @@ def _cmd_extreme(args) -> dict:
     pattern = parse_zeros(args.zeros)
     local_pattern = rays.ZeroPattern(tuple(x - s.lo for x in pattern.points),
                                      pattern.mults)
-    try:
-        candidate = rays.extreme_candidate(system, local_pattern)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    candidate = rays.extreme_candidate(system, local_pattern)
     out = {"interval": [str(s.lo), str(s.hi)],
            "zeros": [[str(x), b] for x, b in zip(pattern.points, pattern.mults)],
            "candidate": candidate.shift(-s.lo).to_string()}
@@ -210,24 +202,18 @@ def _cmd_extreme(args) -> dict:
 def _cmd_verify_extreme(args) -> dict:
     system, s, local = _system_from_args(args)
     f = parse_poly(args.poly).shift(s.lo)
-    try:
-        rep = rays.verify_extreme(system, f, local)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    rep = rays.verify_extreme(system, f, local)
     return {"poly": args.poly, "nonneg": rep.nonneg, "zero_count": rep.zero_count,
             "face_dim": rep.face_dim, "extreme": rep.extreme}
 
 
 def _cmd_lmi(args) -> dict:
-    try:
-        if args.kind == "hankel":
-            pencil = lmi.hankel_lmi(args.n)
-        else:
-            if not args.interval:
-                raise CLIError("--interval is required for the interval kind")
-            pencil = lmi.interval_moment_lmi(args.n, parse_interval(args.interval))
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    if args.kind == "hankel":
+        pencil = lmi.hankel_lmi(args.n)
+    else:
+        if not args.interval:
+            raise CLIError("--interval is required for the interval kind")
+        pencil = lmi.interval_moment_lmi(args.n, parse_interval(args.interval))
     payload = lmi.lmi_to_json(pencil)
     if args.json:
         with open(args.json, "w") as fh:
@@ -251,10 +237,7 @@ def _cmd_member(args) -> dict:
             pencil = lmi.lmi_from_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
         raise CLIError(f"cannot load pencil: {exc}") from None
-    try:
-        return {"member": lmi.lmi_membership(pencil, point)}
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    return {"member": lmi.lmi_membership(pencil, point)}
 
 
 def _cmd_support(args) -> dict:
@@ -262,10 +245,7 @@ def _cmd_support(args) -> dict:
     curve = hull.moment_curve(args.n, s)
     l = parse_point(args.l)
     width = parse_rational(args.width)
-    try:
-        enc = hull.support_min_exact(l, curve, width)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    enc = hull.support_min_exact(l, curve, width)
     return {"l": [str(c) for c in l], "enclosure": [str(enc.lo), str(enc.hi)],
             "width": str(enc.width)}
 
@@ -274,10 +254,7 @@ def _cmd_cross_validate(args) -> dict:
     s = parse_interval(args.interval)
     curve = hull.moment_curve(args.n, s)
     pencil = lmi.interval_moment_lmi(args.n, s)
-    try:
-        report = hull.cross_validate(curve, pencil, trials=args.trials, seed=args.seed)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    report = hull.cross_validate(curve, pencil, trials=args.trials, seed=args.seed)
     return report.to_json()
 
 
@@ -372,7 +349,7 @@ def run(argv) -> int:
         else:
             print(f"usage error: {exc}")
         return 2
-    except CLIError as exc:
+    except (CLIError, ValueError) as exc:
         if args.format == "json":
             print(json.dumps({"error": str(exc)}))
         else:

@@ -81,22 +81,33 @@ class RowLabel:
 class TensorMatrix:
     """Square matrix of MultiPoly entries with row provenance.
 
-    Freshly built evaluation matrices keep the source basis so the Taylor
-    process can re-derive rows; matrices produced by the Taylor process drop
-    it (entries are already in collapsed arity).
+    Row (slot nu, order k) holds the raw derivatives p_j^(k)(t_nu) of the
+    source basis, which both the evaluation matrix (every order 0) and the
+    Taylor-process matrix keep.
     """
 
     entries: tuple
     arity: int
     labels: tuple
-    basis: tuple = None
+    basis: tuple
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
     def det(self) -> MultiPoly:
-        return poly_det([list(r) for r in self.entries])
+        """The determinant, by Cauchy-Binet over the basis coefficients.
+
+        The matrix factors as D * C with C[s][j] the coefficient of t^s in
+        p_j and D[(nu, k), s] = s!/(s-k)! * t_nu^(s-k), the k-th derivative of
+        t^s at t_nu; poly_det sums det(D[:, S]) * det(C[S, :]) over the
+        column sets S.
+        """
+        width = max(1, 1 + max(p.degree for p in self.basis))
+        left = [[MultiPoly.inject(UniPoly.monomial(s).derivative(lab.order), self.arity, lab.slot)
+                 for s in range(width)] for lab in self.labels]
+        right = [[p.coeff(s) for p in self.basis] for s in range(width)]
+        return poly_det(left, right)
 
     def reference_scale(self) -> Fraction:
         """Product of the per-row scales: reference determinant = this scale
@@ -118,18 +129,27 @@ def evaluation_matrix(basis) -> TensorMatrix:
     return TensorMatrix(entries=rows, arity=n1, labels=labels, basis=basis)
 
 
-def vandermonde_cofactor(f: MultiPoly):
-    """Exact quotient of f by prod_{i<j} (t_i - t_j), or None if f is not a
-    multiple of the full diagonal product."""
-    out = f
+def divide_diagonals(f: MultiPoly, sizes=None):
+    """Exact quotient of f by prod_{i<j} (t_i - t_j)^(b_i b_j), or None if f
+    is not a multiple of it.  sizes = (b_0, ..., b_r) defaults to all ones
+    (the Vandermonde product).  One exact division per binomial factor, so
+    every factor proves a zero remainder."""
     n1 = f.arity
+    sizes = sizes or (1,) * n1
     for i in range(n1):
         for j in range(i + 1, n1):
             binom = MultiPoly.variable(n1, i) - MultiPoly.variable(n1, j)
-            out = out.exact_divide(binom)
-            if out is None:
-                return None
-    return out
+            for _ in range(sizes[i] * sizes[j]):
+                f = f.exact_divide(binom)
+                if f is None:
+                    return None
+    return f
+
+
+def vandermonde_cofactor(f: MultiPoly):
+    """Exact quotient of f by prod_{i<j} (t_i - t_j), or None if f is not a
+    multiple of the full diagonal product."""
+    return divide_diagonals(f)
 
 
 @dataclass(frozen=True)
@@ -170,10 +190,6 @@ class SchurMonomialIdeal:
         if g.arity != self.arity:
             raise ValueError("arity mismatch")
         return _scan(g.monomials(), self.generators, proper=False)
-
-
-def in_schur_ideal(g: MultiPoly, ideal: SchurMonomialIdeal) -> DivisibilityReport:
-    return ideal.contains(g)
 
 
 def taylor_remainder_check(f: UniPoly, r: int) -> bool:
@@ -242,7 +258,7 @@ def taylor_process(matrix: TensorMatrix, partition) -> TensorMatrix:
     its label, so the determinant is tracked up to an explicit constant.
     """
     partition = _partition(partition)
-    if matrix.basis is None:
+    if any(lab.order for lab in matrix.labels):
         raise ValueError("Taylor process needs a freshly built evaluation matrix")
     if partition.total != matrix.size:
         raise ValueError("block sizes must sum to the matrix size")
@@ -254,7 +270,7 @@ def taylor_process(matrix: TensorMatrix, partition) -> TensorMatrix:
         for k in range(b):
             rows.append(tuple(MultiPoly.inject(p.derivative(k), r1, nu) for p in basis))
             labels.append(RowLabel(nu, k, Fraction((-1) ** k, factorial(k))))
-    return TensorMatrix(entries=tuple(rows), arity=r1, labels=tuple(labels), basis=None)
+    return TensorMatrix(entries=tuple(rows), arity=r1, labels=tuple(labels), basis=basis)
 
 
 @dataclass(frozen=True)
@@ -285,17 +301,10 @@ def factor_taylor_determinant(basis, partition) -> TaylorFactorization:
         raise ValueError("block sizes must sum to the basis size")
     matrix = taylor_process(evaluation_matrix(basis), partition)
     det = matrix.det()
-    cof = det
-    r1 = partition.nblocks
-    for i in range(r1):
-        for j in range(i + 1, r1):
-            power = partition.sizes[i] * partition.sizes[j]
-            binom = MultiPoly.variable(r1, i) - MultiPoly.variable(r1, j)
-            for _ in range(power):
-                cof = cof.exact_divide(binom)
-                if cof is None:
-                    raise DivisibilityError(
-                        f"det not divisible by (t{i}-t{j})^{power}")
+    cof = divide_diagonals(det, partition.sizes)
+    if cof is None:
+        raise DivisibilityError(
+            f"det not divisible by prod (t_i-t_j)^(b_i b_j) for blocks {partition.sizes}")
     ideal = SchurMonomialIdeal.collapsed(orders, partition)
     membership = ideal.contains(cof)
     return TaylorFactorization(

@@ -1,15 +1,26 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Terms are stored as a map from exponent tuples to nonzero Fraction
-coefficients; the arity is fixed per instance.  Exact division is the lex
-leading-term algorithm, which decides divisibility in an integral domain.
+coefficients; the arity is fixed per instance.  Two kernels carry the
+determinant identities:
+
+* `MultiPoly.exact_divide` divides by t_i - t_j synthetically (additions on
+  integer numerators over one common denominator) and by any other divisor
+  with the lex leading-term heap algorithm; both decide divisibility, since
+  the quotient in an integral domain is unique.
+* `poly_det` expands a square determinant by column-subset dynamic
+  programming, or det(D * C) for a wide polynomial D and a rational C by
+  Cauchy-Binet, reading every maximal minor of D off the same recursion.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import lcm
+from operator import add
 
+from .linalg import det_frac
 from .unipoly import UniPoly, _q
 
 
@@ -35,6 +46,15 @@ class MultiPoly:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict) -> "MultiPoly":
+        """Constructor for the kernels, whose terms are valid exponent tuples
+        with nonzero Fraction coefficients already: skips the checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -236,20 +256,43 @@ class MultiPoly:
     def _leading(self):
         return max(self.terms)  # lex order on exponent tuples
 
+    def _binomial_slots(self):
+        """(i, j) when self is exactly t_i - t_j, otherwise None."""
+        if len(self.terms) != 2:
+            return None
+        (e1, c1), (e2, c2) = self.terms.items()
+        if c1 + c2 or abs(c1) != 1 or sum(e1) != 1 or sum(e2) != 1:
+            return None
+        i, j = e1.index(1), e2.index(1)
+        return (i, j) if c1 == 1 else (j, i)
+
     def exact_divide(self, g: "MultiPoly"):
         """Exact quotient self/g, or None when self is not a multiple of g.
 
-        Lex leading-term division: while the remainder is nonzero its leading
-        term must be divisible by the leading term of g, otherwise no exact
-        quotient exists.  The quotient is unique (polynomial rings over Q are
-        integral domains).  Leading terms come from a lazily pruned max-heap
-        so each step costs O(|g| log) instead of a scan of the remainder.
+        Two algorithms, chosen by the divisor:
+
+        * g = t_i - t_j: synthetic division.  Group the terms by the exponents
+          of the other variables and by d = e_i + e_j; in each group the
+          quotient coefficient of t_i^(k-1) t_j^(d-k) is the suffix sum
+          c_d + ... + c_k of the group's coefficients, and the group leaves a
+          zero remainder iff its coefficients sum to zero.  Additions only.
+        * any other g: lex leading-term division.  While the remainder is
+          nonzero its leading term must be divisible by the leading term of
+          g, otherwise no exact quotient exists.  Leading terms come from a
+          lazily pruned max-heap so each step costs O(|g| log) instead of a
+          scan of the remainder.
+
+        The quotient is unique (polynomial rings over Q are integral
+        domains), so both algorithms return the same result.
         """
         g = self._coerce(g)
         if g is None or g.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return MultiPoly.zero(self.arity)
+        slots = g._binomial_slots()
+        if slots is not None:
+            return self._divide_binomial(*slots)
         glead = g._leading()
         gc = g.terms[glead]
         gtail = [(ge, gcoef) for ge, gcoef in g.terms.items() if ge != glead]
@@ -278,6 +321,40 @@ class MultiPoly:
                 else:
                     rem.pop(key, None)
         return MultiPoly(self.arity, quot)
+
+    def _divide_binomial(self, i: int, j: int):
+        """Synthetic division by t_i - t_j (see exact_divide), on integer
+        numerators over the common denominator of the coefficients."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        groups = {}
+        for exp, c in self.terms.items():
+            e = list(exp)
+            k = e[i]
+            e[j] += k
+            e[i] = 0
+            key = tuple(e)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = {k: c}
+            else:
+                group[k] = c
+        quot = {}
+        while groups:  # popped, so the groups are freed as the quotient grows
+            key, coeffs = groups.popitem()
+            e = list(key)
+            d = e[j]
+            s = 0
+            for k in range(max(coeffs), -1, -1):
+                c = coeffs.get(k)
+                if c is not None:
+                    s += c.numerator * (den // c.denominator)
+                if k and s:
+                    e[i] = k - 1
+                    e[j] = d - k
+                    quot[tuple(e)] = Fraction(s, den)
+            if s:  # the group's remainder: its coefficients must sum to zero
+                return None
+        return MultiPoly._trusted(self.arity, quot)
 
     # -- printing --------------------------------------------------------------
 
@@ -310,45 +387,76 @@ class MultiPoly:
         return f"MultiPoly({self.to_string()})"
 
 
-def exact_divide(f: MultiPoly, g: MultiPoly):
-    """Module-level alias of MultiPoly.exact_divide."""
-    return f.exact_divide(g)
+def poly_det(rows, right=None) -> MultiPoly:
+    """Determinant of rows, or of the product rows * right.
 
+    Column-subset dynamic programming on raw term dicts: after row i every
+    state maps a set S of i + 1 columns to the minor of rows 0..i on the
+    columns S, so the work is O(2^K K) polynomial products for K columns,
+    much less than the Leibniz sum for the matrix sizes used here.
 
-def poly_det(rows) -> MultiPoly:
-    """Determinant of a square matrix of MultiPoly entries.
-
-    Column-subset dynamic programming: O(2^n n) polynomial multiplications,
-    much cheaper than the Leibniz sum for the matrix sizes used here.
+    * right None: rows is a square matrix of MultiPoly entries and the one
+      full-column state is its determinant.
+    * right a K x N matrix of rationals: rows is N x K of MultiPoly entries
+      (K >= N), the final states are every maximal minor det(rows[:, S]), and
+      Cauchy-Binet gives det(rows * right) = sum over S of
+      det(rows[:, S]) * det(right[S, :]), the rational minors by det_frac.
+      Columns whose row of right is zero take part in no nonzero term and
+      are skipped.
     """
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("rows of unequal length")
+    if right is None:
+        if width != n:
+            raise ValueError("matrix is not square")
+        columns = range(width)
+    else:
+        if len(right) != width or any(len(r) != n for r in right):
+            raise ValueError("right factor must be columns x rows")
+        columns = [s for s in range(width) if any(right[s])]
     arity = rows[0][0].arity
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    states = {0: MultiPoly.constant(arity, 1)}
-    for i in range(n):
+    states = {0: {(0,) * arity: 1}}
+    for i, row in enumerate(rows):
+        # integral coefficients as ints: int products are much cheaper than
+        # Fraction products in the inner loop
+        entries = [(1 << j, [(e, c.numerator if c.denominator == 1 else c)
+                             for e, c in row[j].terms.items()])
+                   for j in columns if row[j].terms]
         nxt = {}
         for mask, val in states.items():
-            for j in range(n):
-                bit = 1 << j
+            for bit, eterms in entries:
                 if mask & bit:
                     continue
-                entry = rows[i][j]
-                if entry.is_zero:
-                    continue
-                sign = -1 if (i + (mask & (bit - 1)).bit_count()) % 2 else 1
-                contrib = entry * val
-                if sign < 0:
-                    contrib = -contrib
-                key = mask | bit
-                if key in nxt:
-                    nxt[key] = nxt[key] + contrib
-                else:
-                    nxt[key] = contrib
-        states = nxt
+                negate = (i + (mask & (bit - 1)).bit_count()) & 1
+                acc = nxt.setdefault(mask | bit, {})
+                for e2, c2 in eterms:
+                    if negate:
+                        c2 = -c2
+                    for e1, c1 in val.items():
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        states = {}
+        for mask, acc in nxt.items():
+            clean = {e: c for e, c in acc.items() if c}
+            if clean:
+                states[mask] = clean
         if not states:
             return MultiPoly.zero(arity)
-    full = (1 << n) - 1
-    return states.get(full, MultiPoly.zero(arity))
+    if right is None:
+        return MultiPoly(arity, states.get((1 << n) - 1, {}))
+    scales = {mask: det_frac([r for s, r in enumerate(right) if mask >> s & 1])
+              for mask in states}
+    den = lcm(*(c.denominator for c in scales.values()))
+    out = {}
+    while states:  # popped, so the minors are freed as the sum grows
+        mask, minor = states.popitem()
+        scale = scales[mask]
+        if scale:
+            scale = scale.numerator * (den // scale.denominator)
+            for e, c in minor.items():
+                out[e] = out.get(e, 0) + scale * c
+    return MultiPoly._trusted(arity, {e: Fraction(v, den) for e, v in out.items() if v})

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-import sympy
-
 from .diagonal import evaluation_matrix, normalize_basis_orders, vandermonde_cofactor
 from .linalg import det_frac, nullspace_frac, solve_frac
 from .multipoly import MultiPoly
@@ -175,6 +173,8 @@ def zero_conditions_dim(system: LinearSystem, pattern: ZeroPattern) -> int:
 
 def _sympy_irreducible_factors(p: UniPoly):
     """Irreducible monic factors of p over Q (p squarefree in our usage)."""
+    import sympy  # imported on first use: it dominates the package's import time
+
     x = sympy.Symbol("x")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** k
                for k, c in enumerate(p.coeffs))

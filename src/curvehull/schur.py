@@ -147,18 +147,16 @@ def schur_via_bialternant(m) -> MultiPoly:
     The division is performed binomial by binomial and is always exact; the
     result agrees with the tableau construction.
     """
+    from .diagonal import vandermonde_cofactor  # diagonal imports this module
+
     m = _seq(m)
     nvars = m.nvars
     rows = [[MultiPoly.monomial(nvars, tuple(mj if k == i else 0 for k in range(nvars)))
              for mj in m.entries] for i in range(nvars)]
-    det = poly_det(rows)
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            binom = MultiPoly.variable(nvars, i) - MultiPoly.variable(nvars, j)
-            det = det.exact_divide(binom)
-            if det is None:
-                raise AssertionError("alternant not divisible by the Vandermonde")
-    return det
+    sigma = vandermonde_cofactor(poly_det(rows))
+    if sigma is None:
+        raise AssertionError("alternant not divisible by the Vandermonde")
+    return sigma
 
 
 def count_fillings(m) -> int:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import curvehull
 from curvehull.cli import (UsageError, parse_basis, parse_interval, parse_poly,
                            parse_rational, parse_zeros, run)
 from curvehull.unipoly import UniPoly
@@ -163,6 +168,18 @@ class TestVerbs:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("argv, message", [
+        (["support", "--n", "0", "--interval", "0,1", "--l=1"],
+         "curve needs at least one component"),
+        (["support", "--n", "2", "--interval", "1,0", "--l=1,1"],
+         "degenerate interval [1, 0]"),
+        (["cross-validate", "--n", "0", "--interval", "0,1"],
+         "curve needs at least one component"),
+    ])
+    def test_domain_value_errors_are_json_errors(self, capsys, argv, message):
+        assert self.run_json(capsys, argv, expect=1) == {"error": message}
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_verb_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["frobnicate"])
@@ -183,3 +200,12 @@ class TestVerbs:
             assert code == 0
             from curvehull.lmi import lmi_from_json, lmi_to_json
             assert lmi_to_json(lmi_from_json(json.dumps(payload))) == payload
+
+
+def test_import_leaves_sympy_unloaded():
+    src = str(Path(curvehull.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, curvehull.cli; print('sympy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -3,8 +3,10 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvehull.multipoly import MultiPoly, exact_divide, poly_det
+from curvehull.multipoly import MultiPoly, poly_det
 from curvehull.unipoly import UniPoly
 
 
@@ -72,7 +74,7 @@ class TestExactDivide:
             if g.is_zero:
                 continue
             prod = f * g
-            q = exact_divide(prod, g)
+            q = prod.exact_divide(g)
             assert q is not None and q * g == prod and q == f
 
     def test_arity_mismatch(self):
@@ -122,3 +124,66 @@ class TestDeterminant:
         x0 = var(0, 2)
         rows = [[x0, x0], [x0, x0]]
         assert poly_det(rows).is_zero
+
+
+# -- properties of the two kernels (hypothesis) --------------------------------
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def mpolys(draw, arity=3, max_terms=4, max_exp=3):
+    exps = st.tuples(*[st.integers(0, max_exp)] * arity)
+    return MultiPoly(arity, draw(st.dictionaries(exps, rationals, max_size=max_terms)))
+
+
+@st.composite
+def binomials(draw, arity=3):
+    """t_i - t_j, its two terms stored in either order."""
+    i, j = draw(st.lists(st.integers(0, arity - 1), min_size=2, max_size=2, unique=True))
+    unit = [tuple(int(k == v) for k in range(arity)) for v in (i, j)]
+    terms = [(unit[0], 1), (unit[1], -1)]
+    return MultiPoly(arity, dict(terms[::draw(st.sampled_from((1, -1)))]))
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cauchy_binet_matches_the_multiplied_out_matrix(self, data):
+        n = data.draw(st.integers(1, 3))
+        width = data.draw(st.integers(n, 5))
+        left = [[data.draw(mpolys(max_terms=2, max_exp=2)) for _ in range(width)]
+                for _ in range(n)]
+        right = [[data.draw(rationals) for _ in range(n)] for _ in range(width)]
+        square = [[sum((left[i][s] * right[s][j] for s in range(width)), MultiPoly.zero(3))
+                   for j in range(n)] for i in range(n)]
+        assert poly_det(left, right) == leibniz_det(square)
+
+    @settings(max_examples=80, deadline=None)
+    @given(mpolys(), binomials())
+    def test_binomial_division_undoes_multiplication(self, f, b):
+        assert (f * b).exact_divide(b) == f
+
+    @settings(max_examples=80, deadline=None)
+    @given(mpolys(max_terms=6), binomials(), mpolys(max_terms=3))
+    def test_binomial_division_agrees_with_heap_division(self, f, b, extra):
+        # 2*b is not a unit binomial, so it takes the heap algorithm
+        for g in (f * b, f * b + extra):
+            synthetic, heap = g.exact_divide(b), g.exact_divide(2 * b)
+            if heap is None:
+                assert synthetic is None
+            else:
+                assert synthetic == 2 * heap
+
+    def test_binomial_division_rejects_a_perturbed_multiple(self):
+        x0, x1, x2 = var(0), var(1), var(2)
+        f = (x0 + 3 * x2 * x1) * (x0 - x2)
+        for bump in (MultiPoly.constant(3, 1), x1, x0 ** 4, F(1, 3) * x2 * x0):
+            assert (f + bump).exact_divide(x0 - x2) is None
+            assert (f + bump).exact_divide(x2 - x0) is None
+
+    def test_divisor_shapes_outside_the_binomial_case(self):
+        x0, x1, x2 = var(0), var(1), var(2)
+        f = (x0 * x0 + x1 - F(1, 2)) * x2
+        for g in (x0 + x1, 2 * x0 - 2 * x1, x0 * x0 - x1, x0 - 1, x0 - x1 - x2):
+            assert (f * g).exact_divide(g) == f
