@@ -8,8 +8,8 @@ from .diagonal import (BlockPartition, DivisibilityError, SchurMonomialIdeal,
                        factor_taylor_determinant, normalize_basis_orders,
                        taylor_process, taylor_remainder_check,
                        vandermonde_cofactor)
-from .hull import (CrossValidationReport, CurveSegment, RationalEnclosure,
-                   cross_validate, finite_hull_membership,
+from .hull import (CrossValidationReport, CurvePointRejected, CurveSegment,
+                   RationalEnclosure, cross_validate, finite_hull_membership,
                    lmi_support_enclosure, moment_curve, sample_curve,
                    support_min_exact)
 from .linalg import SymMatrix, char_poly, psd_check_exact

@@ -4,6 +4,9 @@ Verbs: schur, verify-schur, verify-diagonal, extreme, verify-extreme, lmi,
 member, support, cross-validate.  Output is JSON by default (--format text
 for a plain rendering); rationals are accepted as "p/q", integers, or
 terminating decimals.  Exit codes: 0 success, 1 domain error, 2 usage error.
+Input limits: --n of lmi, support and cross-validate is in 1..64, and
+--trials of cross-validate in 1..10000; a value outside them is a domain
+error, reported before any work is done.
 """
 
 from __future__ import annotations
@@ -26,6 +29,23 @@ class CLIError(Exception):
 
 class UsageError(Exception):
     """Malformed arguments (bad rationals, bad option payloads): exit code 2."""
+
+
+MAX_N = 64
+MAX_TRIALS = 10000
+
+
+def _check_n(n: int) -> None:
+    """--n is in 1..MAX_N.  Below 1 the curve and pencil builders raise their
+    own domain errors before any work, so only the upper limit is checked
+    here."""
+    if n > MAX_N:
+        raise ValueError(f"--n must be in 1..{MAX_N}, got {n}")
+
+
+def _check_trials(trials: int) -> None:
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must be in 1..{MAX_TRIALS}, got {trials}")
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+|\.\d+)?$")
@@ -208,6 +228,7 @@ def _cmd_verify_extreme(args) -> dict:
 
 
 def _cmd_lmi(args) -> dict:
+    _check_n(args.n)
     if args.kind == "hankel":
         pencil = lmi.hankel_lmi(args.n)
     else:
@@ -241,6 +262,7 @@ def _cmd_member(args) -> dict:
 
 
 def _cmd_support(args) -> dict:
+    _check_n(args.n)
     s = parse_interval(args.interval)
     curve = hull.moment_curve(args.n, s)
     l = parse_point(args.l)
@@ -251,6 +273,8 @@ def _cmd_support(args) -> dict:
 
 
 def _cmd_cross_validate(args) -> dict:
+    _check_n(args.n)
+    _check_trials(args.trials)
     s = parse_interval(args.interval)
     curve = hull.moment_curve(args.n, s)
     pencil = lmi.interval_moment_lmi(args.n, s)
@@ -296,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lmi", help="build a pencil; optionally write JSON/SDPA files")
     p.add_argument("--kind", choices=("hankel", "interval"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"ambient dimension, 1..{MAX_N}")
     p.add_argument("--interval")
     p.add_argument("--objective")
     p.add_argument("--json")
@@ -309,16 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_member)
 
     p = sub.add_parser("support", help="enclose the minimum of a functional on a moment curve")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"ambient dimension, 1..{MAX_N}")
     p.add_argument("--interval", required=True)
     p.add_argument("--l", required=True)
     p.add_argument("--width", default="1/1000000")
     p.set_defaults(handler=_cmd_support)
 
     p = sub.add_parser("cross-validate", help="hull oracles against the interval pencil")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"ambient dimension, 1..{MAX_N}")
     p.add_argument("--interval", required=True)
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=int, default=25,
+                   help=f"probe count, 1..{MAX_TRIALS} (default 25)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_cross_validate)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .lmi import BlockLMI, lmi_membership
 from .unipoly import (Interval, UniPoly, _q, derivative_bound, isolate_roots,
@@ -122,46 +123,78 @@ def support_min_exact(l, curve: CurveSegment, width) -> RationalEnclosure:
 # -- exact LP membership -------------------------------------------------------
 
 
+def _leaving_row(tab, basis, enter):
+    """Bland's leaving row: the least ratio rhs / entry over the positive
+    entries of the entering column, ties to the least basis index, or None.
+
+    Every row of the integer tableau shares the positive denominator, so the
+    ratios compare by cross-multiplication with positive entries.
+    """
+    best = None
+    for i, row in enumerate(tab):
+        a = row[enter]
+        if a > 0:
+            if best is not None:
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[best]):
+                    continue
+            best, best_b, best_a = i, row[-1], a
+    return best
+
+
+def _bareiss_pivot(tab, den, leave, enter):
+    """Fraction-free Gauss-Jordan step (Bareiss, Math. Comp. 22, 1968).
+
+    tab holds den times a rational tableau in integers.  Every row but the
+    pivot row becomes (piv * row - f * pivot_row) // den, an exact division;
+    the pivot row stays as it is, and piv is the new denominator.
+    """
+    prow = tab[leave]
+    piv = prow[enter]
+    for i, row in enumerate(tab):
+        if i != leave:
+            f = row[enter]
+            tab[i] = [(piv * x - f * y) // den for x, y in zip(row, prow)]
+    return piv
+
+
 def _phase1_feasible(matrix, rhs) -> bool:
-    """Exact phase-1 simplex with Bland's rule for {x >= 0 : matrix x = rhs}."""
+    """Exact phase-1 simplex with Bland's rule for {x >= 0 : matrix x = rhs}.
+
+    Each row is scaled by the lcm of its denominators (and by -1 where rhs is
+    negative), a positive scaling that keeps the feasible set, and the
+    tableau is pivoted in integers by `_bareiss_pivot`; its denominator is
+    the last pivot, which stays positive.
+    """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    tab = []
-    for row, b in zip(matrix, rhs):
-        row = [_q(x) for x in row] + [_q(b)]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        tab.append(row)
-    for i in range(m):  # append artificial identity
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tab[i] = tab[i][:-1] + art + [tab[i][-1]]
     total = n + m
+    tab = []
+    for i, (row, b) in enumerate(zip(matrix, rhs)):
+        row = [_q(x) for x in row] + [_q(b)]
+        scale = lcm(*(x.denominator for x in row))
+        if row[-1] < 0:
+            scale = -scale
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        art = [0] * m  # artificial identity
+        art[i] = 1
+        tab.append(ints[:-1] + art + ints[-1:])
     basis = list(range(n, total))
     # reduced-cost row for min(sum of artificials): z_j - c_j = sum_i tab[i][j] - c_j
-    obj = [Fraction(0)] * (total + 1)
-    for row in tab:
-        for j in range(total + 1):
-            obj[j] += row[j]
+    obj = [sum(col) for col in zip(*tab)]
     for j in range(n, total):
         obj[j] -= 1
+    tab.append(obj)
+    den = 1
     while True:
+        obj = tab[m]
         enter = next((j for j in range(total) if obj[j] > 0), None)  # Bland: lowest index
         if enter is None:
             break
-        ratios = [(tab[i][-1] / tab[i][enter], basis[i], i)
-                  for i in range(m) if tab[i][enter] > 0]
-        if not ratios:
+        leave = _leaving_row(tab[:m], basis, enter)
+        if leave is None:
             raise ArithmeticError("phase-1 objective unbounded (impossible)")
-        _, _, leave = min(ratios)
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        f = obj[enter]
-        obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        den = _bareiss_pivot(tab, den, leave, enter)
         basis[leave] = enter
     return obj[-1] == 0
 
@@ -185,6 +218,15 @@ def finite_hull_membership(points, x) -> bool:
 # -- LMI-side support values -----------------------------------------------------
 
 
+class CurvePointRejected(ValueError):
+    """The pencil rejects a point of the curve it was built for, so its set
+    does not contain the curve's hull; t is the curve parameter."""
+
+    def __init__(self, t):
+        super().__init__(f"curve point at t = {t} rejected by the pencil")
+        self.t = t
+
+
 def lmi_support_enclosure(lmi: BlockLMI, curve: CurveSegment, l, tol) -> RationalEnclosure:
     """Enclose the minimal value of the functional l over the pencil set.
 
@@ -192,7 +234,8 @@ def lmi_support_enclosure(lmi: BlockLMI, curve: CurveSegment, l, tol) -> Rationa
     bounds per cell; incumbents are curve points confirmed members by the
     exact PSD check.  Sound for hulls of curve segments, where linear
     functionals attain their minima on the curve; the cross-validation
-    report records this as a one-sided check.
+    report records this as a one-sided check.  Raises CurvePointRejected
+    when the pencil rejects a curve point it meets.
     """
     l = [_q(c) for c in l]
     tol = _q(tol)
@@ -206,7 +249,7 @@ def lmi_support_enclosure(lmi: BlockLMI, curve: CurveSegment, l, tol) -> Rationa
     def confirmed_value(t) -> Fraction:
         point = curve.point_at(t)
         if not lmi_membership(lmi, point):
-            raise AssertionError("curve point rejected by the pencil")
+            raise CurvePointRejected(t)
         return objective(t)
 
     incumbent = min(confirmed_value(a), confirmed_value(b))
@@ -294,7 +337,9 @@ def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
     non-member must be outside the sample hull (the sample hull sits inside
     the true hull, which the pencil set must contain).  Per functional: the
     symbolic support enclosure and the branch-and-bound pencil-side
-    enclosure must intersect.
+    enclosure must intersect, and the pencil must accept every curve point
+    the branch and bound meets (a functional whose search meets a rejected
+    point is a failure and gets no support-table row).
     """
     if lmi.n != curve.n:
         raise ValueError("pencil and curve dimensions differ")
@@ -335,7 +380,11 @@ def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
         if all(c == 0 for c in l):
             l[0] = Fraction(1)
         curve_enc = support_min_exact(l, curve, support_width)
-        lmi_enc = lmi_support_enclosure(lmi, curve, l, support_width)
+        try:
+            lmi_enc = lmi_support_enclosure(lmi, curve, l, support_width)
+        except CurvePointRejected as exc:
+            report.failures.append(f"{exc} for l = {[str(c) for c in l]}")
+            continue
         hit = curve_enc.intersects(lmi_enc)
         if not hit:
             report.failures.append(

@@ -4,6 +4,7 @@ polynomials, semidefiniteness, determinants and nullspaces."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .unipoly import _q
 
@@ -61,29 +62,51 @@ class SymMatrix:
         return f"SymMatrix({[[str(x) for x in r] for r in self.rows]})"
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
-             for j in range(n)] for i in range(n)]
+def _mirror_upper(upper):
+    """Rows of the symmetric matrix whose row i from the diagonal on is
+    upper[i]."""
+    d = len(upper)
+    return [[upper[i][j - i] if j >= i else upper[j][i - j] for j in range(d)]
+            for i in range(d)]
+
+
+def _integer_char_poly(a: SymMatrix):
+    """Clear the denominators of a with their positive lcm L and run
+    Faddeev-LeVerrier over the integers on B = L*A.
+
+    Returns (L, (c'_0, ..., c'_{d-1}, 1)), the characteristic polynomial of B;
+    that of A is c'_k / L^(d-k).  M_k = B M_{k-1} + c'_{d-k+1} I is a
+    polynomial in B, hence symmetric: only the upper triangle of B M_k is
+    multiplied out, and tr(B M_k) is read as the entrywise sum of B * M_k.
+    """
+    d = a.dim
+    scale = lcm(*(x.denominator for r in a.rows for x in r))
+    b = [[x.numerator * (scale // x.denominator) for x in r] for r in a.rows]
+    coeffs = [0] * d + [1]
+    m = [[0] * d for _ in range(d)]  # B M_{k-1}; symmetric, M_0 = 0
+    for k in range(1, d + 1):
+        ck1 = coeffs[d - k + 1]
+        for i in range(d):
+            m[i][i] += ck1
+        tr = sum(x * y for br, mr in zip(b, m) for x, y in zip(br, mr))
+        ck, rem = divmod(-tr, k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by k")
+        coeffs[d - k] = ck
+        if k < d:
+            # column j of the symmetric M_k is its row j
+            m = _mirror_upper([[sum(x * y for x, y in zip(br, m[j])) for j in range(i, d)]
+                               for i, br in enumerate(b)])
+    return scale, coeffs
 
 
 def char_poly(a: SymMatrix):
     """Coefficients (c_0, ..., c_{d-1}, 1) of det(lambda*I - A), by the
-    Faddeev-LeVerrier recurrence (exact over Q)."""
+    Faddeev-LeVerrier recurrence (exact, over the integers after clearing
+    denominators)."""
+    scale, coeffs = _integer_char_poly(a)
     d = a.dim
-    rows = [list(r) for r in a.rows]
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for k in range(1, d + 1):
-        m = _mat_mul(rows, m)
-        ck1 = coeffs[d - k + 1]
-        for i in range(d):
-            m[i][i] += ck1
-        am = _mat_mul(rows, m)
-        tr = sum((am[i][i] for i in range(d)), Fraction(0))
-        coeffs[d - k] = -tr / k
-    return tuple(coeffs)
+    return tuple(Fraction(c, scale ** (d - k)) for k, c in enumerate(coeffs))
 
 
 def psd_check_exact(a: SymMatrix) -> bool:
@@ -92,14 +115,13 @@ def psd_check_exact(a: SymMatrix) -> bool:
     A real symmetric matrix has a real-rooted characteristic polynomial
     lambda^d + c_{d-1} lambda^{d-1} + ... + c_0; all roots are >= 0 iff
     (-1)^{d-k} c_k >= 0 for every k.  Handles zero eigenvalues with no case
-    analysis (unlike rational Cholesky).
+    analysis (unlike rational Cholesky).  The signs are read from the integer
+    coefficients of L*A, which differ from c_k by the positive factor
+    L^(d-k).
     """
-    coeffs = char_poly(a)
+    _, coeffs = _integer_char_poly(a)
     d = a.dim
-    for k in range(d):
-        if (coeffs[k] if (d - k) % 2 == 0 else -coeffs[k]) < 0:
-            return False
-    return True
+    return all((c if (d - k) % 2 == 0 else -c) >= 0 for k, c in enumerate(coeffs[:d]))
 
 
 def leading_principal_minors(a: SymMatrix):

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SymMatrix, psd_check_exact
+from .linalg import SymMatrix, _mirror_upper, psd_check_exact
 from .rays import ZeroPattern
 from .unipoly import Interval, UniPoly, _q
 
@@ -33,11 +33,12 @@ class Block:
             raise ValueError("block matrices must share the block size")
 
     def evaluate(self, x) -> SymMatrix:
-        out = self.a0
-        for xi, b in zip(x, self.coeff):
-            if xi:
-                out = out + b.scale(xi)
-        return out
+        """A + sum_i x_i B_i, built entry by entry into one SymMatrix."""
+        terms = [(_q(xi), b.rows) for xi, b in zip(x, self.coeff) if xi]
+        return SymMatrix(_mirror_upper(
+            [[a + sum(xi * r[i][j] for xi, r in terms if r[i][j])
+              for j, a in enumerate(row[i:], i)]
+             for i, row in enumerate(self.a0.rows)]))
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,65 @@ class TestVerbs:
             assert lmi_to_json(lmi_from_json(json.dumps(payload))) == payload
 
 
+class TestInputLimits:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Any curve, pencil or cross validation built after the limit check
+        fails the test."""
+        from curvehull import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the input limits were checked")
+
+        for owner, name in ((cli.hull, "moment_curve"), (cli.hull, "cross_validate"),
+                            (cli.lmi, "interval_moment_lmi"), (cli.lmi, "hankel_lmi")):
+            monkeypatch.setattr(owner, name, refuse)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cross-validate", "--n", "65", "--interval", "0,1"], "--n must be in 1..64, got 65"),
+        (["cross-validate", "--n", "2", "--interval", "0,1", "--trials", "0"],
+         "--trials must be in 1..10000, got 0"),
+        (["cross-validate", "--n", "2", "--interval", "0,1", "--trials", "10001"],
+         "--trials must be in 1..10000, got 10001"),
+        (["support", "--n", "65", "--interval", "0,1", "--l=1"], "--n must be in 1..64, got 65"),
+        (["lmi", "--kind", "hankel", "--n", "66"], "--n must be in 1..64, got 66"),
+        (["lmi", "--kind", "interval", "--n", "100000", "--interval", "0,1"],
+         "--n must be in 1..64, got 100000"),
+    ])
+    def test_limits_are_json_errors_before_any_work(self, capsys, no_work, argv, message):
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+
+    def test_the_limits_themselves_are_accepted(self, capsys, monkeypatch):
+        from curvehull import cli
+        seen = {}
+
+        class Report:
+            def to_json(self):
+                return {"ok": True}
+
+        def fake_cross_validate(curve, pencil, trials, seed):
+            seen.update(n=curve.n, trials=trials)
+            return Report()
+
+        monkeypatch.setattr(cli.lmi, "interval_moment_lmi", lambda n, s: None)
+        monkeypatch.setattr(cli.hull, "cross_validate", fake_cross_validate)
+        for n, trials in ((64, 10000), (1, 1)):
+            assert run(["cross-validate", "--n", str(n), "--interval", "0,1",
+                        "--trials", str(trials)]) == 0
+            assert seen == {"n": n, "trials": trials}
+        capsys.readouterr()
+
+    def test_limits_are_in_the_help(self, capsys):
+        for verb in ("cross-validate", "support", "lmi"):
+            with pytest.raises(SystemExit):
+                run([verb, "--help"])
+            out = " ".join(capsys.readouterr().out.split())
+            assert "1..64" in out
+            if verb == "cross-validate":
+                assert "1..10000" in out
+
+
 def test_import_leaves_sympy_unloaded():
     src = str(Path(curvehull.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

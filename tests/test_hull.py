@@ -2,8 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvehull.hull import (CurveSegment, RationalEnclosure, cross_validate,
+from curvehull.hull import (CurvePointRejected, CurveSegment, RationalEnclosure,
+                            _bareiss_pivot, _leaving_row, cross_validate,
                             finite_hull_membership, lmi_support_enclosure,
                             moment_curve, sample_curve, support_min_exact)
 from curvehull.lmi import interval_moment_lmi, lmi_membership
@@ -195,3 +198,167 @@ class TestEnclosure:
     def test_intersects(self):
         assert RationalEnclosure(0, 1).intersects(RationalEnclosure(1, 2))
         assert not RationalEnclosure(0, 1).intersects(RationalEnclosure(2, 3))
+
+
+# -- the integer phase-1 kernel against the Fraction simplex ---------------------
+
+
+def fraction_phase1_feasible(matrix, rhs) -> bool:
+    """Reference: the dense Fraction phase-1 simplex with Bland's rule for
+    {x >= 0 : matrix x = rhs}, kept as an independent oracle."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    tab = []
+    for row, b in zip(matrix, rhs):
+        row = [F(x) for x in row] + [F(b)]
+        if row[-1] < 0:
+            row = [-x for x in row]
+        tab.append(row)
+    for i in range(m):  # append artificial identity
+        art = [F(0)] * m
+        art[i] = F(1)
+        tab[i] = tab[i][:-1] + art + [tab[i][-1]]
+    total = n + m
+    basis = list(range(n, total))
+    obj = [F(0)] * (total + 1)
+    for row in tab:
+        for j in range(total + 1):
+            obj[j] += row[j]
+    for j in range(n, total):
+        obj[j] -= 1
+    while True:
+        enter = next((j for j in range(total) if obj[j] > 0), None)
+        if enter is None:
+            break
+        ratios = [(tab[i][-1] / tab[i][enter], basis[i], i)
+                  for i in range(m) if tab[i][enter] > 0]
+        _, _, leave = min(ratios)
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = obj[enter]
+        obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        basis[leave] = enter
+    return obj[-1] == 0
+
+
+def fraction_hull_membership(points, x) -> bool:
+    dim = len(x)
+    matrix = [[p[d] for p in points] for d in range(dim)] + [[1] * len(points)]
+    return fraction_phase1_feasible(matrix, list(x) + [1])
+
+
+coords = st.one_of(st.integers(-3, 3).map(F),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=12))
+
+
+@st.composite
+def hull_cases(draw):
+    """Points (1-5 dimensions, 1-12 points, with duplicates) and a probe:
+    random, a convex combination of the points, or on the face a random
+    functional c cuts out, in which case the probe moved by -c/1000 is
+    outside.  Returns (points, probe, known verdict or None)."""
+    dim = draw(st.integers(1, 5))
+    point = st.tuples(*[coords] * dim)
+    points = draw(st.lists(point, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        points += draw(st.lists(st.sampled_from(points), min_size=1, max_size=3))
+        points = points[:12]
+    kind = draw(st.sampled_from(("random", "combination", "face", "beyond_face")))
+    if kind == "random":
+        return points, draw(point), None
+    if kind == "combination":
+        chosen = points
+    else:
+        c = draw(st.tuples(*[st.integers(-3, 3)] * dim).filter(any))
+        values = [sum(ci * pi for ci, pi in zip(c, p)) for p in points]
+        chosen = [p for p, v in zip(points, values) if v == min(values)]
+    weights = draw(st.lists(st.integers(0, 5), min_size=len(chosen), max_size=len(chosen)))
+    if not any(weights):
+        weights[0] = 1
+    total = sum(weights)
+    probe = tuple(sum(w * p[d] for w, p in zip(weights, chosen)) / total for d in range(dim))
+    if kind == "beyond_face":
+        return points, tuple(x - F(ci, 1000) for x, ci in zip(probe, c)), False
+    return points, probe, True
+
+
+class TestPhase1Kernel:
+    @settings(max_examples=400, deadline=None)
+    @given(hull_cases())
+    def test_agrees_with_the_fraction_simplex(self, case):
+        points, probe, known = case
+        verdict = finite_hull_membership(points, probe)
+        assert verdict == fraction_hull_membership(points, probe)
+        if known is not None:
+            assert verdict is known
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_pivots_keep_den_times_the_rational_tableau(self, data):
+        # Gauss-Jordan steps on rationals, the same steps by Bareiss on
+        # integers: the integer tableau is den times the rational one
+        rows = data.draw(st.integers(2, 4))
+        cols = data.draw(st.integers(rows, 6))
+        tab = [data.draw(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols))
+               for _ in range(rows)]
+        exact = [[F(x) for x in row] for row in tab]
+        den = 1
+        for leave in data.draw(st.permutations(range(rows))):
+            enter = next((j for j in range(cols) if tab[leave][j] != 0), None)
+            if enter is None:
+                continue
+            den = _bareiss_pivot(tab, den, leave, enter)
+            piv = exact[leave][enter]
+            exact[leave] = [x / piv for x in exact[leave]]
+            exact = [row if i == leave else
+                     [x - row[enter] * y for x, y in zip(row, exact[leave])]
+                     for i, row in enumerate(exact)]
+            assert tab == [[den * x for x in row] for row in exact]
+
+    def test_bareiss_divides_by_the_old_pivot(self):
+        tab = [[2, 1, 0], [1, 3, 1], [0, 1, 2]]
+        den = _bareiss_pivot(tab, 1, 0, 0)
+        assert (den, tab) == (2, [[2, 1, 0], [0, 5, 2], [0, 2, 4]])
+        den = _bareiss_pivot(tab, den, 1, 1)
+        assert (den, tab) == (5, [[5, 0, -1], [0, 5, 2], [0, 0, 8]])
+
+    def test_leaving_row_breaks_ratio_ties_by_basis_index(self):
+        # rows (entry, rhs): ratios 2, 2, 3 and one non-positive entry
+        tab = [[2, 4], [1, 2], [1, 3], [-1, 0]]
+        assert _leaving_row(tab, [7, 3, 1, 0], 0) == 1
+        assert _leaving_row(tab, [3, 7, 1, 0], 0) == 0
+        assert _leaving_row([[0, 1], [-2, 3]], [0, 1], 0) is None
+        assert _leaving_row([[3, 1], [1, 1]], [0, 1], 0) == 0  # 1/3 < 1
+
+    def test_vertex_pushed_out_by_one_part_in_a_trillion_is_rejected(self):
+        # every sample of the moment curve is a vertex of the sample hull;
+        # x_2 - 2 t0 x_1 + t0^2 >= 0 on the curve, with equality only at t0
+        samples = sample_curve(moment_curve(3, UNIT), 20)
+        eps = F(1, 10 ** 12)
+        for k in (0, 7, 19):
+            vertex = samples[k]
+            assert finite_hull_membership(samples, vertex)
+            pushed = (vertex[0], vertex[1] - eps, vertex[2])
+            assert not finite_hull_membership(samples, pushed)
+
+
+class TestWrongPencil:
+    def test_pencil_of_a_smaller_interval_is_reported_not_raised(self):
+        curve = moment_curve(4, UNIT)
+        pencil = interval_moment_lmi(4, Interval(F(1, 4), F(3, 4)))
+        report = cross_validate(curve, pencil, trials=4, seed=1)
+        assert not report.all_pass
+        rejected = [f for f in report.failures if "rejected by the pencil for l" in f]
+        assert len(rejected) == 8  # every default functional meets t = 0
+        assert report.to_json()["all_pass"] is False
+
+    def test_rejection_carries_the_parameter(self):
+        pencil = interval_moment_lmi(2, Interval(F(1, 4), F(3, 4)))
+        with pytest.raises(CurvePointRejected) as err:
+            lmi_support_enclosure(pencil, moment_curve(2, UNIT), (1, 1), WIDTH)
+        assert err.value.t == 0
+        assert isinstance(err.value, ValueError)

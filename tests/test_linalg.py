@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvehull.linalg import (SymMatrix, char_poly, det_frac,
                               leading_principal_minors, nullspace_frac,
@@ -120,3 +122,79 @@ class TestDense:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
             SymMatrix([[1, 2], [3, 4]])
+
+
+# -- the integer Faddeev-LeVerrier kernel against independent oracles ------------
+
+
+def psd_ldl_oracle(a: SymMatrix) -> bool:
+    """Independent route: symmetric pivoted LDL^T over Q.  A negative
+    diagonal entry refutes PSD; a positive one is eliminated by its Schur
+    complement; with an all-zero diagonal a PSD matrix must be zero."""
+    m = [list(r) for r in a.rows]
+    while m:
+        diag = [m[i][i] for i in range(len(m))]
+        if any(x < 0 for x in diag):
+            return False
+        p = next((i for i, x in enumerate(diag) if x > 0), None)
+        if p is None:
+            return all(x == 0 for r in m for x in r)
+        rest = [i for i in range(len(m)) if i != p]
+        m = [[m[i][j] - m[i][p] * m[p][j] / m[p][p] for j in rest] for i in rest]
+    return True
+
+
+wide_rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
+
+
+@st.composite
+def sym_matrices(draw, max_dim=4, entries=wide_rationals):
+    d = draw(st.integers(1, max_dim))
+    rows = [[F(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            rows[i][j] = rows[j][i] = draw(entries)
+    return SymMatrix(rows)
+
+
+@st.composite
+def psd_candidates(draw):
+    """Random symmetric matrices, Gram matrices of any rank (PSD), and Gram
+    matrices with one diagonal entry lowered by 1/10^k (mostly not PSD)."""
+    kind = draw(st.sampled_from(("random", "gram", "lowered")))
+    if kind == "random":
+        return draw(sym_matrices(max_dim=5))
+    d = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, d))
+    small = st.fractions(min_value=-5, max_value=5, max_denominator=10 ** 3)
+    g = [[draw(small) for _ in range(d)] for _ in range(rank)]
+    gram = [[sum(g[k][i] * g[k][j] for k in range(rank)) for j in range(d)]
+            for i in range(d)]
+    if kind == "lowered":
+        i = draw(st.integers(0, d - 1))
+        gram[i][i] -= F(1, 10 ** draw(st.integers(1, 30)))
+    return SymMatrix(gram)
+
+
+class TestIntegerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(sym_matrices())
+    @example(SymMatrix([[F(7, 999999)]]))
+    @example(SymMatrix.zeros(1))
+    @example(SymMatrix.zeros(3))
+    def test_char_poly_matches_the_permutation_sum(self, a):
+        assert char_poly(a) == char_poly_oracle(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(psd_candidates())
+    @example(SymMatrix.zeros(2))
+    @example(SymMatrix([[F(-1, 10 ** 6)]]))
+    def test_psd_matches_pivoted_ldl(self, a):
+        assert psd_check_exact(a) == psd_ldl_oracle(a)
+
+    def test_char_poly_of_a_scaled_matrix(self):
+        # det(lambda I - A/L) = sum_k c_k L^(k-d) lambda^k for c = char_poly(A)
+        a = SymMatrix([[2, 3, 0], [3, -1, 5], [0, 5, 4]])
+        scaled = SymMatrix([[x / 10 ** 6 for x in r] for r in a.rows])
+        assert char_poly(scaled) == tuple(c * F(1, 10 ** 6) ** (3 - k)
+                                          for k, c in enumerate(char_poly(a)))

@@ -138,6 +138,43 @@ class TestMembership:
                 assert not lmi_membership(pencil, tuple(probe)), (n, x)
 
 
+class TestEvaluate:
+    def test_matches_the_sum_of_scaled_matrices(self):
+        rng = random.Random(23)
+
+        def rand_sym(d):
+            rows = [[None] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(i, d):
+                    rows[i][j] = rows[j][i] = (F(rng.randint(-9, 9), rng.randint(1, 50))
+                                               if rng.random() < 0.6 else F(0))
+            return SymMatrix(rows)
+
+        for _ in range(60):
+            d, n = rng.randint(1, 5), rng.randint(1, 6)
+            blk = Block(size=d, a0=rand_sym(d), coeff=tuple(rand_sym(d) for _ in range(n)))
+            x = [F(rng.randint(-20, 20), rng.randint(1, 30)) if rng.random() < 0.8 else 0
+                 for _ in range(n)]
+            expected = blk.a0
+            for xi, b in zip(x, blk.coeff):
+                expected = expected + b.scale(xi)
+            assert blk.evaluate(x) == expected
+
+    def test_hankel_block_lowered_below_psd_is_rejected(self):
+        # at a curve point the Hankel block is v v^T, v = (1, t, t^2); lowering
+        # a diagonal entry by 1/10^30 makes it indefinite (w orthogonal to v
+        # with w_0 != 0 gives w^T M w < 0)
+        blk = hankel_lmi(4).blocks[0]
+        point = moment_vector(F(2, 3), 4)
+        assert lmi_membership(hankel_lmi(4), point)
+        eps = F(1, 10 ** 30)
+        for i in range(blk.size):
+            a0 = [list(r) for r in blk.a0.rows]
+            a0[i][i] -= eps
+            lowered = Block(size=blk.size, a0=SymMatrix(a0), coeff=blk.coeff)
+            assert not lmi_membership(BlockLMI(n=4, blocks=(lowered,)), point)
+
+
 class TestCertificates:
     def test_simple_square(self):
         f = (t - F(1, 2)) ** 2
