@@ -26,8 +26,7 @@ from .rays import (CandidateMatrix, ExtremeReport, IntervalValidation,
 from .schur import (DecreasingSeq, DivisibilityReport, Tableau,
                     admissible_fillings, count_fillings,
                     proper_dominance_check, schur_via_bialternant,
-                    schur_via_tableaux, subsequence_divisibility_check,
-                    vandermonde_poly)
+                    schur_via_tableaux, subsequence_divisibility_check)
 from .unipoly import (Interval, UniPoly, count_roots_interior,
                       count_roots_with_multiplicity, is_nonnegative_on,
                       isolate_roots, poly_gcd, squarefree_decomposition,

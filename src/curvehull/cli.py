@@ -4,9 +4,11 @@ Verbs: schur, verify-schur, verify-diagonal, extreme, verify-extreme, lmi,
 member, support, cross-validate.  Output is JSON by default (--format text
 for a plain rendering); rationals are accepted as "p/q", integers, or
 terminating decimals.  Exit codes: 0 success, 1 domain error, 2 usage error.
-Input limits: --n of lmi, support and cross-validate is in 1..64, and
---trials of cross-validate in 1..10000; a value outside them is a domain
-error, reported before any work is done.
+Input limits: --n of lmi, support and cross-validate is in 1..64,
+--trials of cross-validate in 1..10000, --max-n of verify-schur in 0..4 and
+its --max-entry in 0..8, and every exponent of t in a polynomial argument
+in 0..1000; a value outside them is a domain error, reported before any
+work is done.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ class UsageError(Exception):
 
 MAX_N = 64
 MAX_TRIALS = 10000
+MAX_EXPONENT = 1000
+MAX_SCHUR_N = 4
+MAX_SCHUR_ENTRY = 8
 
 
 def _check_n(n: int) -> None:
@@ -43,9 +48,9 @@ def _check_n(n: int) -> None:
         raise ValueError(f"--n must be in 1..{MAX_N}, got {n}")
 
 
-def _check_trials(trials: int) -> None:
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"--trials must be in 1..{MAX_TRIALS}, got {trials}")
+def _check_range(option: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise ValueError(f"{option} must be in {lo}..{hi}, got {value}")
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+|\.\d+)?$")
@@ -83,10 +88,15 @@ def parse_poly(s: str) -> UniPoly:
         coef = parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
         if m.group("sign") == "-":
             coef = -coef
+        digits = m.group("exp")
+        if digits and (len(digits.lstrip("0")) > len(str(MAX_EXPONENT))
+                       or int(digits) > MAX_EXPONENT):
+            # checked on the digits, before the dense coefficient list exists
+            raise ValueError(f"exponents of t must be in 0..{MAX_EXPONENT}, got {chunk!r}")
         if m.group("var") is None:
             exp = 0
         else:
-            exp = int(m.group("exp")) if m.group("exp") else 1
+            exp = int(digits) if digits else 1
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coef
     deg = max(coeffs)
     return UniPoly([coeffs.get(k, 0) for k in range(deg + 1)])
@@ -145,6 +155,8 @@ def _cmd_schur(args) -> dict:
 
 def _cmd_verify_schur(args) -> dict:
     max_n, max_entry = args.max_n, args.max_entry
+    _check_range("--max-n", max_n, 0, MAX_SCHUR_N)
+    _check_range("--max-entry", max_entry, 0, MAX_SCHUR_ENTRY)
     failures = []
     cases = 0
     for length in range(1, max_n + 2):
@@ -220,9 +232,9 @@ def _cmd_extreme(args) -> dict:
 
 
 def _cmd_verify_extreme(args) -> dict:
+    f = parse_poly(args.poly)
     system, s, local = _system_from_args(args)
-    f = parse_poly(args.poly).shift(s.lo)
-    rep = rays.verify_extreme(system, f, local)
+    rep = rays.verify_extreme(system, f.shift(s.lo), local)
     return {"poly": args.poly, "nonneg": rep.nonneg, "zero_count": rep.zero_count,
             "face_dim": rep.face_dim, "extreme": rep.extreme}
 
@@ -274,12 +286,15 @@ def _cmd_support(args) -> dict:
 
 def _cmd_cross_validate(args) -> dict:
     _check_n(args.n)
-    _check_trials(args.trials)
+    _check_range("--trials", args.trials, 1, MAX_TRIALS)
     s = parse_interval(args.interval)
     curve = hull.moment_curve(args.n, s)
     pencil = lmi.interval_moment_lmi(args.n, s)
     report = hull.cross_validate(curve, pencil, trials=args.trials, seed=args.seed)
     return report.to_json()
+
+
+BASIS_HELP = f"comma-separated polynomials in t, exponents 0..{MAX_EXPONENT}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,26 +311,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_schur)
 
     p = sub.add_parser("verify-schur", help="identity and divisibility suites")
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--max-entry", type=int, default=6)
+    p.add_argument("--max-n", type=int, default=3,
+                   help=f"sequences of length up to max-n + 1, 0..{MAX_SCHUR_N} (default 3)")
+    p.add_argument("--max-entry", type=int, default=6,
+                   help=f"largest sequence entry, 0..{MAX_SCHUR_ENTRY} (default 6)")
     p.set_defaults(handler=_cmd_verify_schur)
 
     p = sub.add_parser("verify-diagonal",
                        help="factor a Taylor-process determinant and test the cofactor")
-    p.add_argument("--basis", required=True)
+    p.add_argument("--basis", required=True, help=BASIS_HELP)
     p.add_argument("--blocks", required=True)
     p.set_defaults(handler=_cmd_verify_diagonal)
 
     p = sub.add_parser("extreme", help="build and verify an extreme-ray candidate")
-    p.add_argument("--basis", required=True)
+    p.add_argument("--basis", required=True, help=BASIS_HELP)
     p.add_argument("--interval", required=True)
     p.add_argument("--zeros", required=True)
     p.set_defaults(handler=_cmd_extreme)
 
     p = sub.add_parser("verify-extreme", help="extremality report for a member")
-    p.add_argument("--basis", required=True)
+    p.add_argument("--basis", required=True, help=BASIS_HELP)
     p.add_argument("--interval", required=True)
-    p.add_argument("--poly", required=True)
+    p.add_argument("--poly", required=True,
+                   help=f"polynomial in t, exponents 0..{MAX_EXPONENT}")
     p.set_defaults(handler=_cmd_verify_extreme)
 
     p = sub.add_parser("lmi", help="build a pencil; optionally write JSON/SDPA files")

@@ -98,7 +98,8 @@ def support_min_exact(l, curve: CurveSegment, width) -> RationalEnclosure:
     candidates = [(objective(a), objective(a)), (objective(b), objective(b))]
     deriv = objective.derivative()
     if not deriv.is_zero and deriv.degree >= 1:
-        for u, v in isolate_roots(squarefree_part(deriv), curve.domain):
+        critical = squarefree_part(deriv)
+        for u, v in isolate_roots(critical, curve.domain):
             if u == v:
                 val = objective(u)
                 candidates.append((val, val))
@@ -107,7 +108,7 @@ def support_min_exact(l, curve: CurveSegment, width) -> RationalEnclosure:
                 bound = derivative_bound(objective, u, v) * (v - u)
                 if 2 * bound <= width:
                     break
-                u, v = refine_isolating_interval(squarefree_part(deriv), u, v, (v - u) / 4)
+                u, v = refine_isolating_interval(critical, u, v, (v - u) / 4)
                 if u == v:
                     break
             if u == v:
@@ -232,7 +233,9 @@ def lmi_support_enclosure(lmi: BlockLMI, curve: CurveSegment, l, tol) -> Rationa
 
     Branch and bound over the curve parameter with exact Lipschitz lower
     bounds per cell; incumbents are curve points confirmed members by the
-    exact PSD check.  Sound for hulls of curve segments, where linear
+    exact PSD check.  The objective is evaluated once per point: a cell
+    carries its endpoint values, and a confirmed midpoint's value is handed
+    to both children.  Sound for hulls of curve segments, where linear
     functionals attain their minima on the curve; the cross-validation
     report records this as a one-sided check.  Raises CurvePointRejected
     when the pencil rejects a curve point it meets.
@@ -252,20 +255,21 @@ def lmi_support_enclosure(lmi: BlockLMI, curve: CurveSegment, l, tol) -> Rationa
             raise CurvePointRejected(t)
         return objective(t)
 
-    incumbent = min(confirmed_value(a), confirmed_value(b))
-    cells = [(a, b)]
+    fa, fb = confirmed_value(a), confirmed_value(b)
+    incumbent = min(fa, fb)
+    cells = [(a, fa, b, fb)]  # (u, objective(u), v, objective(v))
     while True:
         best_lower = incumbent
         next_cells = []
-        for u, v in cells:
+        for u, fu, v, fv in cells:
             slope = derivative_bound(objective, u, v)
-            cell_min = min(objective(u), objective(v))
-            lower = cell_min - slope * (v - u) / 2
+            lower = min(fu, fv) - slope * (v - u) / 2
             if lower >= incumbent:
                 continue  # cell cannot beat the incumbent
             mid = (u + v) / 2
-            incumbent = min(incumbent, confirmed_value(mid))
-            next_cells.extend([(u, mid), (mid, v)])
+            fm = confirmed_value(mid)
+            incumbent = min(incumbent, fm)
+            next_cells.extend([(u, fu, mid, fm), (mid, fm, v, fv)])
             best_lower = min(best_lower, lower)
         if incumbent - best_lower <= tol or not next_cells:
             return RationalEnclosure(best_lower, incumbent)

@@ -124,11 +124,6 @@ def psd_check_exact(a: SymMatrix) -> bool:
     return all((c if (d - k) % 2 == 0 else -c) >= 0 for k, c in enumerate(coeffs[:d]))
 
 
-def leading_principal_minors(a: SymMatrix):
-    """The d leading principal minors of a, exactly."""
-    return [det_frac([r[: k + 1] for r in a.rows[: k + 1]]) for k in range(a.dim)]
-
-
 # -- dense rational matrices (lists of lists) --------------------------------
 
 
@@ -180,12 +175,6 @@ def _rref(rows):
         if r == len(a):
             break
     return a, pivots
-
-
-def rank_frac(rows) -> int:
-    if not rows:
-        return 0
-    return len(_rref(rows)[1])
 
 
 def nullspace_frac(rows):

@@ -203,22 +203,6 @@ class MultiPoly:
             total += v
         return total
 
-    def subs_value(self, i: int, value) -> "MultiPoly":
-        """Substitute t_i = value, keeping the arity (variable i becomes inert)."""
-        value = _q(value)
-        out = {}
-        for exp, c in self.terms.items():
-            e = list(exp)
-            scale = c * value ** e[i]
-            e[i] = 0
-            key = tuple(e)
-            acc = out.get(key, 0) + scale
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return MultiPoly(self.arity, out)
-
     def set_trailing_to_one(self, keep: int) -> "MultiPoly":
         """Substitute t_keep = ... = t_{arity-1} = 1 and drop those variables."""
         if not 1 <= keep <= self.arity:

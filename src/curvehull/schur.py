@@ -132,15 +132,6 @@ def schur_via_tableaux(m) -> MultiPoly:
     return result
 
 
-def vandermonde_poly(arity: int) -> MultiPoly:
-    """prod_{0 <= i < j < arity} (x_i - x_j)."""
-    out = MultiPoly.constant(arity, 1)
-    for i in range(arity):
-        for j in range(i + 1, arity):
-            out = out * (MultiPoly.variable(arity, i) - MultiPoly.variable(arity, j))
-    return out
-
-
 def schur_via_bialternant(m) -> MultiPoly:
     """sigma_m via the alternant determinant divided by the Vandermonde.
 

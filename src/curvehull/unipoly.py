@@ -3,12 +3,15 @@
 Everything in this module is exact: coefficients are `fractions.Fraction`,
 root counting runs Sturm chains on squarefree parts, and sign questions on
 closed intervals are decided symbolically.  No floating point anywhere.
+Evaluation and the Taylor derivative bound run on Python integers: each
+polynomial caches its coefficients over their common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 def _q(x) -> Fraction:
@@ -43,10 +46,12 @@ class UniPoly:
     """Univariate polynomial with Fraction coefficients, dense by degree.
 
     Instances are immutable; all operations return new polynomials. The zero
-    polynomial has an empty coefficient tuple and degree -1.
+    polynomial has an empty coefficient tuple and degree -1.  The integer
+    form (see `integer_form`) is filled on first use, so construction does
+    no extra work.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs=()):
         cs = [_q(c) for c in coeffs]
@@ -102,6 +107,17 @@ class UniPoly:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
+
+    def integer_form(self):
+        """(numerators, den): den is the positive lcm of the coefficient
+        denominators and coeffs[k] == numerators[k] / den."""
+        try:
+            return self._ints
+        except AttributeError:
+            den = lcm(*(c.denominator for c in self.coeffs))
+            ints = (tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den)
+            object.__setattr__(self, "_ints", ints)
+            return ints
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
@@ -177,11 +193,19 @@ class UniPoly:
         return result
 
     def __call__(self, x) -> Fraction:
+        """Integer Horner at x = p/q: acc <- acc*p + c_k*q^(d-k), one
+        normalisation of acc / (den*q^d) at the end."""
         x = _q(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        nums, den = self.integer_form()
+        if not nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc = nums[-1]
+        qk = 1
+        for c in reversed(nums[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, den * qk)
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -523,18 +547,30 @@ def derivative_bound(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction:
     finite): |p'(x)| <= sum_k |p'^(k)(m)| / k! * r^k for |x - m| <= r.  The
     bound shrinks with the interval, which keeps branch-and-bound pruning
     effective near flat minima.
+
+    Computed in integers: with p' = sum_j c_j t^j / den of degree e and
+    m = mu/nu, the coefficients c_j*nu^(e-j) are Taylor-shifted to mu by
+    synthetic division, giving b_k with p'^(k)(m)/k! = b_k*nu^k / (den*nu^e);
+    with r = rho/sigma the bound is
+    sum_k |b_k|*nu^k*rho^k*sigma^(e-k) / (den*nu^e*sigma^e).
     """
+    lo, hi = _q(lo), _q(hi)
+    nums, den = p.integer_form()
+    e = len(nums) - 2
+    if e < 0:
+        return Fraction(0)
     m = (lo + hi) / 2
     r = (hi - lo) / 2
-    d = p.derivative()
-    total = Fraction(0)
-    fact = 1
-    power = Fraction(1)
-    k = 0
-    while not d.is_zero:
-        total += abs(d(m)) / fact * power
-        d = d.derivative()
-        k += 1
-        fact *= k
-        power *= r
-    return total
+    mu, nu = m.numerator, m.denominator
+    rho, sigma = r.numerator, r.denominator
+    b = [j * nums[j] * nu ** (e + 1 - j) for j in range(1, e + 2)]
+    if mu:
+        for i in range(e):
+            for j in range(e - 1, i - 1, -1):
+                b[j] += mu * b[j + 1]
+    total = 0
+    sk = 1
+    for bk in reversed(b):
+        total = total * (nu * rho) + abs(bk) * sk
+        sk *= sigma
+    return Fraction(total, den * (nu * sigma) ** e)

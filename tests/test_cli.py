@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -259,6 +260,68 @@ class TestInputLimits:
             assert "1..64" in out
             if verb == "cross-validate":
                 assert "1..10000" in out
+
+
+class TestPolynomialAndSchurLimits:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Any polynomial, system or Schur polynomial built after the limit
+        check fails the test."""
+        from curvehull import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the input limits were checked")
+
+        for owner, name in ((cli, "UniPoly"), (cli.rays, "profile_and_normalize"),
+                            (cli.schur, "schur_via_tableaux"),
+                            (cli.schur, "schur_via_bialternant")):
+            monkeypatch.setattr(owner, name, refuse)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-extreme", "--basis", "t^2,t,1", "--interval", "0,1",
+          "--poly", "t^2+t^1001"], "exponents of t must be in 0..1000, got '+t^1001'"),
+        (["extreme", "--basis", "t^" + "9" * 5000 + ",1", "--interval", "0,1",
+          "--zeros", "1/2:1"], "exponents of t must be in 0..1000, got " + repr("t^" + "9" * 5000)),
+        (["verify-diagonal", "--basis", "t^1000000000,1", "--blocks", "1,1"],
+         "exponents of t must be in 0..1000, got 't^1000000000'"),
+        (["verify-schur", "--max-n", "5"], "--max-n must be in 0..4, got 5"),
+        (["verify-schur", "--max-n", "-1"], "--max-n must be in 0..4, got -1"),
+        (["verify-schur", "--max-entry", "9"], "--max-entry must be in 0..8, got 9"),
+        (["verify-schur", "--max-n", "2", "--max-entry", "-1"],
+         "--max-entry must be in 0..8, got -1"),
+    ])
+    def test_limits_are_json_errors_before_any_work(self, capsys, no_work, argv, message):
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+
+    def test_the_limits_themselves_are_accepted(self, capsys, monkeypatch):
+        from curvehull import cli
+        assert parse_poly("t^1000 + t^0007").degree == 1000
+        assert parse_poly("t^1000 + t^0007").coeff(7) == 1
+        seen = []
+        monkeypatch.setattr(cli.schur, "schur_via_tableaux", lambda m: seen.append(m) or 0)
+        monkeypatch.setattr(cli.schur, "schur_via_bialternant", lambda m: 0)
+        monkeypatch.setattr(cli.schur, "proper_dominance_check",
+                            lambda a, b: SimpleNamespace(ok=True))
+        monkeypatch.setattr(cli.schur, "subsequence_divisibility_check",
+                            lambda a, idx: SimpleNamespace(ok=True))
+        for max_n, max_entry in ((4, 8), (0, 0)):
+            seen.clear()
+            assert run(["verify-schur", "--max-n", str(max_n),
+                        "--max-entry", str(max_entry)]) == 0
+            assert json.loads(capsys.readouterr().out)["ok"] is True
+            assert max(map(len, seen)) == min(max_n, max_entry) + 1
+            assert max(map(max, seen)) == max_entry
+
+    def test_limits_are_in_the_help(self, capsys):
+        for verb, limits in (("verify-schur", ("0..4", "0..8")),
+                             ("verify-diagonal", ("0..1000",)),
+                             ("extreme", ("0..1000",)),
+                             ("verify-extreme", ("0..1000",))):
+            with pytest.raises(SystemExit):
+                run([verb, "--help"])
+            out = " ".join(capsys.readouterr().out.split())
+            assert all(limit in out for limit in limits)
 
 
 def test_import_leaves_sympy_unloaded():

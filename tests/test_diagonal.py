@@ -11,11 +11,20 @@ from curvehull.diagonal import (BlockPartition, DivisibilityError,
                                 normalize_basis_orders, taylor_process,
                                 taylor_remainder_check, vandermonde_cofactor)
 from curvehull.multipoly import MultiPoly, poly_det
-from curvehull.schur import schur_via_tableaux, vandermonde_poly
+from curvehull.schur import schur_via_tableaux
 from curvehull.unipoly import UniPoly
 
 t = UniPoly.t()
 mono = UniPoly.monomial
+
+
+def vandermonde_poly(arity: int) -> MultiPoly:
+    """Oracle: prod_{0 <= i < j < arity} (x_i - x_j), multiplied out."""
+    out = MultiPoly.constant(arity, 1)
+    for i in range(arity):
+        for j in range(i + 1, arity):
+            out = out * (MultiPoly.variable(arity, i) - MultiPoly.variable(arity, j))
+    return out
 
 
 def random_normalized_basis(rng, orders, extra_terms=2, cap=None):

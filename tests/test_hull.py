@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from curvehull.hull import (CurvePointRejected, CurveSegment, RationalEnclosure,
                             finite_hull_membership, lmi_support_enclosure,
                             moment_curve, sample_curve, support_min_exact)
 from curvehull.lmi import interval_moment_lmi, lmi_membership
-from curvehull.unipoly import Interval, UniPoly
+from curvehull.unipoly import Interval, UniPoly, derivative_bound
 
 UNIT = Interval(0, 1)
 WIDTH = F(1, 10 ** 6)
@@ -165,6 +166,75 @@ class TestLmiSupport:
         with pytest.raises(ValueError):
             lmi_support_enclosure(interval_moment_lmi(2, UNIT),
                                   moment_curve(2, UNIT), (1,), WIDTH)
+
+
+def recomputing_support_enclosure(lmi, curve, l, tol, member=lmi_membership):
+    """Oracle: the branch and bound that evaluates the objective at both ends
+    of every cell (lmi_support_enclosure before cells carried their values)."""
+    l = [F(c) for c in l]
+    tol = F(tol)
+    objective = UniPoly.zero()
+    for c, p in zip(l, curve.components):
+        objective = objective + c * p
+    a, b = curve.domain.lo, curve.domain.hi
+
+    def confirmed_value(t):
+        if not member(lmi, curve.point_at(t)):
+            raise CurvePointRejected(t)
+        return objective(t)
+
+    incumbent = min(confirmed_value(a), confirmed_value(b))
+    cells = [(a, b)]
+    while True:
+        best_lower = incumbent
+        next_cells = []
+        for u, v in cells:
+            slope = derivative_bound(objective, u, v)
+            cell_min = min(objective(u), objective(v))
+            lower = cell_min - slope * (v - u) / 2
+            if lower >= incumbent:
+                continue
+            mid = (u + v) / 2
+            incumbent = min(incumbent, confirmed_value(mid))
+            next_cells.extend([(u, mid), (mid, v)])
+            best_lower = min(best_lower, lower)
+        if incumbent - best_lower <= tol or not next_cells:
+            return RationalEnclosure(best_lower, incumbent)
+        cells = next_cells
+
+
+BENCH_INTERVALS = (Interval(0, 1), Interval(-1, 1), Interval(F(1, 3), 2),
+                   Interval(F(-3, 2), F(-1, 2)), Interval(F(2, 7), F(5, 3)))
+
+
+@st.composite
+def support_cases(draw):
+    n = draw(st.integers(1, 4))
+    l = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+             .filter(lambda l: any(l)))
+    return n, l, draw(st.sampled_from(BENCH_INTERVALS)), draw(
+        st.sampled_from((F(1, 1000), F(1, 10 ** 6))))
+
+
+class TestSupportBranchAndBound:
+    @settings(max_examples=200, deadline=None)
+    @given(support_cases())
+    def test_same_enclosure_and_membership_calls_as_recomputing(self, case):
+        n, l, s, tol = case
+        curve, pencil = moment_curve(n, s), interval_moment_lmi(n, s)
+        seen = {"new": [], "old": []}
+
+        def counting(key):
+            def member(lmi, point):
+                seen[key].append(point)
+                return lmi_membership(lmi, point)
+            return member
+
+        expected = recomputing_support_enclosure(pencil, curve, l, tol, counting("old"))
+        with mock.patch("curvehull.hull.lmi_membership", counting("new")):
+            got = lmi_support_enclosure(pencil, curve, l, tol)
+        assert (got.lo, got.hi) == (expected.lo, expected.hi)
+        assert seen["new"] == seen["old"]
 
 
 class TestCrossValidate:

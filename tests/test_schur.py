@@ -7,7 +7,16 @@ from curvehull.multipoly import MultiPoly
 from curvehull.schur import (DecreasingSeq, Tableau, admissible_fillings,
                              count_fillings, proper_dominance_check,
                              schur_via_bialternant, schur_via_tableaux,
-                             subsequence_divisibility_check, vandermonde_poly)
+                             subsequence_divisibility_check)
+
+
+def vandermonde_poly(arity: int) -> MultiPoly:
+    """Oracle: prod_{0 <= i < j < arity} (x_i - x_j), multiplied out."""
+    out = MultiPoly.constant(arity, 1)
+    for i in range(arity):
+        for j in range(i + 1, arity):
+            out = out * (MultiPoly.variable(arity, i) - MultiPoly.variable(arity, j))
+    return out
 
 
 def decreasing_sequences(max_len, max_entry):

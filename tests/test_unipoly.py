@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvehull.unipoly import (Interval, UniPoly, count_roots_interior,
                                count_roots_with_multiplicity, derivative_bound,
@@ -226,3 +228,157 @@ class TestInterval:
         s = Interval(0, 1)
         assert s.contains(F(1, 2)) and s.contains(0) and s.contains(1)
         assert not s.strictly_contains(0)
+
+
+# -- integer kernels against the Fraction routines they replaced -------------
+
+def fraction_horner(p: UniPoly, x) -> F:
+    """Oracle: Horner's rule on Fractions, one Fraction product and sum per
+    coefficient (UniPoly.__call__ before its integer form)."""
+    x = F(x)
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_derivative_bound(p: UniPoly, lo, hi) -> F:
+    """Oracle: sum_k |p'^(k)(m)| / k! * r^k by repeated derivatives and
+    Fraction Horner (derivative_bound before its integer Taylor shift)."""
+    m = (lo + hi) / 2
+    r = (hi - lo) / 2
+    d = p.derivative()
+    total = F(0)
+    fact = 1
+    power = F(1)
+    k = 0
+    while not d.is_zero:
+        total += abs(fraction_horner(d, m)) / fact * power
+        d = d.derivative()
+        k += 1
+        fact *= k
+        power *= r
+    return total
+
+
+rationals = st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+points = st.one_of(st.integers(-20, 20).map(F), st.just(F(0)), rationals,
+                   st.builds(F, st.integers(-10 ** 6, 0), st.integers(1, 10 ** 6)))
+polys = st.lists(st.one_of(rationals, st.integers(-9, 9).map(F)),
+                 min_size=0, max_size=13).map(UniPoly)
+
+
+class TestIntegerKernels:
+    @settings(max_examples=400, deadline=None)
+    @given(polys, points)
+    def test_call_matches_fraction_horner(self, p, x):
+        assert p(x) == fraction_horner(p, x)
+        assert type(p(x)) is F
+
+    @settings(max_examples=400, deadline=None)
+    @given(polys, points, st.one_of(st.just(F(0)), rationals))
+    def test_derivative_bound_matches_the_fraction_loop(self, p, lo, width):
+        hi = lo + abs(width)
+        assert derivative_bound(p, lo, hi) == fraction_derivative_bound(p, lo, hi)
+
+    def test_integer_form(self):
+        p = UniPoly((F(1, 6), F(-3, 4), 2))
+        assert p.integer_form() == ((2, -9, 24), 12)
+        assert UniPoly.zero().integer_form() == ((), 1)
+        assert UniPoly((F(-2, 3),)).integer_form() == ((-2,), 3)
+
+    def test_integer_form_is_not_part_of_equality(self):
+        p, q = t ** 2 - F(1, 3), t ** 2 - F(1, 3)
+        p.integer_form()
+        assert p == q and hash(p) == hash(q)
+
+    def test_known_values(self):
+        p = F(1, 2) * t ** 3 - F(2, 3) * t + 5
+        assert p(F(-3, 2)) == F(1, 2) * F(-27, 8) + 1 + 5
+        assert p(0) == 5 and UniPoly.zero()(F(7, 3)) == 0
+        # p' = 3/2 t^2 - 2/3; on [0, 2]: m = 1, r = 1, |p'(1)| + |3| + |3/2|
+        assert derivative_bound(p, F(0), F(2)) == F(5, 6) + 3 + F(3, 2)
+        assert derivative_bound(p, F(1), F(1)) == F(5, 6)
+        # on [0, 1]: m = r = 1/2, |p'(1/2)| + |3/2| / 2 + |3/2| / 4
+        assert derivative_bound(p, F(0), F(1)) == F(7, 24) + F(3, 4) + F(3, 8)
+        assert derivative_bound(UniPoly.constant(4), F(0), F(1)) == 0
+
+
+# -- ring laws, division and Sturm counts --------------------------------------
+
+small_polys = st.lists(st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+                       max_size=7).map(UniPoly)
+
+
+class TestRingProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys, small_polys, small_polys)
+    def test_ring_laws(self, a, b, c):
+        zero, one = UniPoly.zero(), UniPoly.one()
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and a * zero == zero
+        assert a - a == zero and -(-a) == a
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys, small_polys.filter(lambda b: not b.is_zero))
+    def test_divmod(self, a, b):
+        q, r = divmod(a, b)
+        assert a == q * b + r
+        assert r.degree < b.degree
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys, small_polys, points)
+    def test_evaluation_is_a_ring_map(self, a, b, x):
+        assert (a * b)(x) == a(x) * b(x)
+        assert (a + b)(x) == a(x) + b(x)
+
+
+@st.composite
+def linear_products(draw):
+    """c * prod (t - r_i)^(m_i) with distinct rational roots, and an interval."""
+    roots = draw(st.lists(st.builds(F, st.integers(-12, 12), st.integers(1, 6)),
+                          min_size=1, max_size=4, unique=True))
+    mults = [draw(st.integers(1, 3)) for _ in roots]
+    c = draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+    c = draw(st.sampled_from((c, -c)))
+    lo = draw(st.builds(F, st.integers(-12, 12), st.integers(1, 6)))
+    hi = lo + draw(st.builds(F, st.integers(1, 24), st.integers(1, 6)))
+    p = UniPoly.constant(c)
+    for r, m in zip(roots, mults):
+        p = p * (t - r) ** m
+    return p, list(zip(roots, mults)), Interval(lo, hi)
+
+
+class TestSturmCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(linear_products())
+    def test_counts_of_products_of_linear_factors(self, case):
+        p, roots, s = case
+        assert count_roots_with_multiplicity(p, s) == sum(
+            m for r, m in roots if s.lo <= r <= s.hi)
+        assert count_roots_interior(p, s) == sum(
+            m for r, m in roots if s.lo < r < s.hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(linear_products())
+    def test_isolation_finds_each_distinct_root(self, case):
+        p, roots, s = case
+        q = squarefree_part(p)
+        spans = isolate_roots(q, s)
+        inside = [r for r, _ in roots if s.lo <= r <= s.hi]
+        assert len(spans) == len(inside)
+        assert all(any(u <= r <= v for u, v in spans) for r in inside)
+        assert all(q(u) == 0 for u, v in spans if u == v)
+
+    @pytest.mark.xfail(strict=True, reason="known defect: a rational root met at a split "
+                       "point is deflated and the bisection restarts on the quotient, so "
+                       "an interval returned for the quotient can still hold that root")
+    def test_isolating_intervals_hold_one_root_of_q(self):
+        q = (t - F(1, 3)) * (t - 1)
+        spans = isolate_roots(q, Interval(-2, 2))
+        for u, v in spans:
+            if u < v:
+                assert count_roots_with_multiplicity(q, Interval(u, v)) == 1
