@@ -45,15 +45,6 @@ class BlockPartition:
     def nblocks(self) -> int:
         return len(self.sizes)
 
-    def blocks(self):
-        """The blocks as ranges of row indices."""
-        out = []
-        start = 0
-        for b in self.sizes:
-            out.append(range(start, start + b))
-            start += b
-        return out
-
     def slot_of_row(self):
         """Row index -> block index."""
         out = []
@@ -83,17 +74,22 @@ class TensorMatrix:
 
     Row (slot nu, order k) holds the raw derivatives p_j^(k)(t_nu) of the
     source basis, which both the evaluation matrix (every order 0) and the
-    Taylor-process matrix keep.
+    Taylor-process matrix keep; the labels and the basis determine it.
     """
 
-    entries: tuple
     arity: int
     labels: tuple
     basis: tuple
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.labels)
+
+    @property
+    def entries(self) -> tuple:
+        """The rows, built on each access; det() does not need them."""
+        return tuple(tuple(MultiPoly.inject(p.derivative(lab.order), self.arity, lab.slot)
+                           for p in self.basis) for lab in self.labels)
 
     def det(self) -> MultiPoly:
         """The determinant, by Cauchy-Binet over the basis coefficients.
@@ -122,11 +118,8 @@ def evaluation_matrix(basis) -> TensorMatrix:
     """Matrix with entry (i, j) = p_j(t_i) over Q[t_0, ..., t_n]."""
     basis = tuple(basis)
     n1 = len(basis)
-    rows = tuple(
-        tuple(MultiPoly.inject(p, n1, i) for p in basis) for i in range(n1)
-    )
     labels = tuple(RowLabel(i, 0, Fraction(1)) for i in range(n1))
-    return TensorMatrix(entries=rows, arity=n1, labels=labels, basis=basis)
+    return TensorMatrix(arity=n1, labels=labels, basis=basis)
 
 
 def divide_diagonals(f: MultiPoly, sizes=None):
@@ -262,15 +255,9 @@ def taylor_process(matrix: TensorMatrix, partition) -> TensorMatrix:
         raise ValueError("Taylor process needs a freshly built evaluation matrix")
     if partition.total != matrix.size:
         raise ValueError("block sizes must sum to the matrix size")
-    basis = matrix.basis
-    r1 = partition.nblocks
-    rows = []
-    labels = []
-    for nu, b in enumerate(partition.sizes):
-        for k in range(b):
-            rows.append(tuple(MultiPoly.inject(p.derivative(k), r1, nu) for p in basis))
-            labels.append(RowLabel(nu, k, Fraction((-1) ** k, factorial(k))))
-    return TensorMatrix(entries=tuple(rows), arity=r1, labels=tuple(labels), basis=basis)
+    labels = tuple(RowLabel(nu, k, Fraction((-1) ** k, factorial(k)))
+                   for nu, b in enumerate(partition.sizes) for k in range(b))
+    return TensorMatrix(arity=partition.nblocks, labels=labels, basis=matrix.basis)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
+from .linalg import _bareiss_pivot
 from .lmi import BlockLMI, lmi_membership
-from .unipoly import (Interval, UniPoly, _q, derivative_bound, isolate_roots,
+from .unipoly import (Interval, UniPoly, _over_lcm, _q, derivative_bound, isolate_roots,
                       refine_isolating_interval, squarefree_part)
 
 
@@ -41,6 +41,15 @@ class CurveSegment:
     def point_at(self, t):
         t = _q(t)
         return tuple(p(t) for p in self.components)
+
+    def objective(self, l) -> UniPoly:
+        """The polynomial sum l_i p_i of a linear functional on the curve."""
+        if len(l) != self.n:
+            raise ValueError("functional dimension mismatch")
+        out = UniPoly.zero()
+        for c, p in zip(l, self.components):
+            out = out + _q(c) * p
+        return out
 
 
 def moment_curve(n: int, domain: Interval) -> CurveSegment:
@@ -85,15 +94,10 @@ def support_min_exact(l, curve: CurveSegment, width) -> RationalEnclosure:
     until a derivative bound certifies the requested width.  The minimum of
     intervals is again an interval of at most the individual width.
     """
-    l = [_q(c) for c in l]
+    objective = curve.objective(l)
     width = _q(width)
-    if len(l) != curve.n:
-        raise ValueError("functional dimension mismatch")
     if width <= 0:
         raise ValueError("width must be positive")
-    objective = UniPoly.zero()
-    for c, p in zip(l, curve.components):
-        objective = objective + c * p
     a, b = curve.domain.lo, curve.domain.hi
     candidates = [(objective(a), objective(a)), (objective(b), objective(b))]
     deriv = objective.derivative()
@@ -143,43 +147,25 @@ def _leaving_row(tab, basis, enter):
     return best
 
 
-def _bareiss_pivot(tab, den, leave, enter):
-    """Fraction-free Gauss-Jordan step (Bareiss, Math. Comp. 22, 1968).
-
-    tab holds den times a rational tableau in integers.  Every row but the
-    pivot row becomes (piv * row - f * pivot_row) // den, an exact division;
-    the pivot row stays as it is, and piv is the new denominator.
-    """
-    prow = tab[leave]
-    piv = prow[enter]
-    for i, row in enumerate(tab):
-        if i != leave:
-            f = row[enter]
-            tab[i] = [(piv * x - f * y) // den for x, y in zip(row, prow)]
-    return piv
-
-
 def _phase1_feasible(matrix, rhs) -> bool:
     """Exact phase-1 simplex with Bland's rule for {x >= 0 : matrix x = rhs}.
 
     Each row is scaled by the lcm of its denominators (and by -1 where rhs is
     negative), a positive scaling that keeps the feasible set, and the
-    tableau is pivoted in integers by `_bareiss_pivot`; its denominator is
-    the last pivot, which stays positive.
+    tableau is pivoted in integers by `linalg._bareiss_pivot`; its
+    denominator is the last pivot, which stays positive.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     total = n + m
     tab = []
     for i, (row, b) in enumerate(zip(matrix, rhs)):
-        row = [_q(x) for x in row] + [_q(b)]
-        scale = lcm(*(x.denominator for x in row))
-        if row[-1] < 0:
-            scale = -scale
-        ints = [x.numerator * (scale // x.denominator) for x in row]
+        ints, _ = _over_lcm([_q(x) for x in row] + [_q(b)])
+        if ints[-1] < 0:
+            ints = [-x for x in ints]
         art = [0] * m  # artificial identity
         art[i] = 1
-        tab.append(ints[:-1] + art + ints[-1:])
+        tab.append([*ints[:-1], *art, ints[-1]])
     basis = list(range(n, total))
     # reduced-cost row for min(sum of artificials): z_j - c_j = sum_i tab[i][j] - c_j
     obj = [sum(col) for col in zip(*tab)]
@@ -240,13 +226,10 @@ def lmi_support_enclosure(lmi: BlockLMI, curve: CurveSegment, l, tol) -> Rationa
     report records this as a one-sided check.  Raises CurvePointRejected
     when the pencil rejects a curve point it meets.
     """
-    l = [_q(c) for c in l]
-    tol = _q(tol)
-    if len(l) != curve.n or lmi.n != curve.n:
+    if lmi.n != curve.n:
         raise ValueError("dimension mismatch")
-    objective = UniPoly.zero()
-    for c, p in zip(l, curve.components):
-        objective = objective + c * p
+    objective = curve.objective(l)
+    tol = _q(tol)
     a, b = curve.domain.lo, curve.domain.hi
 
     def confirmed_value(t) -> Fraction:
@@ -339,7 +322,8 @@ def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
 
     Per probe: a sample-hull member must be a pencil member, and a pencil
     non-member must be outside the sample hull (the sample hull sits inside
-    the true hull, which the pencil set must contain).  Per functional: the
+    the true hull, which the pencil set must contain): one condition seen
+    twice, so a probe that breaks it is one failure.  Per functional: the
     symbolic support enclosure and the branch-and-bound pencil-side
     enclosure must intersect, and the pencil must accept every curve point
     the branch and bound meets (a functional whose search meets a rejected
@@ -371,14 +355,11 @@ def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
         in_lmi = lmi_membership(lmi, probe)
         if in_hull:
             report.hull_members_checked += 1
-            if not in_lmi:
-                report.failures.append(
-                    f"sample-hull member rejected by the pencil: {[str(c) for c in probe]}")
         if not in_lmi:
             report.lmi_nonmembers_checked += 1
-            if in_hull:
-                report.failures.append(
-                    f"pencil non-member inside the sample hull: {[str(c) for c in probe]}")
+        if in_hull and not in_lmi:  # fails both checks, recorded once
+            report.failures.append(
+                f"sample-hull member rejected by the pencil: {[str(c) for c in probe]}")
     for _ in range(support_functionals):
         l = [Fraction(rng.randint(-5, 5)) for _ in range(curve.n)]
         if all(c == 0 for c in l):

@@ -4,9 +4,8 @@ polynomials, semidefiniteness, determinants and nullspaces."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .unipoly import _q
+from .unipoly import _over_lcm, _q
 
 
 class SymMatrix:
@@ -80,8 +79,8 @@ def _integer_char_poly(a: SymMatrix):
     multiplied out, and tr(B M_k) is read as the entrywise sum of B * M_k.
     """
     d = a.dim
-    scale = lcm(*(x.denominator for r in a.rows for x in r))
-    b = [[x.numerator * (scale // x.denominator) for x in r] for r in a.rows]
+    ints, scale = _over_lcm([x for r in a.rows for x in r])
+    b = [ints[i * d:(i + 1) * d] for i in range(d)]
     coeffs = [0] * d + [1]
     m = [[0] * d for _ in range(d)]  # B M_{k-1}; symmetric, M_0 = 0
     for k in range(1, d + 1):
@@ -127,54 +126,67 @@ def psd_check_exact(a: SymMatrix) -> bool:
 # -- dense rational matrices (lists of lists) --------------------------------
 
 
-def det_frac(rows) -> Fraction:
-    """Determinant by fraction Gaussian elimination."""
-    a = [[_q(x) for x in r] for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix is not square")
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
+def _bareiss_pivot(tab, den, leave, enter, first=0):
+    """Fraction-free pivot step (Bareiss, Math. Comp. 22, 1968).
+
+    tab holds den times a rational tableau in integers.  Every row from
+    index first on, except the pivot row, becomes
+    (piv * row - f * pivot_row) // den, an exact division; the pivot row and
+    the rows before first stay as they are, and piv is the new denominator.
+    first = 0 is a Gauss-Jordan step, first = leave + 1 a forward one.
+    """
+    prow = tab[leave]
+    piv = prow[enter]
+    for i in range(first, len(tab)):
+        if i != leave:
+            row = tab[i]
+            f = row[enter]
+            tab[i] = [(piv * x - f * y) // den for x, y in zip(row, prow)]
+    return piv
 
 
-def _rref(rows):
-    a = [[_q(x) for x in r] for r in rows]
-    if not a:
-        return a, []
-    ncols = len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+def _eliminate(rows, forward=False):
+    """Fraction-free row reduction of a rational matrix.
+
+    Each row is scaled to integers by the lcm of its denominators, and
+    row_scale is the product of the scales.  In each column the first row
+    with a nonzero entry is swapped up (flipping sign) and pivoted by
+    `_bareiss_pivot`, Gauss-Jordan or, with forward set, forward only.
+    Returns (tab, den, pivots, sign, row_scale): tab[r][c] / den is the
+    reduced row echelon form after Gauss-Jordan; a forward pass over a
+    nonsingular matrix leaves its determinant sign * den / row_scale.
+    """
+    tab = []
+    row_scale = 1
+    for r in rows:
+        ints, scale = _over_lcm([_q(x) for x in r])
+        tab.append(ints)
+        row_scale *= scale
+    den, sign, pivots = 1, 1, []
+    for c in range(len(tab[0]) if tab else 0):
+        top = len(pivots)
+        if top == len(tab):
+            break
+        piv = next((i for i in range(top, len(tab)) if tab[i][c]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        scale = 1 / a[r][c]
-        a[r] = [x * scale for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        if piv != top:
+            tab[top], tab[piv] = tab[piv], tab[top]
+            sign = -sign
+        den = _bareiss_pivot(tab, den, top, c, top + 1 if forward else 0)
         pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a, pivots
+    return tab, den, pivots, sign, row_scale
+
+
+def det_frac(rows) -> Fraction:
+    """Determinant by fraction-free forward elimination."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    _, den, pivots, sign, row_scale = _eliminate(rows, forward=True)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * den, row_scale)
 
 
 def nullspace_frac(rows):
@@ -182,14 +194,13 @@ def nullspace_frac(rows):
     if not rows:
         return []
     ncols = len(rows[0])
-    rref, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    tab, den, pivots, _, _ = _eliminate(rows)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
+            v[pc] = Fraction(-tab[r][fc], den)
         basis.append(tuple(v))
     return basis
 
@@ -198,15 +209,11 @@ def solve_frac(rows, rhs):
     """One solution x of rows * x = rhs, or None if inconsistent."""
     if not rows:
         return () if not any(_q(b) != 0 for b in rhs) else None
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     ncols = len(rows[0])
-    rref, pivots = _rref(aug)
-    for row in rref:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    tab, den, pivots, _, _ = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:  # a pivot in the right-hand side
+        return None
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = rref[r][-1]
+        x[pc] = Fraction(tab[r][-1], den)
     return tuple(x)

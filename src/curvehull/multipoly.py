@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import lcm
 from operator import add
 
 from .linalg import det_frac
-from .unipoly import UniPoly, _q
+from .unipoly import UniPoly, _over_lcm, _q
 
 
 class MultiPoly:
@@ -93,20 +92,11 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
-
     def monomials(self):
         return self.terms.keys()
 
     def coeff(self, exp) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
-
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(sum(exp) for exp in self.terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
@@ -309,9 +299,9 @@ class MultiPoly:
     def _divide_binomial(self, i: int, j: int):
         """Synthetic division by t_i - t_j (see exact_divide), on integer
         numerators over the common denominator of the coefficients."""
-        den = lcm(*(c.denominator for c in self.terms.values()))
+        nums, den = _over_lcm(list(self.terms.values()))
         groups = {}
-        for exp, c in self.terms.items():
+        for exp, c in zip(self.terms, nums):
             e = list(exp)
             k = e[i]
             e[j] += k
@@ -331,7 +321,7 @@ class MultiPoly:
             for k in range(max(coeffs), -1, -1):
                 c = coeffs.get(k)
                 if c is not None:
-                    s += c.numerator * (den // c.denominator)
+                    s += c
                 if k and s:
                     e[i] = k - 1
                     e[j] = d - k
@@ -432,15 +422,15 @@ def poly_det(rows, right=None) -> MultiPoly:
             return MultiPoly.zero(arity)
     if right is None:
         return MultiPoly(arity, states.get((1 << n) - 1, {}))
-    scales = {mask: det_frac([r for s, r in enumerate(right) if mask >> s & 1])
-              for mask in states}
-    den = lcm(*(c.denominator for c in scales.values()))
+    masks = list(states)
+    ints, den = _over_lcm([det_frac([r for s, r in enumerate(right) if mask >> s & 1])
+                           for mask in masks])
+    scales = dict(zip(masks, ints))
     out = {}
     while states:  # popped, so the minors are freed as the sum grows
         mask, minor = states.popitem()
         scale = scales[mask]
         if scale:
-            scale = scale.numerator * (den // scale.denominator)
             for e, c in minor.items():
                 out[e] = out.get(e, 0) + scale * c
     return MultiPoly._trusted(arity, {e: Fraction(v, den) for e, v in out.items() if v})

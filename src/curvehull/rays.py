@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .diagonal import evaluation_matrix, normalize_basis_orders, vandermonde_cofactor
+from .diagonal import (BlockPartition, evaluation_matrix, normalize_basis_orders,
+                       vandermonde_cofactor)
 from .linalg import det_frac, nullspace_frac, solve_frac
 from .multipoly import MultiPoly
 from .schur import schur_via_tableaux
@@ -391,9 +392,7 @@ def validate_interval(system: LinearSystem, s: Interval, samples: int) -> Interv
     all_ok = True
     for sizes in _compositions(n1):
         r1 = len(sizes)
-        slot = []
-        for nu, b in enumerate(sizes):
-            slot.extend([nu] * b)
+        slot = BlockPartition(sizes).slot_of_row()
         collapsed = {alpha: g.merge_variables(slot, r1) for alpha, g in g_alpha.items()}
         ok = True
         if any(not g.is_zero for g in collapsed.values()):

@@ -18,6 +18,13 @@ def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _over_lcm(values):
+    """(ints, den) for a sequence of Fractions: den is the positive lcm of
+    their denominators and values[k] == ints[k] / den."""
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] with rational endpoints and lo < hi."""
@@ -114,8 +121,7 @@ class UniPoly:
         try:
             return self._ints
         except AttributeError:
-            den = lcm(*(c.denominator for c in self.coeffs))
-            ints = (tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den)
+            ints = _over_lcm(self.coeffs)
             object.__setattr__(self, "_ints", ints)
             return ints
 

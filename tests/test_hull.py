@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvehull.hull import (CurvePointRejected, CurveSegment, RationalEnclosure,
-                            _bareiss_pivot, _leaving_row, cross_validate,
-                            finite_hull_membership, lmi_support_enclosure,
-                            moment_curve, sample_curve, support_min_exact)
+                            _leaving_row, cross_validate, finite_hull_membership,
+                            lmi_support_enclosure, moment_curve, sample_curve,
+                            support_min_exact)
+from curvehull.linalg import _bareiss_pivot
 from curvehull.lmi import interval_moment_lmi, lmi_membership
 from curvehull.unipoly import Interval, UniPoly, derivative_bound
 
@@ -425,6 +426,30 @@ class TestWrongPencil:
         rejected = [f for f in report.failures if "rejected by the pencil for l" in f]
         assert len(rejected) == 8  # every default functional meets t = 0
         assert report.to_json()["all_pass"] is False
+
+    def test_one_failure_per_bad_probe(self):
+        curve = moment_curve(4, UNIT)
+        pencil = interval_moment_lmi(4, Interval(F(1, 4), F(3, 4)))
+        verdicts = {"hull": [], "lmi": []}
+
+        def recording(key, oracle):
+            def wrapped(*args):
+                verdicts[key].append(oracle(*args))
+                return verdicts[key][-1]
+            return wrapped
+
+        with mock.patch("curvehull.hull.finite_hull_membership",
+                        recording("hull", finite_hull_membership)), \
+                mock.patch("curvehull.hull.lmi_membership",
+                           recording("lmi", lmi_membership)):
+            report = cross_validate(curve, pencil, trials=6, seed=1, support_functionals=0)
+        pairs = list(zip(verdicts["hull"], verdicts["lmi"], strict=True))
+        assert len(pairs) == 6
+        bad = sum(h and not m for h, m in pairs)
+        assert bad == 3
+        assert len(report.failures) == bad
+        assert report.hull_members_checked == sum(h for h, _ in pairs)
+        assert report.lmi_nonmembers_checked == sum(not m for _, m in pairs)
 
     def test_rejection_carries_the_parameter(self):
         pencil = interval_moment_lmi(2, Interval(F(1, 4), F(3, 4)))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvehull.linalg import (SymMatrix, char_poly, det_frac, nullspace_frac,
-                              psd_check_exact, solve_frac)
+from curvehull.linalg import (SymMatrix, _bareiss_pivot, char_poly, det_frac,
+                              nullspace_frac, psd_check_exact, solve_frac)
 from curvehull.unipoly import UniPoly
 
 
@@ -218,3 +218,161 @@ class TestIntegerKernel:
         scaled = SymMatrix([[x / 10 ** 6 for x in r] for r in a.rows])
         assert char_poly(scaled) == tuple(c * F(1, 10 ** 6) ** (3 - k)
                                           for k, c in enumerate(char_poly(a)))
+
+
+# -- the fraction-free elimination kernel against the Fraction loops it replaced --
+
+
+def det_oracle(rows) -> F:
+    """Determinant by Fraction Gaussian elimination."""
+    a = [[F(x) for x in r] for r in rows]
+    n = len(a)
+    det = F(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] == 0:
+                continue
+            f = a[r][col] * inv
+            for c in range(col, n):
+                a[r][c] -= f * a[col][c]
+    return det
+
+
+def rref_oracle(rows):
+    """Reduced row echelon form by Fraction Gauss-Jordan, and its pivots."""
+    a = [[F(x) for x in r] for r in rows]
+    if not a:
+        return a, []
+    pivots = []
+    r = 0
+    for c in range(len(a[0])):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        scale = 1 / a[r][c]
+        a[r] = [x * scale for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a, pivots
+
+
+def nullspace_oracle(rows):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    rref, pivots = rref_oracle(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve_oracle(rows, rhs):
+    if not rows:
+        return () if not any(rhs) else None
+    ncols = len(rows[0])
+    rref, pivots = rref_oracle([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = rref[r][-1]
+    return tuple(x)
+
+
+small_rationals = st.integers(-3, 3).map(F)
+
+
+@st.composite
+def dense_matrices(draw, square=False):
+    """Matrices from 0 x 0 to 8 x 9 of small integers (many zeros, so many
+    row swaps) or wide rationals (denominators up to 10^6); some rows are
+    then zeroed, duplicated or replaced by a combination of earlier rows."""
+    m = draw(st.integers(0, 8))
+    n = m if square else draw(st.integers(0, 9))
+    entries = draw(st.sampled_from((small_rationals, wide_rationals)))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    for i in range(1, m):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "duplicate", "combination")))
+        a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        if kind == "zero":
+            rows[i] = [F(0)] * n
+        elif kind == "duplicate":
+            rows[i] = list(rows[a])
+        elif kind == "combination":
+            c = draw(wide_rationals)
+            rows[i] = [c * x + y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+@st.composite
+def dense_systems(draw):
+    """(rows, rhs): rhs is random (often inconsistent when rows are rank
+    deficient) or rows times a random x (always consistent)."""
+    rows = draw(dense_matrices())
+    entries = st.one_of(small_rationals, wide_rationals)
+    if draw(st.booleans()):
+        return rows, [draw(entries) for _ in rows]
+    x = [draw(entries) for _ in range(len(rows[0]) if rows else 0)]
+    return rows, [sum((a * b for a, b in zip(r, x)), F(0)) for r in rows]
+
+
+class TestEliminationKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(dense_matrices(square=True))
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    @example([[F(1, 10 ** 6), 2], [3, F(-7, 999999)]])
+    def test_det_matches_fraction_elimination(self, rows):
+        assert det_frac(rows) == det_oracle(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_matrices())
+    @example([[0, 0, 1, 2], [0, 2, 4, 6], [0, 1, 2, 3]])
+    def test_nullspace_matches_fraction_rref(self, rows):
+        assert nullspace_frac(rows) == nullspace_oracle(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_systems())
+    @example(([[1, 1], [1, 1]], [0, 1]))
+    @example(([[0, 2], [1, 0]], [4, F(1, 3)]))
+    def test_solve_matches_fraction_rref(self, system):
+        rows, rhs = system
+        assert solve_frac(rows, rhs) == solve_oracle(rows, rhs)
+
+    def test_empty_and_non_square(self):
+        assert det_frac([]) == 1
+        assert nullspace_frac([]) == []
+        assert nullspace_frac([[], []]) == []
+        assert solve_frac([[], []], [0, 0]) == ()
+        assert solve_frac([[], []], [0, 1]) is None
+        for rows in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
+            with pytest.raises(ValueError, match="not square"):
+                det_frac(rows)
+
+    def test_forward_pivot_leaves_the_rows_above(self):
+        tab = [[2, 1, 0], [1, 3, 1], [0, 1, 2]]
+        den = _bareiss_pivot(tab, 1, 0, 0, first=1)
+        assert (den, tab) == (2, [[2, 1, 0], [0, 5, 2], [0, 2, 4]])
+        den = _bareiss_pivot(tab, den, 1, 1, first=2)
+        assert (den, tab) == (5, [[2, 1, 0], [0, 5, 2], [0, 0, 8]])
+        assert det_frac([[2, 1, 0], [1, 3, 1], [0, 1, 2]]) == 8

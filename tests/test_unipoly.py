@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvehull.unipoly import (Interval, UniPoly, count_roots_interior,
+from curvehull.unipoly import (Interval, UniPoly, _over_lcm, count_roots_interior,
                                count_roots_with_multiplicity, derivative_bound,
                                is_nonnegative_on, isolate_roots, poly_gcd,
                                squarefree_decomposition, squarefree_part)
@@ -280,6 +280,11 @@ class TestIntegerKernels:
     def test_derivative_bound_matches_the_fraction_loop(self, p, lo, width):
         hi = lo + abs(width)
         assert derivative_bound(p, lo, hi) == fraction_derivative_bound(p, lo, hi)
+
+    def test_over_lcm_clears_denominators_by_their_positive_lcm(self):
+        assert _over_lcm([F(1, 2), F(-2, 3), F(0), F(5)]) == ((3, -4, 0, 30), 6)
+        assert _over_lcm([F(-1, 4)]) == ((-1,), 4)
+        assert _over_lcm([]) == ((), 1)
 
     def test_integer_form(self):
         p = UniPoly((F(1, 6), F(-3, 4), 2))
