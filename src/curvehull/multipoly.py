@@ -106,6 +106,10 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its coefficient, so it must hash like it
+        origin = (0,) * self.arity
+        if self.terms.keys() <= {origin}:
+            return hash(self.coeff(origin))
         return hash((self.arity, frozenset(self.terms.items())))
 
     def __bool__(self):

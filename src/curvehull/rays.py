@@ -21,7 +21,8 @@ from .multipoly import MultiPoly
 from .schur import schur_via_tableaux
 from .unipoly import (Interval, UniPoly, _q, count_roots_interior,
                       count_roots_with_multiplicity, is_nonnegative_on,
-                      poly_gcd, squarefree_decomposition)
+                      _set_squarefree_decomposition, poly_gcd,
+                      squarefree_decomposition)
 
 
 @dataclass(frozen=True)
@@ -128,13 +129,12 @@ class CandidateMatrix:
 
 
 def _derivative_rows(basis, points, mults):
-    rows = []
-    for x, b in zip(points, mults):
-        derivs = list(basis)
-        for k in range(b):
-            rows.append(tuple(p(x) for p in derivs))
-            derivs = [p.derivative() for p in derivs]
-    return rows
+    """Rows p^(k)(x) over the basis, k < b, for each point x with multiplicity b.
+    The derivative chain is built once and shared by every point."""
+    chain = [tuple(basis)]
+    for _ in range(max(mults, default=0) - 1):
+        chain.append(tuple(p.derivative() for p in chain[-1]))
+    return [tuple(p(x) for p in chain[k]) for x, b in zip(points, mults) for k in range(b)]
 
 
 def candidate_matrix(system: LinearSystem, pattern: ZeroPattern) -> CandidateMatrix:
@@ -173,18 +173,24 @@ def zero_conditions_dim(system: LinearSystem, pattern: ZeroPattern) -> int:
 
 
 def _sympy_irreducible_factors(p: UniPoly):
-    """Irreducible monic factors of p over Q (p squarefree in our usage)."""
-    import sympy  # imported on first use: it dominates the package's import time
+    """Irreducible monic factors of squarefree p over Q.  sympy factors the
+    integer coefficient list; a linear p is irreducible and skips it.  Each
+    factor carries its squarefree decomposition, so counting its roots runs
+    no Yun."""
+    if p.degree == 1:
+        out = [p.monic()]
+    else:
+        import sympy  # imported on first use: it dominates the package's import time
 
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** k
-               for k, c in enumerate(p.coeffs))
-    _, factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))
-    out = []
-    for fac, mult in factors:
-        poly = sympy.Poly(fac, x)
-        coeffs = [Fraction(c.p, c.q) for c in poly.all_coeffs()[::-1]]
-        out.extend([UniPoly(coeffs).monic()] * mult)
+        nums, _ = p.integer_form()
+        x = sympy.Symbol("x")
+        _, factors = sympy.factor_list(sympy.Poly.from_list(nums[::-1], x, domain="ZZ"))
+        out = []
+        for fac, mult in factors:
+            h = UniPoly([int(c) for c in reversed(fac.all_coeffs())]).monic()
+            out.extend([h] * mult)
+    for h in out:
+        _set_squarefree_decomposition(h, Fraction(1), [(h, 1)])
     return out
 
 

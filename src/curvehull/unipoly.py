@@ -4,7 +4,9 @@ Everything in this module is exact: coefficients are `fractions.Fraction`,
 root counting runs Sturm chains on squarefree parts, and sign questions on
 closed intervals are decided symbolically.  No floating point anywhere.
 Evaluation and the Taylor derivative bound run on Python integers: each
-polynomial caches its coefficients over their common denominator.
+polynomial caches its coefficients over their common denominator.  Each
+polynomial also caches its Yun squarefree decomposition, so the root counts,
+the nonnegativity test and the factoring of one polynomial share one run.
 """
 
 from __future__ import annotations
@@ -54,11 +56,12 @@ class UniPoly:
 
     Instances are immutable; all operations return new polynomials. The zero
     polynomial has an empty coefficient tuple and degree -1.  The integer
-    form (see `integer_form`) is filled on first use, so construction does
-    no extra work.
+    form (see `integer_form`) and the squarefree decomposition (see
+    `squarefree_decomposition`) are filled on first use, so construction
+    does no extra work.
     """
 
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("coeffs", "_ints", "_sqf")
 
     def __init__(self, coeffs=()):
         cs = [_q(c) for c in coeffs]
@@ -133,7 +136,8 @@ class UniPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its coefficient, so it must hash like it
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.coeff(0))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -332,10 +336,26 @@ def squarefree_decomposition(p: UniPoly):
     """Yun decomposition p = unit * prod f_i^i with the f_i monic, squarefree, coprime.
 
     Returns (unit, [(f_i, i), ...]) sorted by multiplicity; constants yield an
-    empty factor list.
+    empty factor list.  The decomposition is computed once per polynomial and
+    kept on it; each call returns a fresh list.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
+    try:
+        unit, layers = p._sqf
+    except AttributeError:
+        unit, layers = _yun(p)
+        _set_squarefree_decomposition(p, unit, layers)
+    return unit, list(layers)
+
+
+def _set_squarefree_decomposition(p: UniPoly, unit, layers) -> None:
+    """Store (unit, layers) as the decomposition of p; callers that already
+    know it (an irreducible monic factor is (1, [(h, 1)])) skip Yun."""
+    object.__setattr__(p, "_sqf", (unit, tuple(layers)))
+
+
+def _yun(p: UniPoly):
     unit = p.leading_coeff
     a = p.monic()
     if a.degree == 0:

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvehull.linalg import SymMatrix
 from curvehull.lmi import (Block, BlockLMI, emit_sdpa, hankel_lmi,
@@ -245,6 +247,22 @@ class TestJson:
             text = json.dumps(payload)
             back = lmi_from_json(text)
             assert back == pencil
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_pencils_round_trip(self, data):
+        n = data.draw(st.integers(1, 6))
+        rational = st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+        pencils = [hankel_lmi(n)] if n % 2 == 0 else []
+        for _ in range(data.draw(st.integers(1, 3))):
+            lo = data.draw(rational)
+            width = data.draw(rational.filter(lambda w: w > 0))
+            pencils.append(interval_moment_lmi(n, Interval(lo, lo + width)))
+        blocks = [blk for pencil in pencils for blk in pencil.blocks]
+        chosen = data.draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=4))
+        pencil = BlockLMI(n=n, blocks=tuple(chosen))
+        assert lmi_from_json(json.dumps(lmi_to_json(pencil))) == pencil
+        assert lmi_from_json(lmi_to_json(pencil)) == pencil
 
     def test_schema_shape(self):
         payload = lmi_to_json(hankel_lmi(2))

@@ -189,3 +189,44 @@ class TestKernelProperties:
         f = (x0 * x0 + x1 - F(1, 2)) * x2
         for g in (x0 + x1, 2 * x0 - 2 * x1, x0 * x0 - x1, x0 - 1, x0 - x1 - x2):
             assert (f * g).exact_divide(g) == f
+
+
+class TestRingLaws:
+    @settings(max_examples=100, deadline=None)
+    @given(mpolys(), mpolys(), mpolys(), st.tuples(rationals, rationals, rationals))
+    def test_ring_laws_hold_at_rational_points(self, a, b, c, x):
+        zero, one = MultiPoly.zero(3), MultiPoly.constant(3, 1)
+        at = {name: p.evaluate(x) for name, p in (("a", a), ("b", b), ("c", c))}
+        for lhs, rhs, value in (
+                (a + b, b + a, at["a"] + at["b"]),
+                (a * b, b * a, at["a"] * at["b"]),
+                ((a + b) + c, a + (b + c), at["a"] + at["b"] + at["c"]),
+                ((a * b) * c, a * (b * c), at["a"] * at["b"] * at["c"]),
+                (a * (b + c), a * b + a * c, at["a"] * (at["b"] + at["c"])),
+                (a + zero, a, at["a"]),
+                (a * one, a, at["a"]),
+                (a * zero, zero, 0),
+                (a - a, zero, 0)):
+            assert lhs == rhs
+            assert lhs.evaluate(x) == rhs.evaluate(x) == value
+
+
+constants_and_mpolys = st.one_of(
+    st.integers(-2, 2), st.integers(-2, 2).map(F),
+    st.builds(F, st.integers(-2, 2), st.integers(1, 3)),
+    st.dictionaries(st.sampled_from(((0, 0), (1, 0))),
+                    st.builds(F, st.integers(-2, 2), st.integers(1, 3)),
+                    max_size=2).map(lambda terms: MultiPoly(2, terms)),
+    st.builds(MultiPoly.constant, st.sampled_from((1, 3)), st.integers(-2, 2)))
+
+
+class TestHashContract:
+    @settings(max_examples=400, deadline=None)
+    @given(constants_and_mpolys, constants_and_mpolys)
+    def test_equal_values_hash_alike(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_constants_collapse_in_a_set(self):
+        assert len({MultiPoly.constant(3, 5), 5, F(5)}) == 1
+        assert len({MultiPoly.zero(2), 0}) == 1

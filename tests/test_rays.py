@@ -1,14 +1,20 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvehull.rays import (LinearSystem, ZeroPattern, candidate_matrix,
+from curvehull import unipoly
+from curvehull.rays import (LinearSystem, ZeroPattern, _derivative_rows,
+                            _sympy_irreducible_factors, candidate_matrix,
                             chebyshev_det_sign, extreme_candidate,
                             interval_supported_divisor, profile_and_normalize,
                             supporting_face_basis, validate_interval,
                             verify_extreme, zero_conditions_dim)
-from curvehull.unipoly import Interval, UniPoly
+from curvehull.unipoly import Interval, UniPoly, poly_gcd, squarefree_decomposition
 
 t = UniPoly.t()
 mono = UniPoly.monomial
@@ -267,3 +273,132 @@ class TestValidateInterval:
         v = profile_and_normalize((mono(3) + mono(4), mono(1), mono(0)), 0)
         report = validate_interval(v, Interval(0, F(1, 2)), 3)
         assert report.s1_sampled
+
+
+# -- integer-coefficient factoring and the shared Yun decomposition -----------
+
+def expr_irreducible_factors(p: UniPoly):
+    """Oracle: sympy factors a symbolic expression built from Rationals
+    (_sympy_irreducible_factors before it passed integer coefficient lists)."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+               for k, c in enumerate(p.coeffs))
+    _, factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))
+    out = []
+    for fac, mult in factors:
+        poly = sympy.Poly(fac, x)
+        coeffs = [F(c.p, c.q) for c in poly.all_coeffs()[::-1]]
+        out.extend([UniPoly(coeffs).monic()] * mult)
+    return out
+
+
+@st.composite
+def factored_polys(draw):
+    """unit * prod h_i^(m_i) over rational linear factors and quadratics
+    with two irrational real roots, multiplicities 1-4."""
+    linear = st.builds(F, st.integers(-12, 12), st.integers(1, 6)).map(lambda r: t - r)
+    quadratic = st.tuples(st.integers(-6, 6), st.integers(-9, 9)).filter(
+        lambda bc: bc[0] ** 2 - 4 * bc[1] > 0
+        and math.isqrt(bc[0] ** 2 - 4 * bc[1]) ** 2 != bc[0] ** 2 - 4 * bc[1]).map(
+        lambda bc: t * t + bc[0] * t + bc[1])
+    p = UniPoly.constant(draw(st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))))
+    for h in draw(st.lists(st.one_of(linear, quadratic), min_size=1, max_size=4)):
+        p = p * h ** draw(st.integers(1, 4))
+    return p
+
+
+def _sorted(polys):
+    return sorted(polys, key=lambda h: h.coeffs)
+
+
+class TestIntegerFactoring:
+    @settings(max_examples=100, deadline=None)
+    @given(factored_polys())
+    def test_matches_the_expression_route(self, p):
+        for q, _ in squarefree_decomposition(p)[1]:
+            for layer in (q, q * p.leading_coeff):
+                factors = _sympy_irreducible_factors(layer)
+                assert _sorted(factors) == _sorted(expr_irreducible_factors(layer))
+                rebuilt = UniPoly.constant(layer.leading_coeff)
+                for h in factors:
+                    rebuilt = rebuilt * h
+                assert rebuilt == layer
+
+    @settings(max_examples=100, deadline=None)
+    @given(factored_polys())
+    def test_seeded_decomposition_of_each_factor_is_its_own(self, p):
+        for q, _ in squarefree_decomposition(p)[1]:
+            for h in _sympy_irreducible_factors(q):
+                assert h.leading_coeff == 1 and poly_gcd(h, h.derivative()).degree == 0
+                assert squarefree_decomposition(h) == (1, [(h, 1)])
+
+    @settings(max_examples=50, deadline=None)
+    @given(factored_polys(), st.sampled_from((UNIT, Interval(-2, 2), Interval(F(1, 3), 5))))
+    def test_divisor_matches_the_expression_route(self, p, s):
+        expected = UniPoly.one()
+        for q, mult in squarefree_decomposition(p)[1]:
+            for h in expr_irreducible_factors(q):
+                if unipoly.count_roots_with_multiplicity(h, s) >= 1:
+                    expected = expected * h ** mult
+        assert interval_supported_divisor(p, s) == expected
+
+
+class TestOneYunPerPolynomial:
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        yun_args, factor_args = [], []
+        yun, factor_list = unipoly._yun, sympy.factor_list
+
+        def counting_yun(p):
+            yun_args.append(p)
+            return yun(p)
+
+        def counting_factor_list(*args, **kw):
+            factor_args.append(args[0])
+            return factor_list(*args, **kw)
+
+        monkeypatch.setattr(unipoly, "_yun", counting_yun)
+        monkeypatch.setattr(sympy, "factor_list", counting_factor_list)
+        return yun_args, factor_args
+
+    def test_verify_extreme_runs_yun_once(self, counters):
+        yun_args, factor_args = counters
+        f = ((t - F(1, 3)) * (t - F(2, 3))) ** 2
+        rep = verify_extreme(moment_system(4), f, UNIT)
+        assert rep.extreme and rep.zero_count == 4
+        # one run on f; the two linear factors sympy returns carry theirs
+        assert yun_args == [f]
+        assert len(factor_args) == 1
+
+    def test_a_linear_layer_is_not_sent_to_sympy(self, counters):
+        yun_args, factor_args = counters
+        f = (t - F(1, 2)) ** 2
+        rep = verify_extreme(moment_system(2), f, UNIT)
+        assert rep.extreme
+        assert yun_args == [f]
+        assert factor_args == []
+
+
+def per_point_derivative_rows(basis, points, mults):
+    """Oracle: the derivative chain rebuilt at every point (_derivative_rows
+    before it shared one chain)."""
+    rows = []
+    for x, b in zip(points, mults):
+        derivs = list(basis)
+        for k in range(b):
+            rows.append(tuple(p(x) for p in derivs))
+            derivs = [p.derivative() for p in derivs]
+    return rows
+
+
+class TestDerivativeRows:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 5)),
+                             max_size=7).map(UniPoly), min_size=1, max_size=5),
+           st.lists(st.tuples(st.builds(F, st.integers(-9, 9), st.integers(1, 5)),
+                              st.integers(1, 4)), max_size=4))
+    def test_matches_the_per_point_chain(self, basis, pattern):
+        points = [x for x, _ in pattern]
+        mults = [b for _, b in pattern]
+        assert _derivative_rows(basis, points, mults) == per_point_derivative_rows(
+            basis, points, mults)

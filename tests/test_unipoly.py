@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -387,3 +388,100 @@ class TestSturmCounts:
         for u, v in spans:
             if u < v:
                 assert count_roots_with_multiplicity(q, Interval(u, v)) == 1
+
+
+# -- the cached Yun decomposition against the uncached routine ----------------
+
+def uncached_yun(p: UniPoly):
+    """Oracle: Yun's decomposition recomputed on every call
+    (squarefree_decomposition before it was cached on the polynomial)."""
+    unit = p.leading_coeff
+    a = p.monic()
+    if a.degree == 0:
+        return unit, []
+    g = poly_gcd(a, a.derivative())
+    if g.degree == 0:
+        return unit, [(a, 1)]
+    b = a.exact_divide(g)
+    d = a.derivative().exact_divide(g) - b.derivative()
+    out = []
+    i = 1
+    while b.degree > 0:
+        f = poly_gcd(b, d)
+        b = b.exact_divide(f)
+        d = d.exact_divide(f) - b.derivative()
+        if f.degree > 0:
+            out.append((f, i))
+        i += 1
+    return unit, out
+
+
+linear_factors = st.builds(F, st.integers(-12, 12), st.integers(1, 6)).map(lambda r: t - r)
+# t^2 + b t + c with a positive discriminant that is not a square: two
+# irrational real roots, irreducible over Q
+irrational_quadratics = st.tuples(st.integers(-6, 6), st.integers(-9, 9)).filter(
+    lambda bc: bc[0] ** 2 - 4 * bc[1] > 0
+    and math.isqrt(bc[0] ** 2 - 4 * bc[1]) ** 2 != bc[0] ** 2 - 4 * bc[1]
+).map(lambda bc: t * t + bc[0] * t + bc[1])
+
+
+@st.composite
+def factored_polys(draw):
+    """unit * prod h_i^(m_i) over rational linear factors and irrational
+    quadratics, multiplicities 1-4."""
+    p = UniPoly.constant(draw(st.builds(F, st.integers(-9, 9).filter(bool),
+                                        st.integers(1, 9))))
+    for h in draw(st.lists(st.one_of(linear_factors, irrational_quadratics),
+                           min_size=0, max_size=4)):
+        p = p * h ** draw(st.integers(1, 4))
+    return p
+
+
+class TestCachedSquarefree:
+    @settings(max_examples=150, deadline=None)
+    @given(factored_polys())
+    def test_matches_the_uncached_decomposition(self, p):
+        expected = uncached_yun(p)
+        assert squarefree_decomposition(p) == expected
+        assert squarefree_decomposition(p) == expected
+        unit, layers = squarefree_decomposition(p)
+        rebuilt = UniPoly.constant(unit)
+        for f, mult in layers:
+            rebuilt = rebuilt * f ** mult
+        assert rebuilt == p
+
+    @settings(max_examples=50, deadline=None)
+    @given(factored_polys(), factored_polys())
+    def test_each_polynomial_keeps_its_own_decomposition(self, p, q):
+        squarefree_decomposition(p)
+        assert squarefree_decomposition(q) == uncached_yun(q)
+        assert squarefree_decomposition(p) == uncached_yun(p)
+
+    def test_a_mutated_result_does_not_reach_the_next_call(self):
+        p = (t - 1) ** 2 * (t * t - 2)
+        unit, layers = squarefree_decomposition(p)
+        layers.append((t, 7))
+        layers[0] = (t + 5, 1)
+        assert squarefree_decomposition(p) == uncached_yun(p)
+
+
+# -- hash contract ------------------------------------------------------------
+
+constants_and_polys = st.one_of(
+    st.integers(-2, 2), st.integers(-2, 2).map(F),
+    st.builds(F, st.integers(-2, 2), st.integers(1, 3)),
+    st.lists(st.builds(F, st.integers(-2, 2), st.integers(1, 3)), max_size=3).map(UniPoly),
+    st.lists(st.integers(-1, 1), max_size=2).map(UniPoly))
+
+
+class TestHashContract:
+    @settings(max_examples=400, deadline=None)
+    @given(constants_and_polys, constants_and_polys)
+    def test_equal_values_hash_alike(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_constants_collapse_in_a_set(self):
+        assert len({UniPoly((5,)), 5, F(5)}) == 1
+        assert len({UniPoly(()), 0, F(0)}) == 1
+        assert len({UniPoly((F(1, 2),)), F(1, 2)}) == 1
