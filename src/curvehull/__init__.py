@@ -17,9 +17,8 @@ from .lmi import (Block, BlockLMI, SosxCertificate, emit_sdpa, hankel_lmi,
                   interval_moment_lmi, lmi_from_json, lmi_membership,
                   lmi_to_json, sosx_certificate)
 from .multipoly import MultiPoly, poly_det
-from .rays import (CandidateMatrix, ExtremeReport, IntervalValidation,
-                   LinearSystem, ZeroPattern, candidate_matrix,
-                   chebyshev_det_sign, extreme_candidate,
+from .rays import (ExtremeReport, IntervalValidation, LinearSystem,
+                   ZeroPattern, chebyshev_det_sign, extreme_candidate,
                    interval_supported_divisor, profile_and_normalize,
                    supporting_face_basis, validate_interval, verify_extreme,
                    zero_conditions_dim)

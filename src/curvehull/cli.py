@@ -249,18 +249,22 @@ def _cmd_lmi(args) -> dict:
         pencil = lmi.interval_moment_lmi(args.n, parse_interval(args.interval))
     payload = lmi.lmi_to_json(pencil)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write(args.json, json.dumps(payload, indent=2) + "\n")
         payload = dict(payload, written=args.json)
     if args.sdpa:
         objective = (parse_point(args.objective) if args.objective
                      else [Fraction(0)] * pencil.n)
-        text = lmi.emit_sdpa(pencil, objective)
-        with open(args.sdpa, "w") as fh:
-            fh.write(text)
+        _write(args.sdpa, lmi.emit_sdpa(pencil, objective))
         payload = dict(payload, sdpa=args.sdpa)
     return payload
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CLIError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_member(args) -> dict:
@@ -268,7 +272,7 @@ def _cmd_member(args) -> dict:
     try:
         with open(args.lmi) as fh:
             pencil = lmi.lmi_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CLIError(f"cannot load pencil: {exc}") from None
     return {"member": lmi.lmi_membership(pencil, point)}
 

@@ -54,9 +54,6 @@ class SymMatrix:
         c = _q(c)
         return SymMatrix([[c * x for x in r] for r in self.rows])
 
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
-
     def __repr__(self):
         return f"SymMatrix({[[str(x) for x in r] for r in self.rows]})"
 

@@ -292,15 +292,20 @@ def lmi_to_json(lmi: BlockLMI) -> dict:
 
 
 def lmi_from_json(data) -> BlockLMI:
+    """Inverse of lmi_to_json; a payload (or JSON text) that does not follow
+    its schema raises ValueError."""
     if isinstance(data, str):
         data = json.loads(data)
-    n = int(data["n"])
-    blocks = []
-    for payload in data["blocks"]:
-        size = int(payload["size"])
-        a0 = _matrix_from_strings(payload["A"], size)
-        coeff = tuple(_matrix_from_strings(b, size) for b in payload["B"])
-        if len(coeff) != n:
-            raise ValueError("wrong number of coefficient matrices")
-        blocks.append(Block(size=size, a0=a0, coeff=coeff))
+    try:
+        n = int(data["n"])
+        blocks = []
+        for payload in data["blocks"]:
+            size = int(payload["size"])
+            a0 = _matrix_from_strings(payload["A"], size)
+            coeff = tuple(_matrix_from_strings(b, size) for b in payload["B"])
+            if len(coeff) != n:
+                raise ValueError("wrong number of coefficient matrices")
+            blocks.append(Block(size=size, a0=a0, coeff=coeff))
+    except (TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"malformed pencil payload: {type(exc).__name__}: {exc}") from None
     return BlockLMI(n=n, blocks=tuple(blocks))

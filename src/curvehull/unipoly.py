@@ -7,6 +7,8 @@ Evaluation and the Taylor derivative bound run on Python integers: each
 polynomial caches its coefficients over their common denominator.  Each
 polynomial also caches its Yun squarefree decomposition, so the root counts,
 the nonnegativity test and the factoring of one polynomial share one run.
+The counts and the test take one Sturm count per layer, after dividing out
+the layer's endpoint roots.
 """
 
 from __future__ import annotations
@@ -409,40 +411,40 @@ def _variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _count_squarefree_closed(q: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct roots of squarefree q in the closed interval [lo, hi]."""
+def _deflate_ends(q: UniPoly, lo: Fraction, hi: Fraction):
+    """(ends, quotient): the endpoints lo, hi that are roots of squarefree q,
+    and q with those linear factors divided out."""
+    ends = []
+    for x in (lo, hi):
+        if q.degree > 0 and q(x) == 0:
+            ends.append(x)
+            q = q.exact_divide(UniPoly((-x, 1)))
+    return ends, q
+
+
+def _layer_roots(q: UniPoly, lo: Fraction, hi: Fraction):
+    """(ends, inner) for squarefree q: how many of lo, hi are roots, and how
+    many distinct roots lie in (lo, hi), by one Sturm chain on the deflated q."""
+    ends, q = _deflate_ends(q, lo, hi)
     if q.degree <= 0:
-        return 0
-    count = 0
-    if q(lo) == 0:
-        count += 1
-        q = q.exact_divide(UniPoly((-lo, 1)))
-    if q(hi) == 0:
-        count += 1
-        q = q.exact_divide(UniPoly((-hi, 1)))
-    if q.degree <= 0:
-        return count
+        return len(ends), 0
     chain = sturm_chain(q)
-    return count + _variations(chain, lo) - _variations(chain, hi)
+    return len(ends), _variations(chain, lo) - _variations(chain, hi)
 
 
 def count_roots_with_multiplicity(p: UniPoly, s: Interval) -> int:
-    """Total multiplicity of the roots of p in the closed interval s, exactly.
-
-    Squarefree layers come from the Yun decomposition; each layer is counted
-    with a Sturm chain (endpoint roots deflated first so the chain is applied
-    with nonvanishing endpoint values) and weighted by its multiplicity.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    _, factors = squarefree_decomposition(p)
-    return sum(mult * _count_squarefree_closed(f, s.lo, s.hi) for f, mult in factors)
+    """Total multiplicity of the roots of p in the closed interval s, exactly:
+    each Yun layer's roots weighted by its multiplicity."""
+    _, layers = squarefree_decomposition(p)
+    return sum(mult * sum(_layer_roots(q, s.lo, s.hi)) for q, mult in layers)
 
 
 def count_roots_interior(p: UniPoly, s: Interval) -> int:
-    """Total multiplicity of the roots of p in the open interval (lo, hi)."""
-    closed = count_roots_with_multiplicity(p, s)
-    return closed - p.ord_at(s.lo) - p.ord_at(s.hi)
+    """Total multiplicity of the roots of p in the open interval (lo, hi).
+    The Yun layers are squarefree and coprime, so each interior root of a
+    layer is a root of p of the layer's multiplicity."""
+    _, layers = squarefree_decomposition(p)
+    return sum(mult * _layer_roots(q, s.lo, s.hi)[1] for q, mult in layers)
 
 
 def _interior_nonroot(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction:
@@ -465,16 +467,9 @@ def is_nonnegative_on(p: UniPoly, s: Interval) -> bool:
     """
     if p.is_zero:
         return True
-    _, factors = squarefree_decomposition(p)
-    for f, mult in factors:
-        if mult % 2 == 1:
-            inside = _count_squarefree_closed(f, s.lo, s.hi)
-            if f(s.lo) == 0:
-                inside -= 1
-            if f(s.hi) == 0:
-                inside -= 1
-            if inside > 0:
-                return False
+    _, layers = squarefree_decomposition(p)
+    if any(mult % 2 and _layer_roots(q, s.lo, s.hi)[1] for q, mult in layers):
+        return False
     return p(_interior_nonroot(p, s.lo, s.hi)) > 0
 
 
@@ -514,12 +509,8 @@ def isolate_roots(q: UniPoly, s: Interval):
     """
     if q.is_zero:
         raise ValueError("zero polynomial")
-    exact = []
     lo, hi = s.lo, s.hi
-    for endpoint in (lo, hi):
-        if not q.is_zero and q.degree > 0 and q(endpoint) == 0:
-            exact.append(endpoint)
-            q = q.exact_divide(UniPoly((-endpoint, 1)))
+    exact, q = _deflate_ends(q, lo, hi)
     while True:
         if q.degree <= 0:
             intervals = []

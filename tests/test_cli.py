@@ -136,6 +136,29 @@ class TestVerbs:
                                       "--point", "1/2,1/4,1/8,1/16"])
         assert data == {"member": True}
 
+    @pytest.mark.parametrize("text", [
+        "[1]",
+        '"abc"',
+        '{"n": 1, "blocks": 5}',
+        '{"n": 1, "blocks": [{"size": 1, "A": 5, "B": [["1"]]}]}',
+        '{"n": 1, "blocks": [{"size": 1, "A": ["1/0"], "B": [["1"]]}]}',
+    ])
+    def test_member_malformed_pencil_is_json_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        data = self.run_json(capsys, ["member", "--lmi", str(path), "--point", "1"],
+                             expect=1)
+        assert data["error"].startswith("cannot load pencil: ")
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--json", "--sdpa"])
+    def test_lmi_unwritable_path_is_json_error(self, capsys, tmp_path, option):
+        path = tmp_path / "missing" / "out"
+        data = self.run_json(capsys, ["lmi", "--kind", "hankel", "--n", "2",
+                                      option, str(path)], expect=1)
+        assert data["error"].startswith(f"cannot write {path}: ")
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_member_malformed_point_is_usage_error(self, capsys, tmp_path):
         assert run(["member", "--lmi", str(tmp_path / "x.json"),
                     "--point", "1/0"]) == 2

@@ -7,9 +7,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvehull import unipoly
+from curvehull import rays, unipoly
+from curvehull.linalg import det_frac
 from curvehull.rays import (LinearSystem, ZeroPattern, _derivative_rows,
-                            _sympy_irreducible_factors, candidate_matrix,
+                            _sympy_irreducible_factors,
                             chebyshev_det_sign, extreme_candidate,
                             interval_supported_divisor, profile_and_normalize,
                             supporting_face_basis, validate_interval,
@@ -84,8 +85,8 @@ class TestCandidates:
     def test_matrix_rows(self):
         v = moment_system(2)
         zp = ZeroPattern((F(1, 2),), (2,))
-        z = candidate_matrix(v, zp)
-        assert z.evals == ((F(1, 4), F(1, 2), F(1)), (F(1), F(1), F(0)))
+        rows = _derivative_rows(v.basis, zp.points, zp.mults)
+        assert rows == [(F(1, 4), F(1, 2), F(1)), (F(1), F(1), F(0))]
 
     def test_double_zero_candidate(self):
         v = moment_system(2)
@@ -107,8 +108,8 @@ class TestCandidates:
 
     def test_pattern_size_checked(self):
         v = moment_system(2)
-        with pytest.raises(ValueError):
-            candidate_matrix(v, ZeroPattern((F(1, 2),), (3,)))
+        with pytest.raises(ValueError, match="pattern prescribes 3 conditions, need n = 2"):
+            extreme_candidate(v, ZeroPattern((F(1, 2),), (3,)))
 
     def test_vanishing_orders_at_pattern_points(self):
         rng = random.Random(97)
@@ -213,6 +214,9 @@ class TestChebyshevSign:
         v = moment_system(2)
         sign = chebyshev_det_sign(v, (F(1, 4), F(1, 2), F(3, 4)), (1, 1, 1), UNIT)
         assert sign == -1  # Vandermonde with increasing nodes, decreasing powers
+        # the base point is local 0, not the left endpoint
+        assert chebyshev_det_sign(v, (F(1, 4), F(1, 2), F(3, 4)), (1, 1, 1),
+                                  Interval(F(1, 4), 1)) == -1
 
     def test_confluent(self):
         v = moment_system(2)
@@ -241,6 +245,11 @@ class TestChebyshevSign:
             chebyshev_det_sign(v, (F(1, 2), F(1, 2)), (1, 2), UNIT)
         with pytest.raises(ValueError):
             chebyshev_det_sign(v, (F(0),), (3,), UNIT)  # base point
+        with pytest.raises(ValueError, match="base point"):
+            chebyshev_det_sign(v, (F(-1, 2), F(0), F(1, 2)), (1, 1, 1), Interval(-1, 1))
+        # a left endpoint other than 0 is not the base point
+        assert chebyshev_det_sign(v, (F(1, 4), F(1, 2), F(3, 4)), (1, 1, 1),
+                                  Interval(F(1, 4), 1)) != 0
         with pytest.raises(ValueError):
             chebyshev_det_sign(v, (F(1, 2),), (2,), UNIT)  # wrong total
 
@@ -402,3 +411,123 @@ class TestDerivativeRows:
         mults = [b for _, b in pattern]
         assert _derivative_rows(basis, points, mults) == per_point_derivative_rows(
             basis, points, mults)
+
+
+# -- one elimination per candidate against the n + 1 minors -------------------
+
+def minor_loop_cofactors(rows, ncols):
+    """Oracle: (-1)^j times the minor without column j, one det_frac each."""
+    return [(-1) ** j * (det_frac([[row[c] for c in range(ncols) if c != j] for row in rows])
+                         if rows else F(1)) for j in range(ncols)]
+
+
+def minor_loop_candidate(system: LinearSystem, pattern: ZeroPattern) -> UniPoly:
+    """Oracle: cofactor expansion along the symbolic top row with one det_frac
+    per column, sign-normalized by the lowest Taylor coefficient
+    (extreme_candidate before it ran one elimination)."""
+    rows = _derivative_rows(system.basis, pattern.points, pattern.mults)
+    det = UniPoly.zero()
+    for c, p in zip(minor_loop_cofactors(rows, system.dim), system.basis):
+        det = det + p * c
+    if det.is_zero:
+        return det
+    return det if det.coeffs[det.ord_at(0)] > 0 else -det
+
+
+small_rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+
+
+@st.composite
+def evaluation_rows(draw):
+    """n x (n+1) rational rows, n 0-6, with small entries so some draws are
+    rank-deficient (zero or repeated rows), plus rows scaled from earlier ones."""
+    n = draw(st.integers(0, 6))
+    entries = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.integers(0, 4)) == 0:
+            rows.append(tuple(draw(entries) * x for x in draw(st.sampled_from(rows))))
+        else:
+            rows.append(tuple(draw(st.lists(entries, min_size=n + 1, max_size=n + 1))))
+    return rows
+
+
+def _composition(draw, total):
+    """Positive multiplicities summing to total."""
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1)))) if total > 1 else []
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+@st.composite
+def candidate_cases(draw):
+    """A system of dimension n + 1 (n 1-6) with distinct leading degrees, so
+    its basis is independent, and a pattern prescribing n conditions."""
+    n = draw(st.integers(1, 6))
+    degrees = draw(st.lists(st.integers(0, n + 3), min_size=n + 1, max_size=n + 1,
+                            unique=True))
+    basis = [UniPoly(draw(st.lists(small_rationals, min_size=d, max_size=d)) + [1])
+             for d in degrees]
+    system = profile_and_normalize(basis, draw(small_rationals))
+    mults = _composition(draw, n)
+    points = draw(st.lists(small_rationals, min_size=len(mults), max_size=len(mults),
+                           unique=True))
+    return system, ZeroPattern(tuple(sorted(points)), tuple(mults))
+
+
+@st.composite
+def symmetric_cases(draw):
+    """An even basis with a pattern symmetric about 0: the conditions at -x
+    repeat those at x, so the rank falls below n and every minor vanishes."""
+    half = draw(st.integers(1, 3))
+    n = 2 * half
+    degrees = draw(st.lists(st.integers(0, n + 2), min_size=n + 1, max_size=n + 1,
+                            unique=True))
+    basis = []
+    for d in degrees:
+        lower = draw(st.lists(small_rationals, min_size=d, max_size=d))
+        basis.append(UniPoly([c for k in range(d) for c in (lower[k], 0)] + [1]))
+    system = profile_and_normalize(basis, 0)
+    mults = _composition(draw, half)
+    xs = sorted(draw(st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 5)),
+                              min_size=len(mults), max_size=len(mults), unique=True)))
+    points = [-x for x in reversed(xs)] + xs
+    return system, ZeroPattern(tuple(points), tuple(mults[::-1] + mults))
+
+
+class TestOneElimination:
+    @settings(max_examples=300, deadline=None)
+    @given(evaluation_rows())
+    def test_cofactors_are_the_signed_minors(self, rows):
+        ncols = len(rows) + 1
+        assert rays._top_row_cofactors(rows, ncols) == minor_loop_cofactors(rows, ncols)
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_cases())
+    def test_matches_the_minor_loop(self, case):
+        system, pattern = case
+        assert extreme_candidate(system, pattern).coeffs == \
+            minor_loop_candidate(system, pattern).coeffs
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_cases())
+    def test_rank_deficient_symmetric_patterns(self, case):
+        system, pattern = case
+        assert zero_conditions_dim(system, pattern) > 1
+        assert extreme_candidate(system, pattern).is_zero
+        assert minor_loop_candidate(system, pattern).is_zero
+
+    def test_one_elimination_and_no_minor(self, monkeypatch):
+        calls = []
+        eliminate = rays._eliminate
+
+        def counting_eliminate(*args, **kw):
+            calls.append("eliminate")
+            return eliminate(*args, **kw)
+
+        monkeypatch.setattr(rays, "_eliminate", counting_eliminate)
+        monkeypatch.setattr(rays, "det_frac", lambda rows: calls.append("det_frac"))
+        f = extreme_candidate(moment_system(6), ZeroPattern(
+            (F(1, 5), F(1, 2), F(4, 5)), (2, 2, 2)))
+        assert calls == ["eliminate"]
+        c = f.leading_coeff
+        assert c > 0 and f == c * ((t - F(1, 5)) * (t - F(1, 2)) * (t - F(4, 5))) ** 2

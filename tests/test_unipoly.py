@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvehull import unipoly
 from curvehull.unipoly import (Interval, UniPoly, _over_lcm, count_roots_interior,
                                count_roots_with_multiplicity, derivative_bound,
                                is_nonnegative_on, isolate_roots, poly_gcd,
@@ -342,40 +343,114 @@ class TestRingProperties:
         assert (a + b)(x) == a(x) + b(x)
 
 
+# t^2 + b t + c with a positive discriminant that is not a square: two
+# irrational real roots, irreducible over Q
+irrational_quadratics = st.tuples(st.integers(-6, 6), st.integers(-9, 9)).filter(
+    lambda bc: bc[0] ** 2 - 4 * bc[1] > 0
+    and math.isqrt(bc[0] ** 2 - 4 * bc[1]) ** 2 != bc[0] ** 2 - 4 * bc[1]
+).map(lambda bc: t * t + bc[0] * t + bc[1])
+# (t + a)^2 + e with e > 0: no real root
+rootless_quadratics = st.builds(
+    lambda a, e: (t + a) ** 2 + e,
+    st.builds(F, st.integers(-12, 12), st.integers(1, 6)),
+    st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+
+
 @st.composite
 def linear_products(draw):
-    """c * prod (t - r_i)^(m_i) with distinct rational roots, and an interval."""
-    roots = draw(st.lists(st.builds(F, st.integers(-12, 12), st.integers(1, 6)),
-                          min_size=1, max_size=4, unique=True))
+    """c * prod (t - r_i)^(m_i) with distinct rational roots, optionally times
+    a power of an irreducible quadratic, and an interval whose ends may be
+    roots."""
+    rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+    roots = draw(st.lists(rationals, min_size=1, max_size=4, unique=True))
     mults = [draw(st.integers(1, 3)) for _ in roots]
     c = draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)))
     c = draw(st.sampled_from((c, -c)))
-    lo = draw(st.builds(F, st.integers(-12, 12), st.integers(1, 6)))
-    hi = lo + draw(st.builds(F, st.integers(1, 24), st.integers(1, 6)))
+    quadratic = draw(st.none() | st.tuples(irrational_quadratics | rootless_quadratics,
+                                           st.integers(1, 3)))
+    lo = draw(rationals | st.sampled_from(roots))
+    above = [r for r in roots if r > lo]
+    widths = st.builds(F, st.integers(1, 24), st.integers(1, 6)).map(lambda w: lo + w)
+    hi = draw(widths | st.sampled_from(above) if above else widths)
     p = UniPoly.constant(c)
     for r, m in zip(roots, mults):
         p = p * (t - r) ** m
-    return p, list(zip(roots, mults)), Interval(lo, hi)
+    if quadratic:
+        p = p * quadratic[0] ** quadratic[1]
+    return p, list(zip(roots, mults)), quadratic, Interval(lo, hi)
+
+
+def quadratic_roots_in(q: UniPoly, s: Interval) -> int:
+    """Roots in s of a monic quadratic q without rational roots, read from the
+    signs of q at the ends and at its vertex."""
+    at_lo, at_hi = q(s.lo), q(s.hi)
+    if at_lo * at_hi < 0:
+        return 1
+    vertex = -q.coeff(1) / 2
+    return 2 if at_lo > 0 and s.lo < vertex < s.hi and q(vertex) < 0 else 0
+
+
+def inline_is_nonnegative_on(p: UniPoly, s: Interval) -> bool:
+    """Oracle: is_nonnegative_on before it read the per-layer counts.  Each
+    odd layer gets a closed Sturm count (endpoint roots deflated first), less
+    its endpoint roots."""
+    if p.is_zero:
+        return True
+    for f, mult in squarefree_decomposition(p)[1]:
+        if mult % 2 == 1:
+            q, inside = f, 0
+            for x in (s.lo, s.hi):
+                if q.degree > 0 and q(x) == 0:
+                    inside += 1
+                    q = q.exact_divide(UniPoly((-x, 1)))
+            if q.degree > 0:
+                chain = unipoly.sturm_chain(q)
+                inside += unipoly._variations(chain, s.lo) - unipoly._variations(chain, s.hi)
+            if f(s.lo) == 0:
+                inside -= 1
+            if f(s.hi) == 0:
+                inside -= 1
+            if inside > 0:
+                return False
+    return p(unipoly._interior_nonroot(p, s.lo, s.hi)) > 0
 
 
 class TestSturmCounts:
     @settings(max_examples=200, deadline=None)
     @given(linear_products())
     def test_counts_of_products_of_linear_factors(self, case):
-        p, roots, s = case
-        assert count_roots_with_multiplicity(p, s) == sum(
+        p, roots, quadratic, s = case
+        irrational = quadratic[1] * quadratic_roots_in(quadratic[0], s) if quadratic else 0
+        assert count_roots_with_multiplicity(p, s) == irrational + sum(
             m for r, m in roots if s.lo <= r <= s.hi)
-        assert count_roots_interior(p, s) == sum(
+        assert count_roots_interior(p, s) == irrational + sum(
             m for r, m in roots if s.lo < r < s.hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(linear_products())
+    def test_nonnegativity_matches_the_inline_routine(self, case):
+        p, _, _, s = case
+        for q in (p, -p, p * (t - s.lo), p * (s.hi - t)):
+            assert is_nonnegative_on(q, s) == inline_is_nonnegative_on(q, s)
+
+    def test_interior_count_runs_no_taylor_shift(self, monkeypatch):
+        shifts = []
+        shift = UniPoly.shift
+        monkeypatch.setattr(UniPoly, "shift", lambda p, a: shifts.append(a) or shift(p, a))
+        p = (t - F(1, 3)) ** 2 * (t - F(1, 2)) * (t - 1) ** 3 * (t * t - 2)
+        assert count_roots_interior(p, Interval(F(1, 3), 1)) == 1
+        assert count_roots_interior(p, Interval(F(1, 3), 2)) == 5
+        assert shifts == []
 
     @settings(max_examples=100, deadline=None)
     @given(linear_products())
     def test_isolation_finds_each_distinct_root(self, case):
-        p, roots, s = case
+        p, roots, quadratic, s = case
         q = squarefree_part(p)
         spans = isolate_roots(q, s)
         inside = [r for r, _ in roots if s.lo <= r <= s.hi]
-        assert len(spans) == len(inside)
+        irrational = quadratic_roots_in(quadratic[0], s) if quadratic else 0
+        assert len(spans) == len(inside) + irrational
         assert all(any(u <= r <= v for u, v in spans) for r in inside)
         assert all(q(u) == 0 for u, v in spans if u == v)
 
@@ -417,12 +492,6 @@ def uncached_yun(p: UniPoly):
 
 
 linear_factors = st.builds(F, st.integers(-12, 12), st.integers(1, 6)).map(lambda r: t - r)
-# t^2 + b t + c with a positive discriminant that is not a square: two
-# irrational real roots, irreducible over Q
-irrational_quadratics = st.tuples(st.integers(-6, 6), st.integers(-9, 9)).filter(
-    lambda bc: bc[0] ** 2 - 4 * bc[1] > 0
-    and math.isqrt(bc[0] ** 2 - 4 * bc[1]) ** 2 != bc[0] ** 2 - 4 * bc[1]
-).map(lambda bc: t * t + bc[0] * t + bc[1])
 
 
 @st.composite
