@@ -12,7 +12,7 @@ from .hull import (CrossValidationReport, CurvePointRejected, CurveSegment,
                    RationalEnclosure, cross_validate, finite_hull_membership,
                    lmi_support_enclosure, moment_curve, sample_curve,
                    support_min_exact)
-from .linalg import SymMatrix, char_poly, psd_check_exact
+from .linalg import SymMatrix, psd_check_exact
 from .lmi import (Block, BlockLMI, SosxCertificate, emit_sdpa, hankel_lmi,
                   interval_moment_lmi, lmi_from_json, lmi_membership,
                   lmi_to_json, sosx_certificate)

@@ -1,11 +1,22 @@
-"""Exact rational linear algebra: symmetric matrices, characteristic
-polynomials, semidefiniteness, determinants and nullspaces."""
+"""Exact rational linear algebra: symmetric matrices, semidefiniteness by
+fraction-free symmetric elimination, determinants, nullspaces and solves."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .unipoly import _over_lcm, _q
+
+
+def _check_symmetric(rows):
+    """Raise ValueError unless rows is a square symmetric matrix (exactly)."""
+    d = len(rows)
+    if any(len(r) != d for r in rows):
+        raise ValueError("matrix is not square")
+    for i in range(d):
+        for j in range(i):
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(f"not symmetric at ({i},{j})")
 
 
 class SymMatrix:
@@ -15,26 +26,12 @@ class SymMatrix:
 
     def __init__(self, rows):
         rows = tuple(tuple(_q(x) for x in r) for r in rows)
-        d = len(rows)
-        if any(len(r) != d for r in rows):
-            raise ValueError("matrix is not square")
-        for i in range(d):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"not symmetric at ({i},{j})")
-        object.__setattr__(self, "dim", d)
+        _check_symmetric(rows)
+        object.__setattr__(self, "dim", len(rows))
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("SymMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, d: int) -> "SymMatrix":
-        return cls([[0] * d for _ in range(d)])
-
-    @classmethod
-    def identity(cls, d: int) -> "SymMatrix":
-        return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)])
 
     def __eq__(self, other):
         if isinstance(other, SymMatrix):
@@ -58,66 +55,45 @@ class SymMatrix:
         return f"SymMatrix({[[str(x) for x in r] for r in self.rows]})"
 
 
-def _mirror_upper(upper):
-    """Rows of the symmetric matrix whose row i from the diagonal on is
-    upper[i]."""
-    d = len(upper)
-    return [[upper[i][j - i] if j >= i else upper[j][i - j] for j in range(d)]
-            for i in range(d)]
+def _symmetric_pivots(m):
+    """Fraction-free symmetric elimination of square symmetric integer rows
+    m: its positive pivots, or None if m is not PSD.  A negative diagonal
+    entry refutes PSD; else the first positive one p is eliminated by
+    `_bareiss_pivot`, and its row and column are dropped.  The rest stays
+    den > 0 times the Schur complement of the pivots so far, PSD iff m is,
+    and each pivot is the principal minor of m on the pivot indices; with no
+    positive diagonal entry left, the rest is PSD iff it is zero."""
+    pivots = []
+    den = 1
+    m = list(m)
+    while m:
+        p = None
+        for i, r in enumerate(m):
+            if r[i] < 0:
+                return None
+            if r[i] and p is None:
+                p = i
+        if p is None:
+            return None if any(map(any, m)) else pivots
+        den = _bareiss_pivot(m, den, p, p)
+        pivots.append(den)
+        m = [r[:p] + r[p + 1:] for i, r in enumerate(m) if i != p]
+    return pivots
 
 
-def _integer_char_poly(a: SymMatrix):
-    """Clear the denominators of a with their positive lcm L and run
-    Faddeev-LeVerrier over the integers on B = L*A.
-
-    Returns (L, (c'_0, ..., c'_{d-1}, 1)), the characteristic polynomial of B;
-    that of A is c'_k / L^(d-k).  M_k = B M_{k-1} + c'_{d-k+1} I is a
-    polynomial in B, hence symmetric: only the upper triangle of B M_k is
-    multiplied out, and tr(B M_k) is read as the entrywise sum of B * M_k.
-    """
-    d = a.dim
-    ints, scale = _over_lcm([x for r in a.rows for x in r])
-    b = [ints[i * d:(i + 1) * d] for i in range(d)]
-    coeffs = [0] * d + [1]
-    m = [[0] * d for _ in range(d)]  # B M_{k-1}; symmetric, M_0 = 0
-    for k in range(1, d + 1):
-        ck1 = coeffs[d - k + 1]
-        for i in range(d):
-            m[i][i] += ck1
-        tr = sum(x * y for br, mr in zip(b, m) for x, y in zip(br, mr))
-        ck, rem = divmod(-tr, k)
-        if rem:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by k")
-        coeffs[d - k] = ck
-        if k < d:
-            # column j of the symmetric M_k is its row j
-            m = _mirror_upper([[sum(x * y for x, y in zip(br, m[j])) for j in range(i, d)]
-                               for i, br in enumerate(b)])
-    return scale, coeffs
-
-
-def char_poly(a: SymMatrix):
-    """Coefficients (c_0, ..., c_{d-1}, 1) of det(lambda*I - A), by the
-    Faddeev-LeVerrier recurrence (exact, over the integers after clearing
-    denominators)."""
-    scale, coeffs = _integer_char_poly(a)
-    d = a.dim
-    return tuple(Fraction(c, scale ** (d - k)) for k, c in enumerate(coeffs))
-
-
-def psd_check_exact(a: SymMatrix) -> bool:
-    """Exact positive-semidefiniteness test.
-
-    A real symmetric matrix has a real-rooted characteristic polynomial
-    lambda^d + c_{d-1} lambda^{d-1} + ... + c_0; all roots are >= 0 iff
-    (-1)^{d-k} c_k >= 0 for every k.  Handles zero eigenvalues with no case
-    analysis (unlike rational Cholesky).  The signs are read from the integer
-    coefficients of L*A, which differ from c_k by the positive factor
-    L^(d-k).
-    """
-    _, coeffs = _integer_char_poly(a)
-    d = a.dim
-    return all((c if (d - k) % 2 == 0 else -c) >= 0 for k, c in enumerate(coeffs[:d]))
+def psd_check_exact(a) -> bool:
+    """Exact PSD test of a SymMatrix or of square symmetric rows of ints or
+    Fractions, checked exactly, cleared to integers by their positive lcm and
+    reduced by `_symmetric_pivots`: no floating point."""
+    if isinstance(a, SymMatrix):
+        a = a.rows
+    else:
+        _check_symmetric(a)
+    if not all(type(x) is int for r in a for x in r):
+        d = len(a)
+        ints, _ = _over_lcm([x for r in a for x in r])
+        a = [ints[i * d:(i + 1) * d] for i in range(d)]
+    return _symmetric_pivots(a) is not None
 
 
 # -- dense rational matrices (lists of lists) --------------------------------

@@ -2,9 +2,9 @@
 
 Builders for the full Hankel pencil of the even moment curve and the
 two-block localized moment pencil of an interval (block sizes at most
-1 + floor(n/2)), exact membership via the characteristic-polynomial PSD
-test, square certificates for validated extreme candidates, sparse SDPA
-emission, and a JSON wire format.  There are no lifted variables: every
+1 + floor(n/2)), exact membership by an integer PSD test of each block,
+square certificates for validated extreme candidates, sparse SDPA emission,
+and a JSON wire format.  There are no lifted variables: every
 representation here is a genuine spectrahedron, so membership is a pure
 PSD check.
 """
@@ -12,12 +12,12 @@ PSD check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import SymMatrix, _mirror_upper, psd_check_exact
+from .linalg import SymMatrix, psd_check_exact
 from .rays import ZeroPattern
-from .unipoly import Interval, UniPoly, _q
+from .unipoly import Interval, UniPoly, _over_lcm, _q
 
 
 @dataclass(frozen=True)
@@ -27,18 +27,27 @@ class Block:
     size: int
     a0: SymMatrix
     coeff: tuple  # one SymMatrix per ambient variable
+    # (i, j, L * A_ij, ((v, L * B_v,ij) for each nonzero)) for i <= j, over
+    # one positive lcm L of every denominator in the block
+    _entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a0.dim != self.size or any(b.dim != self.size for b in self.coeff):
             raise ValueError("block matrices must share the block size")
+        upper = [(i, j) for i in range(self.size) for j in range(i, self.size)]
+        k = len(upper)
+        ints, _ = _over_lcm([m.rows[i][j] for m in (self.a0, *self.coeff) for i, j in upper])
+        object.__setattr__(self, "_entries", tuple(
+            (i, j, ints[e], tuple((v, b) for v, b in enumerate(ints[e + k::k]) if b))
+            for e, (i, j) in enumerate(upper)))
 
-    def evaluate(self, x) -> SymMatrix:
-        """A + sum_i x_i B_i, built entry by entry into one SymMatrix."""
-        terms = [(_q(xi), b.rows) for xi, b in zip(x, self.coeff) if xi]
-        return SymMatrix(_mirror_upper(
-            [[a + sum(xi * r[i][j] for xi, r in terms if r[i][j])
-              for j, a in enumerate(row[i:], i)]
-             for i, row in enumerate(self.a0.rows)]))
+    def integer_rows(self, xs, q):
+        """Integer rows q*L*(A + sum_v x_v B_v) at x_v = xs_v / q, for ints
+        xs and q > 0."""
+        rows = [[0] * self.size for _ in range(self.size)]
+        for i, j, a, terms in self._entries:
+            rows[i][j] = rows[j][i] = q * a + sum(xs[v] * b for v, b in terms)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -118,11 +127,13 @@ def interval_moment_lmi(n: int, s: Interval) -> BlockLMI:
 
 
 def lmi_membership(lmi: BlockLMI, x) -> bool:
-    """Exact membership: every block pencil evaluated at x is PSD."""
+    """Exact membership: every block pencil evaluated at x is PSD, tested
+    on its integer rows over one denominator q > 0 of x."""
     x = [_q(v) for v in x]
     if len(x) != lmi.n:
         raise ValueError(f"point has dimension {len(x)}, pencil has {lmi.n}")
-    return all(psd_check_exact(blk.evaluate(x)) for blk in lmi.blocks)
+    xs, q = _over_lcm(x)
+    return all(psd_check_exact(blk.integer_rows(xs, q)) for blk in lmi.blocks)
 
 
 # -- square certificates -------------------------------------------------------
@@ -291,21 +302,29 @@ def lmi_to_json(lmi: BlockLMI) -> dict:
     }
 
 
+def _positive_int(value, name: str) -> int:
+    if type(value) is not int or value < 1:  # bool is not a count
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def lmi_from_json(data) -> BlockLMI:
     """Inverse of lmi_to_json; a payload (or JSON text) that does not follow
     its schema raises ValueError."""
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        n = int(data["n"])
+        n = _positive_int(data["n"], "n")
         blocks = []
         for payload in data["blocks"]:
-            size = int(payload["size"])
+            size = _positive_int(payload["size"], "size")
             a0 = _matrix_from_strings(payload["A"], size)
             coeff = tuple(_matrix_from_strings(b, size) for b in payload["B"])
             if len(coeff) != n:
                 raise ValueError("wrong number of coefficient matrices")
             blocks.append(Block(size=size, a0=a0, coeff=coeff))
+        if not blocks:
+            raise ValueError("a pencil needs at least one block")
     except (TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"malformed pencil payload: {type(exc).__name__}: {exc}") from None
     return BlockLMI(n=n, blocks=tuple(blocks))

@@ -142,6 +142,11 @@ class TestVerbs:
         '{"n": 1, "blocks": 5}',
         '{"n": 1, "blocks": [{"size": 1, "A": 5, "B": [["1"]]}]}',
         '{"n": 1, "blocks": [{"size": 1, "A": ["1/0"], "B": [["1"]]}]}',
+        '{"n": 1.9, "blocks": [{"size": true, "A": ["1"], "B": [["1"]]}]}',
+        '{"n": "1", "blocks": [{"size": 1, "A": ["1"], "B": [["1"]]}]}',
+        '{"n": 1, "blocks": [{"size": 0, "A": [], "B": [[]]}]}',
+        '{"n": 0, "blocks": []}',
+        '{"n": 1, "blocks": []}',
     ])
     def test_member_malformed_pencil_is_json_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvehull.linalg import (SymMatrix, _bareiss_pivot, char_poly, det_frac,
+from curvehull.linalg import (SymMatrix, _bareiss_pivot, _symmetric_pivots, det_frac,
                               nullspace_frac, psd_check_exact, solve_frac)
-from curvehull.unipoly import UniPoly
+from curvehull.unipoly import UniPoly, _over_lcm
 
 
 def rand_sym(rng, d):
@@ -61,22 +61,46 @@ def char_poly_oracle(a: SymMatrix):
     return tuple(total.coeff(k) for k in range(d + 1))
 
 
-class TestCharPoly:
-    def test_matches_oracle(self):
-        rng = random.Random(31)
-        for d in (1, 2, 3, 4):
-            for _ in range(6):
-                a = rand_sym(rng, d)
-                assert char_poly(a) == char_poly_oracle(a)
+def psd_by_char_poly_oracle(a: SymMatrix) -> bool:
+    """A real symmetric matrix has a real-rooted characteristic polynomial
+    lambda^d + c_{d-1} lambda^{d-1} + ... + c_0; all roots are >= 0 iff
+    (-1)^(d-k) c_k >= 0 for every k."""
+    c = char_poly_oracle(a)
+    return all((-1) ** (a.dim - k) * c[k] >= 0 for k in range(a.dim))
 
-    def test_known_cases(self):
-        assert char_poly(SymMatrix([[0, 1], [1, 0]])) == (F(-1), F(0), F(1))
-        assert char_poly(SymMatrix([[1, 1], [1, 1]])) == (F(0), F(-2), F(1))
+
+def psd_inputs(a: SymMatrix):
+    """The forms psd_check_exact takes for a: the SymMatrix, its rows as
+    lists of Fractions, and its rows cleared to integers by a positive lcm."""
+    d = a.dim
+    ints, _ = _over_lcm([x for r in a.rows for x in r])
+    return a, [list(r) for r in a.rows], [list(ints[i * d:(i + 1) * d]) for i in range(d)]
+
+
+def assert_psd_matches_oracle(a: SymMatrix):
+    expected = psd_by_char_poly_oracle(a)
+    for form in psd_inputs(a):
+        assert psd_check_exact(form) == expected, form
 
 
 class TestPsd:
+    def test_matches_char_poly_sign_rule(self):
+        rng = random.Random(31)
+        for d in (1, 2, 3, 4):
+            for _ in range(6):
+                assert_psd_matches_oracle(rand_sym(rng, d))
+
+    def test_char_poly_oracle_known_cases(self):
+        swap, ones = SymMatrix([[0, 1], [1, 0]]), SymMatrix([[1, 1], [1, 1]])
+        assert char_poly_oracle(swap) == (F(-1), F(0), F(1))
+        assert char_poly_oracle(ones) == (F(0), F(-2), F(1))
+        assert not psd_by_char_poly_oracle(swap)
+        assert psd_by_char_poly_oracle(ones)
+        assert_psd_matches_oracle(swap)
+        assert_psd_matches_oracle(ones)
+
     def test_identity(self):
-        assert psd_check_exact(SymMatrix.identity(3))
+        assert psd_check_exact(SymMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
     def test_indefinite(self):
         assert not psd_check_exact(SymMatrix([[0, 1], [1, 0]]))
@@ -105,7 +129,7 @@ class TestPsd:
         for d in (2, 3):
             for _ in range(25):
                 a = rand_sym(rng, d)
-                shifted = a + SymMatrix.identity(d).scale(eps)
+                shifted = a + SymMatrix([[eps * (i == j) for j in range(d)] for i in range(d)])
                 minors_ok = all(m > 0 for m in leading_principal_minors(shifted))
                 if psd_check_exact(a):
                     assert minors_ok
@@ -144,13 +168,13 @@ class TestDense:
             SymMatrix([[1, 2], [3, 4]])
 
 
-# -- the integer Faddeev-LeVerrier kernel against independent oracles ------------
+# -- the fraction-free symmetric elimination kernel against independent oracles --
 
 
 def psd_ldl_oracle(a: SymMatrix) -> bool:
-    """Independent route: symmetric pivoted LDL^T over Q.  A negative
-    diagonal entry refutes PSD; a positive one is eliminated by its Schur
-    complement; with an all-zero diagonal a PSD matrix must be zero."""
+    """Symmetric pivoted LDL^T over Q.  A negative diagonal entry refutes
+    PSD; a positive one is eliminated by its Schur complement; with an
+    all-zero diagonal a PSD matrix must be zero."""
     m = [list(r) for r in a.rows]
     while m:
         diag = [m[i][i] for i in range(len(m))]
@@ -197,27 +221,72 @@ def psd_candidates(draw):
 
 
 class TestIntegerKernel:
-    @settings(max_examples=150, deadline=None)
-    @given(sym_matrices())
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(sym_matrices(), psd_candidates()))
     @example(SymMatrix([[F(7, 999999)]]))
-    @example(SymMatrix.zeros(1))
-    @example(SymMatrix.zeros(3))
-    def test_char_poly_matches_the_permutation_sum(self, a):
-        assert char_poly(a) == char_poly_oracle(a)
+    @example(SymMatrix([[F(-1, 10 ** 6)]]))
+    @example(SymMatrix([[0]]))
+    @example(SymMatrix([[0, 0], [0, 0]]))
+    @example(SymMatrix([[0] * 3] * 3))
+    @example(SymMatrix([[0, 1], [1, 0]]))
+    @example(SymMatrix([[1, 1, 1], [1, 1, 0], [1, 0, 1]]))  # zero diagonal left
+    def test_psd_matches_char_poly_sign_rule(self, a):
+        assert_psd_matches_oracle(a)
 
     @settings(max_examples=300, deadline=None)
     @given(psd_candidates())
-    @example(SymMatrix.zeros(2))
+    @example(SymMatrix([[0, 0], [0, 0]]))
     @example(SymMatrix([[F(-1, 10 ** 6)]]))
     def test_psd_matches_pivoted_ldl(self, a):
         assert psd_check_exact(a) == psd_ldl_oracle(a)
 
-    def test_char_poly_of_a_scaled_matrix(self):
-        # det(lambda I - A/L) = sum_k c_k L^(k-d) lambda^k for c = char_poly(A)
+    @settings(max_examples=200, deadline=None)
+    @given(psd_candidates())
+    @example(SymMatrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+    def test_pivots_are_principal_minors(self, a):
+        # a PSD matrix has one pivot per unit of rank; a positive definite one
+        # pivots in index order, so pivot k is its k-th leading principal minor
+        m = psd_inputs(a)[2]
+        pivots = _symmetric_pivots(m)
+        assert (pivots is not None) == psd_by_char_poly_oracle(a)
+        if pivots is not None:
+            assert len(pivots) == rank_oracle(m)
+            if len(pivots) == a.dim:
+                assert pivots == leading_principal_minors(SymMatrix(m))
+
+    def test_psd_of_a_scaled_matrix(self):
+        # det(lambda I - A/L) = sum_k c_k L^(k-d) lambda^k for c the
+        # characteristic polynomial of A; PSD survives positive scaling only
         a = SymMatrix([[2, 3, 0], [3, -1, 5], [0, 5, 4]])
-        scaled = SymMatrix([[x / 10 ** 6 for x in r] for r in a.rows])
-        assert char_poly(scaled) == tuple(c * F(1, 10 ** 6) ** (3 - k)
-                                          for k, c in enumerate(char_poly(a)))
+        scaled = a.scale(F(1, 10 ** 6))
+        assert char_poly_oracle(scaled) == tuple(
+            c * F(1, 10 ** 6) ** (3 - k) for k, c in enumerate(char_poly_oracle(a)))
+        gram = SymMatrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+        for m in (a, gram):
+            for c in (F(1, 10 ** 6), F(-1, 10 ** 6)):
+                assert_psd_matches_oracle(m.scale(c))
+        assert psd_check_exact(gram.scale(F(1, 10 ** 6)))
+        assert not psd_check_exact(gram.scale(F(-1, 10 ** 6)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sym_matrices(), st.data())
+    def test_rows_must_be_square_and_symmetric(self, a, data):
+        rows = [list(r) for r in a.rows]
+        ragged = [r[:-1] if i == len(rows) - 1 else r for i, r in enumerate(rows)]
+        bad = [[r[:-1] for r in rows], ragged, rows + [rows[-1]]]
+        if a.dim > 1:
+            bad.append(rows[:-1])
+            i = data.draw(st.integers(1, a.dim - 1))
+            j = data.draw(st.integers(0, i - 1))
+            asymmetric = [list(r) for r in rows]
+            asymmetric[i][j] += data.draw(wide_rationals.filter(bool))
+            bad.append(asymmetric)
+            ints = psd_inputs(SymMatrix(rows))[2]
+            ints[j][i] -= 1
+            bad.append(ints)
+        for m in bad:
+            with pytest.raises(ValueError, match="not square|not symmetric"):
+                psd_check_exact(m)
 
 
 # -- the fraction-free elimination kernel against the Fraction loops it replaced --

@@ -2,17 +2,19 @@ import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvehull import lmi
 from curvehull.linalg import SymMatrix
 from curvehull.lmi import (Block, BlockLMI, emit_sdpa, hankel_lmi,
                            interval_moment_lmi, lmi_from_json, lmi_membership,
                            lmi_to_json, sosx_certificate)
 from curvehull.rays import ZeroPattern
-from curvehull.unipoly import Interval, UniPoly
+from curvehull.unipoly import Interval, UniPoly, _over_lcm
 
 t = UniPoly.t()
 UNIT = Interval(0, 1)
@@ -73,7 +75,7 @@ class TestIntervalMoment:
         assert [b.size for b in pencil.blocks] == [2, 2]
         first, second = pencil.blocks
         # [[x1, x2], [x2, x3]]
-        assert first.a0 == SymMatrix.zeros(2)
+        assert first.a0 == SymMatrix([[0, 0], [0, 0]])
         assert first.coeff[0] == SymMatrix([[1, 0], [0, 0]])
         assert first.coeff[1] == SymMatrix([[0, 1], [1, 0]])
         assert first.coeff[2] == SymMatrix([[0, 0], [0, 1]])
@@ -160,7 +162,36 @@ class TestEvaluate:
             expected = blk.a0
             for xi, b in zip(x, blk.coeff):
                 expected = expected + b.scale(xi)
-            assert blk.evaluate(x) == expected
+            xs, q = _over_lcm([F(v) for v in x])
+            rows = blk.integer_rows(xs, q)
+            # rows == c * expected for one c > 0
+            flat = [v for r in rows for v in r]
+            want = [v for r in expected.rows for v in r]
+            assert all(type(v) is int for v in flat)
+            nonzero = [(v, w) for v, w in zip(flat, want) if w]
+            c = F(nonzero[0][0], nonzero[0][1]) if nonzero else F(1)
+            assert c > 0
+            assert flat == [c * w for w in want]
+
+    def test_membership_counts(self):
+        # a k-block pencil builds no SymMatrix and calls psd_check_exact once
+        # per block up to the first block that rejects the point
+        good = hankel_lmi(4).blocks[0]
+        a0 = [list(r) for r in good.a0.rows]
+        a0[1][1] -= F(1, 10 ** 30)
+        bad = Block(size=good.size, a0=SymMatrix(a0), coeff=good.coeff)
+        point = moment_vector(F(2, 3), 4)
+        k = 4
+        for reject in (*range(k), None):
+            pencil = BlockLMI(n=4, blocks=tuple(bad if i == reject else good
+                                                for i in range(k)))
+            with mock.patch.object(lmi, "psd_check_exact",
+                                   wraps=lmi.psd_check_exact) as psd, \
+                    mock.patch.object(SymMatrix, "__init__", autospec=True,
+                                      side_effect=SymMatrix.__init__) as built:
+                assert lmi_membership(pencil, point) == (reject is None)
+            assert psd.call_count == (k if reject is None else reject + 1)
+            assert built.call_count == 0
 
     def test_hankel_block_lowered_below_psd_is_rejected(self):
         # at a curve point the Hankel block is v v^T, v = (1, t, t^2); lowering
@@ -239,6 +270,84 @@ class TestSdpa:
         assert "1 1 1 1 0.5" in lines
 
 
+def read_sdpa(text):
+    """Parse sparse SDPA text back to (header comments, pencil, objective):
+    F0 = -A and F_i = B_i, upper-triangle entries mirrored."""
+    lines = text.splitlines()
+    header = [line for line in lines if line.startswith("*")]
+    body = [line for line in lines if not line.startswith("*")]
+    n, nblocks = int(body[0]), int(body[1])
+    sizes = [int(v) for v in body[2].split()]
+    assert len(sizes) == nblocks
+    objective = tuple(F(v) for v in body[3].split())
+    mats = [[[[F(0)] * d for _ in range(d)] for d in sizes] for _ in range(n + 1)]
+    for line in body[4:]:
+        matno, blkno, i, j, value = line.split()
+        m = mats[int(matno)][int(blkno) - 1]
+        m[int(i) - 1][int(j) - 1] = m[int(j) - 1][int(i) - 1] = F(value)
+    blocks = tuple(Block(size=d, a0=SymMatrix(mats[0][b]).scale(-1),
+                         coeff=tuple(SymMatrix(mats[v][b]) for v in range(1, n + 1)))
+                   for b, d in enumerate(sizes))
+    return header, BlockLMI(n=n, blocks=blocks), objective
+
+
+# rationals with 2^a 5^b denominators, so with terminating decimals; half are 0
+decimal_rationals = st.one_of(
+    st.just(F(0)),
+    st.builds(lambda num, a, b: F(num, 2 ** a * 5 ** b),
+              st.integers(-10 ** 6, 10 ** 6), st.integers(0, 12), st.integers(0, 12)))
+
+
+@st.composite
+def decimal_pencils(draw):
+    n = draw(st.integers(1, 4))
+
+    def sym(d):
+        rows = [[F(0)] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                rows[i][j] = rows[j][i] = draw(decimal_rationals)
+        return SymMatrix(rows)
+
+    blocks = []
+    for d in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        blocks.append(Block(size=d, a0=sym(d), coeff=tuple(sym(d) for _ in range(n))))
+    objective = tuple(draw(decimal_rationals) for _ in range(n))
+    return BlockLMI(n=n, blocks=tuple(blocks)), objective
+
+
+class TestSdpaRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(decimal_pencils())
+    def test_terminating_entries_parse_back_exactly(self, drawn):
+        pencil, objective = drawn
+        header, back, back_objective = read_sdpa(emit_sdpa(pencil, objective))
+        assert header[2] == "* entries: exact"
+        assert back == pencil
+        assert back_objective == objective
+
+    @settings(max_examples=50, deadline=None)
+    @given(decimal_pencils(), st.data())
+    def test_a_non_terminating_entry_sets_the_inexact_header(self, drawn, data):
+        pencil, objective = drawn
+        b = data.draw(st.integers(0, len(pencil.blocks) - 1))
+        blk = pencil.blocks[b]
+        i = data.draw(st.integers(0, blk.size - 1))
+        j = data.draw(st.integers(i, blk.size - 1))
+        entry = F(3 * data.draw(st.integers(0, 10 ** 6)) + 1,
+                  3 * 2 ** data.draw(st.integers(0, 6)))
+        rows = [list(r) for r in blk.coeff[0].rows]
+        rows[i][j] = rows[j][i] = entry
+        coeff = (SymMatrix(rows), *blk.coeff[1:])
+        blocks = list(pencil.blocks)
+        blocks[b] = Block(size=blk.size, a0=blk.a0, coeff=coeff)
+        text = emit_sdpa(BlockLMI(n=pencil.n, blocks=tuple(blocks)), objective)
+        header, back, _ = read_sdpa(text)
+        assert header[2] == "* entries: inexact (rounded to 30 significant digits)"
+        got = back.blocks[b].coeff[0].rows[i][j]
+        assert abs(got - entry) <= entry / 10 ** 29
+
+
 class TestJson:
     def test_roundtrip(self):
         for pencil in (hankel_lmi(4), interval_moment_lmi(3, UNIT),
@@ -263,6 +372,22 @@ class TestJson:
         pencil = BlockLMI(n=n, blocks=tuple(chosen))
         assert lmi_from_json(json.dumps(lmi_to_json(pencil))) == pencil
         assert lmi_from_json(lmi_to_json(pencil)) == pencil
+
+    @pytest.mark.parametrize("payload", [
+        {"n": 1.9, "blocks": [{"size": True, "A": ["1"], "B": [["1"]]}]},
+        {"n": "1", "blocks": [{"size": 1, "A": ["1"], "B": [["1"]]}]},
+        {"n": True, "blocks": [{"size": 1, "A": ["1"], "B": [["1"]]}]},
+        {"n": 1, "blocks": [{"size": True, "A": ["1"], "B": [["1"]]}]},
+        {"n": 1, "blocks": [{"size": 1.0, "A": ["1"], "B": [["1"]]}]},
+        {"n": 1, "blocks": [{"size": 0, "A": [], "B": [[]]}]},
+        {"n": 0, "blocks": []},
+        {"n": 1, "blocks": []},
+    ])
+    def test_counts_must_be_positive_ints_and_blocks_nonempty(self, payload):
+        with pytest.raises(ValueError):
+            lmi_from_json(payload)
+        with pytest.raises(ValueError):
+            lmi_from_json(json.dumps(payload))
 
     def test_schema_shape(self):
         payload = lmi_to_json(hankel_lmi(2))
