@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .linalg import _eliminate
 from .multipoly import MultiPoly, poly_det
 from .schur import DivisibilityReport, _scan, _seq, schur_via_tableaux
 from .unipoly import UniPoly
@@ -187,8 +188,9 @@ class SchurMonomialIdeal:
 
 def taylor_remainder_check(f: UniPoly, r: int) -> bool:
     """Verify that f(x) - f(y) - sum_{v=1}^{r} f^(v)(y)/v! (x-y)^v is an exact
-    multiple of (x-y)^{r+1}; true for every polynomial, so a False return
-    flags broken arithmetic."""
+    multiple of (x-y)^{r+1}, the diagonal product of the block sizes
+    (1, r + 1); true for every polynomial, so a False return flags broken
+    arithmetic."""
     if r < 1:
         raise ValueError("need r >= 1")
     x = MultiPoly.variable(2, 0)
@@ -199,46 +201,26 @@ def taylor_remainder_check(f: UniPoly, r: int) -> bool:
     for v in range(1, r + 1):
         coef = MultiPoly.inject(f.derivative(v), 2, 1) * Fraction(1, factorial(v))
         rem = rem - coef * delta ** v
-    return rem.exact_divide(delta ** (r + 1)) is not None
+    return divide_diagonals(rem, (1, r + 1)) is not None
 
 
 def normalize_basis_orders(basis):
-    """Triangularize a basis to strictly decreasing vanishing orders at 0.
+    """The reduced echelon basis at 0: strictly decreasing vanishing orders,
+    each with a unit coefficient at its order.
 
-    Gaussian elimination on coefficient rows: while two elements share a
-    vanishing order, subtract a multiple of one from the other to raise it.
-    The result is sorted by decreasing order with the coefficient of t^{m_i}
-    scaled to 1; the span is unchanged.  Raises on linearly dependent input.
+    One Gauss-Jordan `_eliminate` of the coefficient rows, columns in
+    increasing degree: each pivot column is a vanishing order and each
+    reduced row, scaled to 1 at its pivot, is the basis element of that
+    order.  The result spans the same space and depends only on that span.
+    Raises on linearly dependent input, a zero element included.
     """
-    work = [p if isinstance(p, UniPoly) else UniPoly(p) for p in basis]
-    if any(p.is_zero for p in work):
-        raise ValueError("linearly dependent basis (zero element)")
-    while True:
-        orders = [p.ord_at(0) for p in work]
-        seen = {}
-        clash = None
-        for idx, o in enumerate(orders):
-            if o in seen:
-                clash = (seen[o], idx)
-                break
-            seen[o] = idx
-        if clash is None:
-            break
-        i, j = clash
-        o = orders[i]
-        c = work[j].coeff(o) / work[i].coeff(o)
-        candidate = work[j] - c * work[i]
-        if candidate.is_zero:
-            raise ValueError("linearly dependent basis")
-        work[j] = candidate
-    work.sort(key=lambda p: -p.ord_at(0))
-    normalized = []
-    orders = []
-    for p in work:
-        o = p.ord_at(0)
-        orders.append(o)
-        normalized.append(p * (1 / p.coeff(o)))
-    return tuple(normalized), tuple(orders)
+    rows = [(p if isinstance(p, UniPoly) else UniPoly(p)).coeffs for p in basis]
+    width = max(map(len, rows), default=0)
+    tab, _, pivots, _, _ = _eliminate([r + (0,) * (width - len(r)) for r in rows])
+    if len(pivots) < len(rows):
+        raise ValueError("linearly dependent basis")
+    normalized = [UniPoly([Fraction(x, row[c]) for x in row]) for row, c in zip(tab, pivots)]
+    return tuple(normalized[::-1]), tuple(pivots[::-1])
 
 
 def taylor_process(matrix: TensorMatrix, partition) -> TensorMatrix:

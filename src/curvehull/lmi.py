@@ -20,6 +20,11 @@ from .rays import ZeroPattern
 from .unipoly import Interval, UniPoly, _over_lcm, _q
 
 
+def _positive_int(value, name: str) -> None:
+    if type(value) is not int or value < 1:  # bool is not a count
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Block:
     """One pencil block A + sum_i x_i B_i of symmetric matrices."""
@@ -32,6 +37,7 @@ class Block:
     _entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _positive_int(self.size, "size")
         if self.a0.dim != self.size or any(b.dim != self.size for b in self.coeff):
             raise ValueError("block matrices must share the block size")
         upper = [(i, j) for i in range(self.size) for j in range(i, self.size)]
@@ -58,6 +64,9 @@ class BlockLMI:
     blocks: tuple
 
     def __post_init__(self):
+        _positive_int(self.n, "n")
+        if not self.blocks:
+            raise ValueError("a pencil needs at least one block")
         for blk in self.blocks:
             if len(blk.coeff) != self.n:
                 raise ValueError("every block needs one coefficient matrix per variable")
@@ -302,29 +311,17 @@ def lmi_to_json(lmi: BlockLMI) -> dict:
     }
 
 
-def _positive_int(value, name: str) -> int:
-    if type(value) is not int or value < 1:  # bool is not a count
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def lmi_from_json(data) -> BlockLMI:
     """Inverse of lmi_to_json; a payload (or JSON text) that does not follow
     its schema raises ValueError."""
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        n = _positive_int(data["n"], "n")
         blocks = []
         for payload in data["blocks"]:
-            size = _positive_int(payload["size"], "size")
-            a0 = _matrix_from_strings(payload["A"], size)
-            coeff = tuple(_matrix_from_strings(b, size) for b in payload["B"])
-            if len(coeff) != n:
-                raise ValueError("wrong number of coefficient matrices")
-            blocks.append(Block(size=size, a0=a0, coeff=coeff))
-        if not blocks:
-            raise ValueError("a pencil needs at least one block")
+            size = payload["size"]
+            blocks.append(Block(size=size, a0=_matrix_from_strings(payload["A"], size),
+                                coeff=tuple(_matrix_from_strings(b, size) for b in payload["B"])))
+        return BlockLMI(n=data["n"], blocks=tuple(blocks))
     except (TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"malformed pencil payload: {type(exc).__name__}: {exc}") from None
-    return BlockLMI(n=n, blocks=tuple(blocks))

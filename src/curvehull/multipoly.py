@@ -5,9 +5,9 @@ coefficients; the arity is fixed per instance.  Two kernels carry the
 determinant identities:
 
 * `MultiPoly.exact_divide` divides by t_i - t_j synthetically (additions on
-  integer numerators over one common denominator) and by any other divisor
-  with the lex leading-term heap algorithm; both decide divisibility, since
-  the quotient in an integral domain is unique.
+  integer numerators over one common denominator) and so decides
+  divisibility; `diagonal.divide_diagonals` divides a diagonal product
+  prod (t_i - t_j)^k one binomial at a time.  Any other divisor is refused.
 * `poly_det` expands a square determinant by column-subset dynamic
   programming, or det(D * C) for a wide polynomial D and a rational C by
   Cauchy-Binet, reading every maximal minor of D off the same recursion.
@@ -15,7 +15,6 @@ determinant identities:
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from operator import add
 
@@ -231,9 +230,6 @@ class MultiPoly:
 
     # -- division ------------------------------------------------------------
 
-    def _leading(self):
-        return max(self.terms)  # lex order on exponent tuples
-
     def _binomial_slots(self):
         """(i, j) when self is exactly t_i - t_j, otherwise None."""
         if len(self.terms) != 2:
@@ -245,64 +241,23 @@ class MultiPoly:
         return (i, j) if c1 == 1 else (j, i)
 
     def exact_divide(self, g: "MultiPoly"):
-        """Exact quotient self/g, or None when self is not a multiple of g.
+        """Exact quotient self/g for g = t_i - t_j, or None when self is not a
+        multiple of g; any other nonzero divisor raises ValueError.
 
-        Two algorithms, chosen by the divisor:
-
-        * g = t_i - t_j: synthetic division.  Group the terms by the exponents
-          of the other variables and by d = e_i + e_j; in each group the
-          quotient coefficient of t_i^(k-1) t_j^(d-k) is the suffix sum
-          c_d + ... + c_k of the group's coefficients, and the group leaves a
-          zero remainder iff its coefficients sum to zero.  Additions only.
-        * any other g: lex leading-term division.  While the remainder is
-          nonzero its leading term must be divisible by the leading term of
-          g, otherwise no exact quotient exists.  Leading terms come from a
-          lazily pruned max-heap so each step costs O(|g| log) instead of a
-          scan of the remainder.
-
-        The quotient is unique (polynomial rings over Q are integral
-        domains), so both algorithms return the same result.
+        Synthetic division on integer numerators over the common denominator
+        of the coefficients.  Group the terms by the exponents of the other
+        variables and by d = e_i + e_j; in each group the quotient coefficient
+        of t_i^(k-1) t_j^(d-k) is the suffix sum c_d + ... + c_k of the
+        group's coefficients, and the group leaves a zero remainder iff its
+        coefficients sum to zero.  Additions only.
         """
         g = self._coerce(g)
         if g is None or g.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return MultiPoly.zero(self.arity)
         slots = g._binomial_slots()
-        if slots is not None:
-            return self._divide_binomial(*slots)
-        glead = g._leading()
-        gc = g.terms[glead]
-        gtail = [(ge, gcoef) for ge, gcoef in g.terms.items() if ge != glead]
-        rem = dict(self.terms)
-        heap = [tuple(-e for e in exp) for exp in rem]
-        heapq.heapify(heap)
-        quot = {}
-        while heap:
-            lead = tuple(-e for e in heapq.heappop(heap))
-            c = rem.pop(lead, None)
-            if c is None:  # stale heap entry
-                continue
-            exp = tuple(a - b for a, b in zip(lead, glead))
-            if any(e < 0 for e in exp):
-                return None
-            c = c / gc
-            quot[exp] = c
-            for ge, gcoef in gtail:
-                key = tuple(a + b for a, b in zip(exp, ge))
-                old = rem.get(key)
-                acc = (old if old is not None else 0) - c * gcoef
-                if acc:
-                    rem[key] = acc
-                    if old is None:
-                        heapq.heappush(heap, tuple(-e for e in key))
-                else:
-                    rem.pop(key, None)
-        return MultiPoly(self.arity, quot)
-
-    def _divide_binomial(self, i: int, j: int):
-        """Synthetic division by t_i - t_j (see exact_divide), on integer
-        numerators over the common denominator of the coefficients."""
+        if slots is None:
+            raise ValueError(f"exact_divide divides only by t_i - t_j, not {g.to_string()}")
+        i, j = slots
         nums, den = _over_lcm(list(self.terms.values()))
         groups = {}
         for exp, c in zip(self.terms, nums):

@@ -160,12 +160,11 @@ def extreme_candidate(system: LinearSystem, pattern: ZeroPattern) -> UniPoly:
 
 
 def zero_conditions_dim(system: LinearSystem, pattern: ZeroPattern) -> int:
-    """Dimension of {f in span : ord_{xi_i}(f) >= b_i for every i}: the
-    nullity of the derivative-evaluation condition matrix."""
+    """Dimension of {f in span : ord_{xi_i}(f) >= b_i for every i}: dim
+    minus the rank of the derivative-evaluation condition matrix, read off a
+    forward elimination."""
     rows = _derivative_rows(system.basis, pattern.points, pattern.mults)
-    if not rows:
-        return system.dim
-    return len(nullspace_frac(rows))
+    return system.dim - len(_eliminate(rows, forward=True)[2])
 
 
 def _sympy_irreducible_factors(p: UniPoly):

@@ -242,9 +242,6 @@ class UniPoly:
             rem.pop()
         return UniPoly(q), UniPoly(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 

@@ -2,14 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from curvehull import diagonal
 from curvehull.diagonal import (BlockPartition, DivisibilityError,
                                 SchurMonomialIdeal, divide_diagonals,
                                 evaluation_matrix, factor_taylor_determinant,
                                 normalize_basis_orders, taylor_process,
                                 taylor_remainder_check, vandermonde_cofactor)
+from curvehull.linalg import det_frac
 from curvehull.multipoly import MultiPoly, poly_det
 from curvehull.schur import schur_via_tableaux
 from curvehull.unipoly import UniPoly
@@ -178,8 +181,78 @@ class TestTaylorCongruence:
         with pytest.raises(ValueError):
             taylor_remainder_check(t, 0)
 
+    def test_a_wrong_taylor_term_is_caught(self, monkeypatch):
+        # with v! read as 1 the order-2 term is off by (x-y)^2 terms, so the
+        # remainder of t^3 at r = 2 is divisible by (x-y)^2 but not (x-y)^3
+        monkeypatch.setattr(diagonal, "factorial", lambda v: 1)
+        assert not taylor_remainder_check(mono(3), 2)
+        assert taylor_remainder_check(mono(3), 1)
+
+
+def clash_normalize(basis):
+    """Oracle: the pairwise loop.  While two elements share a vanishing
+    order, subtract a multiple of the first from the second; then sort by
+    decreasing order and scale each to a unit coefficient at its order."""
+    work = list(basis)
+    if any(p.is_zero for p in work):
+        raise ValueError("linearly dependent basis (zero element)")
+    while True:
+        orders = [p.ord_at(0) for p in work]
+        clash = next(((orders.index(o), j) for j, o in enumerate(orders)
+                      if orders.index(o) < j), None)
+        if clash is None:
+            break
+        i, j = clash
+        o = orders[i]
+        work[j] = work[j] - work[j].coeff(o) / work[i].coeff(o) * work[i]
+        if work[j].is_zero:
+            raise ValueError("linearly dependent basis")
+    work.sort(key=lambda p: -p.ord_at(0))
+    orders = tuple(p.ord_at(0) for p in work)
+    return tuple(p * (1 / p.coeff(o)) for p, o in zip(work, orders)), orders
+
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def spanning_sets(draw):
+    """1..4 polynomials of degree < 6 whose orders at 0 often clash; some
+    sets are dependent by construction, some hold a zero element."""
+    size = draw(st.integers(1, 4))
+    basis = [UniPoly(draw(st.lists(coefficients, min_size=1, max_size=6)))
+             for _ in range(size)]
+    kind = draw(st.sampled_from(("drawn", "combination", "zero")))
+    if kind == "combination":
+        basis.append(sum((draw(coefficients) * p for p in basis), UniPoly.zero()))
+    elif kind == "zero":
+        basis[draw(st.integers(0, size - 1))] = UniPoly.zero()
+    return tuple(basis)
+
 
 class TestNormalization:
+    @settings(max_examples=120, deadline=None)
+    @given(spanning_sets(), st.data())
+    def test_agrees_with_the_pairwise_loop_and_depends_only_on_the_span(self, basis, data):
+        mix = [[data.draw(coefficients) for _ in basis] for _ in basis]
+        assume(det_frac(mix) != 0)
+        mixed = tuple(sum((c * p for c, p in zip(row, basis)), UniPoly.zero()) for row in mix)
+        try:
+            expected, expected_orders = clash_normalize(basis)
+        except ValueError:
+            for b in (basis, mixed):
+                with pytest.raises(ValueError, match="linearly dependent basis"):
+                    normalize_basis_orders(b)
+            return
+        got, orders = normalize_basis_orders(basis)
+        assert orders == expected_orders
+        assert all(p.ord_at(0) == m and p.coeff(m) == 1 for p, m in zip(got, orders))
+        width = 1 + max(p.degree for p in basis)
+        rows = [[p.coeff(k) for k in range(width)] for p in basis + got]
+        assert sympy.Matrix(rows).rank() == len(basis)
+        assert evaluation_matrix(got).det() == evaluation_matrix(expected).det()
+        assert normalize_basis_orders(mixed) == (got, orders)
+
     def test_already_triangular(self):
         basis, orders = normalize_basis_orders((mono(2), mono(1), mono(0)))
         assert orders == (2, 1, 0)
@@ -291,9 +364,6 @@ class TestBlockPartition:
 
 
 # -- the Cauchy-Binet determinant and the diagonal division (hypothesis) -------
-
-coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-
 
 @st.composite
 def bases_and_blocks(draw):

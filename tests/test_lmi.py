@@ -348,6 +348,22 @@ class TestSdpaRoundTrip:
         assert abs(got - entry) <= entry / 10 ** 29
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("make, message", [
+        (lambda one: BlockLMI(n=2, blocks=()), "at least one block"),
+        (lambda one: BlockLMI(n=0, blocks=(Block(1, one, ()),)), "n must be a positive"),
+        (lambda one: BlockLMI(n=True, blocks=(Block(1, one, (one,)),)), "n must be a positive"),
+        (lambda one: BlockLMI(n=1.0, blocks=(Block(1, one, (one,)),)), "n must be a positive"),
+        (lambda one: Block(size=0, a0=SymMatrix([]), coeff=()), "size must be a positive"),
+        (lambda one: Block(size=True, a0=one, coeff=(one,)), "size must be a positive"),
+    ])
+    def test_direct_construction_checks_the_same_counts(self, make, message):
+        # the checks live in the classes, so a pencil that is never
+        # serialized is held to them too
+        with pytest.raises(ValueError, match=message):
+            make(SymMatrix([[1]]))
+
+
 class TestJson:
     def test_roundtrip(self):
         for pencil in (hankel_lmi(4), interval_moment_lmi(3, UNIT),

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -41,6 +42,41 @@ def leibniz_det(rows):
     return total
 
 
+def heap_divide(f, g):
+    """Oracle: lex leading-term division by any nonzero g, or None when g
+    does not divide f.  While the remainder is nonzero its leading term must
+    be divisible by the leading term of g; leading terms come from a lazily
+    pruned max-heap."""
+    glead = max(g.terms)
+    gc = g.terms[glead]
+    gtail = [(ge, gcoef) for ge, gcoef in g.terms.items() if ge != glead]
+    rem = dict(f.terms)
+    heap = [tuple(-e for e in exp) for exp in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        lead = tuple(-e for e in heapq.heappop(heap))
+        c = rem.pop(lead, None)
+        if c is None:  # stale heap entry
+            continue
+        exp = tuple(a - b for a, b in zip(lead, glead))
+        if any(e < 0 for e in exp):
+            return None
+        c = c / gc
+        quot[exp] = c
+        for ge, gcoef in gtail:
+            key = tuple(a + b for a, b in zip(exp, ge))
+            old = rem.get(key)
+            acc = (old if old is not None else 0) - c * gcoef
+            if acc:
+                rem[key] = acc
+                if old is None:
+                    heapq.heappush(heap, tuple(-e for e in key))
+            else:
+                rem.pop(key, None)
+    return MultiPoly(f.arity, quot)
+
+
 class TestExactDivide:
     def test_difference_of_squares(self):
         x0, x1 = var(0, 2), var(1, 2)
@@ -59,23 +95,12 @@ class TestExactDivide:
         assert q == (x0 - x1) * (x0 + x2)
 
     def test_zero_dividend(self):
-        x0 = var(0, 2)
-        assert MultiPoly.zero(2).exact_divide(x0) == MultiPoly.zero(2)
+        x0, x1 = var(0, 2), var(1, 2)
+        assert MultiPoly.zero(2).exact_divide(x0 - x1) == MultiPoly.zero(2)
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             var(0, 2).exact_divide(MultiPoly.zero(2))
-
-    def test_roundtrip_random(self):
-        rng = random.Random(23)
-        for _ in range(30):
-            f = rand_mpoly(rng)
-            g = rand_mpoly(rng, nterms=2)
-            if g.is_zero:
-                continue
-            prod = f * g
-            q = prod.exact_divide(g)
-            assert q is not None and q * g == prod and q == f
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
@@ -169,13 +194,8 @@ class TestKernelProperties:
     @settings(max_examples=80, deadline=None)
     @given(mpolys(max_terms=6), binomials(), mpolys(max_terms=3))
     def test_binomial_division_agrees_with_heap_division(self, f, b, extra):
-        # 2*b is not a unit binomial, so it takes the heap algorithm
         for g in (f * b, f * b + extra):
-            synthetic, heap = g.exact_divide(b), g.exact_divide(2 * b)
-            if heap is None:
-                assert synthetic is None
-            else:
-                assert synthetic == 2 * heap
+            assert g.exact_divide(b) == heap_divide(g, b)
 
     def test_binomial_division_rejects_a_perturbed_multiple(self):
         x0, x1, x2 = var(0), var(1), var(2)
@@ -185,10 +205,14 @@ class TestKernelProperties:
             assert (f + bump).exact_divide(x2 - x0) is None
 
     def test_divisor_shapes_outside_the_binomial_case(self):
+        # exact_divide refuses them; the heap oracle divides them
         x0, x1, x2 = var(0), var(1), var(2)
         f = (x0 * x0 + x1 - F(1, 2)) * x2
-        for g in (x0 + x1, 2 * x0 - 2 * x1, x0 * x0 - x1, x0 - 1, x0 - x1 - x2):
-            assert (f * g).exact_divide(g) == f
+        for g in (x0 + x1, 2 * x0 - 2 * x1, x0 * x0 - x1, x0 - 1, x0 - x1 - x2, x0,
+                  MultiPoly.constant(3, 2)):
+            with pytest.raises(ValueError, match="only by t_i - t_j"):
+                (f * g).exact_divide(g)
+            assert heap_divide(f * g, g) == f
 
 
 class TestRingLaws:
