@@ -9,9 +9,8 @@ from .diagonal import (BlockPartition, DivisibilityError, SchurMonomialIdeal,
                        taylor_process, taylor_remainder_check,
                        vandermonde_cofactor)
 from .hull import (CrossValidationReport, CurvePointRejected, CurveSegment,
-                   RationalEnclosure, cross_validate, finite_hull_membership,
-                   lmi_support_enclosure, moment_curve, sample_curve,
-                   support_min_exact)
+                   cross_validate, finite_hull_membership, lmi_support_enclosure,
+                   moment_curve, sample_curve, support_min_exact)
 from .linalg import SymMatrix, psd_check_exact
 from .lmi import (Block, BlockLMI, SosxCertificate, emit_sdpa, hankel_lmi,
                   interval_moment_lmi, lmi_from_json, lmi_membership,
@@ -26,7 +25,7 @@ from .schur import (DecreasingSeq, DivisibilityReport, Tableau,
                     admissible_fillings, count_fillings,
                     proper_dominance_check, schur_via_bialternant,
                     schur_via_tableaux, subsequence_divisibility_check)
-from .unipoly import (Interval, UniPoly, count_roots_interior,
+from .unipoly import (Interval, RationalEnclosure, UniPoly, count_roots_interior,
                       count_roots_with_multiplicity, is_nonnegative_on,
                       isolate_roots, poly_gcd, squarefree_decomposition,
                       squarefree_part)

@@ -24,13 +24,9 @@ from . import diagonal, hull, lmi, rays, schur
 from .unipoly import Interval, UniPoly
 
 
-class CLIError(Exception):
-    """Domain-level failure: reported as a diagnostic with exit code 1, as is
-    any ValueError a handler lets through."""
-
-
 class UsageError(Exception):
-    """Malformed arguments (bad rationals, bad option payloads): exit code 2."""
+    """Malformed arguments (bad rationals, bad option payloads): exit code 2.
+    A ValueError from a handler is a domain error: exit code 1."""
 
 
 MAX_N = 64
@@ -189,7 +185,7 @@ def _cmd_verify_diagonal(args) -> dict:
     try:
         result = diagonal.factor_taylor_determinant(basis, blocks)
     except diagonal.DivisibilityError as exc:
-        raise CLIError(str(exc)) from None
+        raise ValueError(str(exc)) from None
     return {
         "blocks": list(blocks),
         "det": result.det.to_string(),
@@ -245,7 +241,7 @@ def _cmd_lmi(args) -> dict:
         pencil = lmi.hankel_lmi(args.n)
     else:
         if not args.interval:
-            raise CLIError("--interval is required for the interval kind")
+            raise ValueError("--interval is required for the interval kind")
         pencil = lmi.interval_moment_lmi(args.n, parse_interval(args.interval))
     payload = lmi.lmi_to_json(pencil)
     if args.json:
@@ -264,7 +260,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CLIError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_member(args) -> dict:
@@ -273,7 +269,7 @@ def _cmd_member(args) -> dict:
         with open(args.lmi) as fh:
             pencil = lmi.lmi_from_json(fh.read())
     except (OSError, ValueError) as exc:
-        raise CLIError(f"cannot load pencil: {exc}") from None
+        raise ValueError(f"cannot load pencil: {exc}") from None
     return {"member": lmi.lmi_membership(pencil, point)}
 
 
@@ -396,7 +392,7 @@ def run(argv) -> int:
         else:
             print(f"usage error: {exc}")
         return 2
-    except (CLIError, ValueError) as exc:
+    except ValueError as exc:
         if args.format == "json":
             print(json.dumps({"error": str(exc)}))
         else:

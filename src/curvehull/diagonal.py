@@ -18,7 +18,7 @@ from math import factorial
 from .linalg import _eliminate
 from .multipoly import MultiPoly, poly_det
 from .schur import DivisibilityReport, _scan, _seq, schur_via_tableaux
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _positive_int
 
 
 class DivisibilityError(ArithmeticError):
@@ -33,10 +33,10 @@ class BlockPartition:
     sizes: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(b) for b in self.sizes)
+        sizes = tuple(_positive_int(b, "block size") for b in self.sizes)
         object.__setattr__(self, "sizes", sizes)
-        if not sizes or any(b < 1 for b in sizes):
-            raise ValueError("block sizes must be positive")
+        if not sizes:
+            raise ValueError("a partition needs at least one block")
 
     @property
     def total(self) -> int:

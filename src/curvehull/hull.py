@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .linalg import _bareiss_pivot
 from .lmi import BlockLMI, lmi_membership
-from .unipoly import (Interval, UniPoly, _over_lcm, _q, derivative_bound, isolate_roots,
-                      refine_isolating_interval, squarefree_part)
+from .unipoly import (Interval, RationalEnclosure, UniPoly, _over_lcm, _q, derivative_bound,
+                      isolate_roots, refine_isolating_interval, squarefree_part)
 
 
 @dataclass(frozen=True)
@@ -57,27 +57,6 @@ def moment_curve(n: int, domain: Interval) -> CurveSegment:
     return CurveSegment(tuple(UniPoly.monomial(k) for k in range(1, n + 1)), domain)
 
 
-@dataclass(frozen=True)
-class RationalEnclosure:
-    """Rational interval [lo, hi] known to contain an exact real value."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _q(self.lo))
-        object.__setattr__(self, "hi", _q(self.hi))
-        if self.lo > self.hi:
-            raise ValueError("inverted enclosure")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def intersects(self, other: "RationalEnclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-
 def sample_curve(curve: CurveSegment, count: int):
     """count equally spaced curve points, endpoints included, exact."""
     if count < 2:
@@ -89,40 +68,31 @@ def sample_curve(curve: CurveSegment, count: int):
 def support_min_exact(l, curve: CurveSegment, width) -> RationalEnclosure:
     """Enclose min over the segment of the linear functional sum l_i p_i.
 
-    Endpoint values are exact; each interior critical point (a root of the
+    Endpoint values are exact; each critical point (a root of the
     derivative, isolated by Sturm bisection) contributes an enclosure refined
-    until a derivative bound certifies the requested width.  The minimum of
-    intervals is again an interval of at most the individual width.
+    until a derivative bound certifies the requested width.  An exact root
+    has width 0, so its bound is 0 and its value is exact.  The elementwise
+    minimum of the enclosures is again one of at most the individual width.
     """
     objective = curve.objective(l)
     width = _q(width)
     if width <= 0:
         raise ValueError("width must be positive")
     a, b = curve.domain.lo, curve.domain.hi
-    candidates = [(objective(a), objective(a)), (objective(b), objective(b))]
+    candidates = [RationalEnclosure(v, v) for v in (objective(a), objective(b))]
     deriv = objective.derivative()
-    if not deriv.is_zero and deriv.degree >= 1:
+    if deriv.degree >= 1:
         critical = squarefree_part(deriv)
-        for u, v in isolate_roots(critical, curve.domain):
-            if u == v:
-                val = objective(u)
-                candidates.append((val, val))
-                continue
+        for enc in isolate_roots(critical, curve.domain):
             while True:
-                bound = derivative_bound(objective, u, v) * (v - u)
+                bound = derivative_bound(objective, enc.lo, enc.hi) * enc.width
                 if 2 * bound <= width:
                     break
-                u, v = refine_isolating_interval(critical, u, v, (v - u) / 4)
-                if u == v:
-                    break
-            if u == v:
-                val = objective(u)
-                candidates.append((val, val))
-            else:
-                center = objective(u)
-                candidates.append((center - bound, center + bound))
-    return RationalEnclosure(min(lo for lo, _ in candidates),
-                             min(hi for _, hi in candidates))
+                enc = refine_isolating_interval(critical, enc, enc.width / 4)
+            center = objective(enc.lo)
+            candidates.append(RationalEnclosure(center - bound, center + bound))
+    return RationalEnclosure(min(enc.lo for enc in candidates),
+                             min(enc.hi for enc in candidates))
 
 
 # -- exact LP membership -------------------------------------------------------
@@ -228,8 +198,10 @@ def lmi_support_enclosure(lmi: BlockLMI, curve: CurveSegment, l, tol) -> Rationa
     """
     if lmi.n != curve.n:
         raise ValueError("dimension mismatch")
-    objective = curve.objective(l)
     tol = _q(tol)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    objective = curve.objective(l)
     a, b = curve.domain.lo, curve.domain.hi
 
     def confirmed_value(t) -> Fraction:

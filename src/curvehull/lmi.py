@@ -17,12 +17,7 @@ from fractions import Fraction
 
 from .linalg import SymMatrix, psd_check_exact
 from .rays import ZeroPattern
-from .unipoly import Interval, UniPoly, _over_lcm, _q
-
-
-def _positive_int(value, name: str) -> None:
-    if type(value) is not int or value < 1:  # bool is not a count
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+from .unipoly import Interval, UniPoly, _over_lcm, _positive_int, _q
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,8 @@ class MultiPoly:
 
     def exact_divide(self, g: "MultiPoly"):
         """Exact quotient self/g for g = t_i - t_j, or None when self is not a
-        multiple of g; any other nonzero divisor raises ValueError.
+        multiple of g; any other nonzero divisor raises ValueError, and a
+        divisor that is not a MultiPoly or a rational raises TypeError.
 
         Synthetic division on integer numerators over the common denominator
         of the coefficients.  Group the terms by the exponents of the other
@@ -251,8 +252,10 @@ class MultiPoly:
         group's coefficients, and the group leaves a zero remainder iff its
         coefficients sum to zero.  Additions only.
         """
+        if not isinstance(g, (MultiPoly, int, Fraction)):
+            raise TypeError(f"cannot divide a MultiPoly by {type(g).__name__}")
         g = self._coerce(g)
-        if g is None or g.is_zero:
+        if g.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         slots = g._binomial_slots()
         if slots is None:

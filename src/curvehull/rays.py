@@ -21,7 +21,7 @@ from .diagonal import (BlockPartition, evaluation_matrix, normalize_basis_orders
 from .linalg import _eliminate, det_frac, nullspace_frac, solve_frac
 from .multipoly import MultiPoly
 from .schur import schur_via_tableaux
-from .unipoly import (Interval, UniPoly, _q, count_roots_interior,
+from .unipoly import (Interval, UniPoly, _positive_int, _q, count_roots_interior,
                       count_roots_with_multiplicity, is_nonnegative_on,
                       _set_squarefree_decomposition, poly_gcd,
                       squarefree_decomposition)
@@ -55,9 +55,6 @@ class LinearSystem:
         rows = [[p.coeff(k) for p in self.basis] for k in range(deg + 1)]
         return solve_frac(rows, [f.coeff(k) for k in range(deg + 1)])
 
-    def contains(self, f: UniPoly) -> bool:
-        return self.member_coefficients(f) is not None
-
 
 def profile_and_normalize(basis, xi) -> LinearSystem:
     """Translate the basis so xi becomes 0, triangularize to strictly
@@ -87,13 +84,11 @@ class ZeroPattern:
 
     def __post_init__(self):
         points = tuple(_q(x) for x in self.points)
-        mults = tuple(int(b) for b in self.mults)
+        mults = tuple(_positive_int(b, "multiplicity") for b in self.mults)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "mults", mults)
         if len(points) != len(mults) or not points:
             raise ValueError("points and multiplicities must pair up")
-        if any(b < 1 for b in mults):
-            raise ValueError("multiplicities must be positive")
         if any(a >= b for a, b in zip(points, points[1:])):
             raise ValueError("points must be strictly increasing")
 
@@ -280,7 +275,7 @@ def chebyshev_det_sign(system: LinearSystem, points, mults, s: Interval) -> int:
     determinant never vanishes; a zero sign falsifies the validation.
     """
     points = [_q(x) for x in points]
-    mults = [int(b) for b in mults]
+    mults = [_positive_int(b, "multiplicity") for b in mults]
     if len(points) != len(mults):
         raise ValueError("points and multiplicities must pair up")
     if len(set(points)) != len(points):
@@ -289,8 +284,6 @@ def chebyshev_det_sign(system: LinearSystem, points, mults, s: Interval) -> int:
         raise ValueError("points must lie in the interval")
     if any(x == 0 for x in points):
         raise ValueError("points must differ from the base point")
-    if any(b < 1 for b in mults):
-        raise ValueError("multiplicities must be positive")
     if sum(mults) != system.dim:
         raise ValueError(f"multiplicities must sum to {system.dim}")
     det = det_frac(_derivative_rows(system.basis, points, mults))

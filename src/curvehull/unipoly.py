@@ -8,7 +8,9 @@ polynomial caches its coefficients over their common denominator.  Each
 polynomial also caches its Yun squarefree decomposition, so the root counts,
 the nonnegativity test and the factoring of one polynomial share one run.
 The counts and the test take one Sturm count per layer, after dividing out
-the layer's endpoint roots.
+the layer's endpoint roots.  Domains are `Interval`s (lo < hi); root
+isolation returns `RationalEnclosure`s (lo <= hi), where an exact root is an
+enclosure of width 0.
 """
 
 from __future__ import annotations
@@ -20,6 +22,12 @@ from math import lcm
 
 def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _positive_int(value, name: str) -> int:
+    if type(value) is not int or value < 1:  # bool is not a count
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 def _over_lcm(values):
@@ -51,6 +59,28 @@ class Interval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
+
+
+@dataclass(frozen=True)
+class RationalEnclosure:
+    """Rational interval [lo, hi] known to contain an exact real value; lo == hi
+    when the value is known exactly."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", _q(self.lo))
+        object.__setattr__(self, "hi", _q(self.hi))
+        if self.lo > self.hi:
+            raise ValueError("inverted enclosure")
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def intersects(self, other: "RationalEnclosure") -> bool:
+        return self.lo <= other.hi and other.lo <= self.hi
 
 
 class UniPoly:
@@ -499,10 +529,10 @@ def _split_point(q: UniPoly, a: Fraction, b: Fraction) -> Fraction:
 def isolate_roots(q: UniPoly, s: Interval):
     """Isolate the distinct real roots of squarefree q in the closed interval s.
 
-    Returns a list of (u, v) pairs, sorted: u == v marks an exact rational
-    root; u < v marks an open interval with q(u) != 0, q(v) != 0 containing
-    exactly one root.  Rational roots discovered while splitting are deflated
-    and the bisection restarts on the quotient.
+    Returns RationalEnclosures sorted by lo: lo == hi marks an exact rational
+    root; lo < hi marks an open interval with q(lo) != 0, q(hi) != 0
+    containing exactly one root.  Rational roots discovered while splitting
+    are deflated and the bisection restarts on the quotient.
     """
     if q.is_zero:
         raise ValueError("zero polynomial")
@@ -519,8 +549,8 @@ def isolate_roots(q: UniPoly, s: Interval):
         except _RationalRoot as root:
             exact.append(root.x)
             q = q.exact_divide(UniPoly((-root.x, 1)))
-    out = [(x, x) for x in exact] + intervals
-    out.sort(key=lambda uv: uv[0])
+    out = [RationalEnclosure(x, x) for x in exact] + intervals
+    out.sort(key=lambda enc: enc.lo)
     return out
 
 
@@ -529,29 +559,34 @@ def _bisect(q, chain, a, b, va, vb):
     if count == 0:
         return []
     if count == 1:
-        return [(a, b)]
+        return [RationalEnclosure(a, b)]
     m = _split_point(q, a, b)
     vm = _variations(chain, m)
     return _bisect(q, chain, a, m, va, vm) + _bisect(q, chain, m, b, vm, vb)
 
 
-def refine_isolating_interval(q: UniPoly, u: Fraction, v: Fraction, max_width: Fraction):
-    """Shrink an isolating interval of squarefree q below max_width.
+def refine_isolating_interval(q: UniPoly, enc: RationalEnclosure,
+                              max_width: Fraction) -> RationalEnclosure:
+    """Shrink an isolating enclosure of squarefree q to width at most max_width.
 
-    Returns (u, v) with v - u <= max_width, or (x, x) when the root is hit
-    exactly.  The input must contain exactly one root, with q(u), q(v) != 0.
+    The input holds exactly one root, with q nonzero at both ends unless it
+    is already exact; the result is exact (lo == hi) when a split point hits
+    the root.
     """
+    if max_width <= 0:
+        raise ValueError("max_width must be positive")
+    u, v = enc.lo, enc.hi
     chain = sturm_chain(q)
     while v - u > max_width:
         try:
             m = _split_point(q, u, v)
         except _RationalRoot as root:
-            return root.x, root.x
+            return RationalEnclosure(root.x, root.x)
         if _variations(chain, u) - _variations(chain, m) == 1:
             v = m
         else:
             u = m
-    return u, v
+    return RationalEnclosure(u, v)
 
 
 def derivative_bound(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction:

@@ -204,6 +204,8 @@ class TestVerbs:
          "degenerate interval [1, 0]"),
         (["cross-validate", "--n", "0", "--interval", "0,1"],
          "curve needs at least one component"),
+        (["extreme", "--basis", "t^2,t,1", "--interval", "1/2,1/2", "--zeros", "1/2:2"],
+         "degenerate interval [1/2, 1/2]"),
     ])
     def test_domain_value_errors_are_json_errors(self, capsys, argv, message):
         assert self.run_json(capsys, argv, expect=1) == {"error": message}

@@ -362,6 +362,11 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             BlockPartition(())
 
+    @pytest.mark.parametrize("sizes", [(1.7, 2), (True, 2), (2, "1")])
+    def test_sizes_are_not_truncated(self, sizes):
+        with pytest.raises(ValueError, match="block size must be a positive integer"):
+            BlockPartition(sizes)
+
 
 # -- the Cauchy-Binet determinant and the diagonal division (hypothesis) -------
 

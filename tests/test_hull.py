@@ -57,6 +57,16 @@ class TestSupportMin:
         enc = support_min_exact((1,), curve, WIDTH)
         assert enc.lo <= F(-3, 4) <= enc.hi
 
+    def test_exact_critical_point_gives_a_width_0_enclosure(self):
+        # t^2 on [0, 1]: the critical point 0 is an exact root of 2t
+        enc = support_min_exact([0, 1], moment_curve(2, Interval(0, 1)), F(1, 10 ** 6))
+        assert enc == RationalEnclosure(0, 0)
+
+    @pytest.mark.parametrize("width", [0, F(-1, 2)])
+    def test_width_must_be_positive(self, width):
+        with pytest.raises(ValueError, match="width must be positive"):
+            support_min_exact([-1, 1], moment_curve(2, UNIT), width)
+
     def test_oracle_grid_lower_bound(self):
         # enclosure must sit at or below every sampled value
         rng = random.Random(7)
@@ -168,6 +178,16 @@ class TestLmiSupport:
             lmi_support_enclosure(interval_moment_lmi(2, UNIT),
                                   moment_curve(2, UNIT), (1,), WIDTH)
 
+    @pytest.mark.parametrize("tol", [0, F(-1, 10)])
+    def test_tolerance_must_be_positive(self, tol):
+        # with tol = 0 the search on t^2 - t would split forever around t = 1/2,
+        # so the check must come before the first membership test
+        member = mock.Mock(side_effect=AssertionError("membership tested"))
+        with mock.patch("curvehull.hull.lmi_membership", member), \
+                pytest.raises(ValueError, match="tol must be positive"):
+            lmi_support_enclosure(interval_moment_lmi(2, UNIT), moment_curve(2, UNIT),
+                                  (-1, 1), tol)
+
 
 def recomputing_support_enclosure(lmi, curve, l, tol, member=lmi_membership):
     """Oracle: the branch and bound that evaluates the objective at both ends
@@ -269,6 +289,12 @@ class TestEnclosure:
     def test_intersects(self):
         assert RationalEnclosure(0, 1).intersects(RationalEnclosure(1, 2))
         assert not RationalEnclosure(0, 1).intersects(RationalEnclosure(2, 3))
+
+    def test_one_type_under_every_name(self):
+        import curvehull
+        from curvehull import unipoly
+        assert RationalEnclosure is unipoly.RationalEnclosure is curvehull.RationalEnclosure
+        assert RationalEnclosure(F(1, 2), F(1, 2)).width == 0
 
 
 # -- the integer phase-1 kernel against the Fraction simplex ---------------------

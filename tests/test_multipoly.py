@@ -106,6 +106,11 @@ class TestExactDivide:
         with pytest.raises(ValueError):
             var(0, 2).exact_divide(var(0, 3))
 
+    @pytest.mark.parametrize("divisor", ["t0", 1.5, None])
+    def test_divisor_of_another_type_is_a_type_error(self, divisor):
+        with pytest.raises(TypeError, match="cannot divide a MultiPoly by"):
+            var(0, 2).exact_divide(divisor)
+
 
 class TestSubstitution:
     def test_inject_matches_evaluation(self):

@@ -72,6 +72,11 @@ class TestZeroPattern:
         with pytest.raises(ValueError):
             ZeroPattern((), ())
 
+    @pytest.mark.parametrize("mult", [2.5, F(2), True, "2"])
+    def test_multiplicity_is_not_truncated(self, mult):
+        with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
+            ZeroPattern((F(1, 2),), (mult,))
+
     def test_odd_allowed_but_flagged(self):
         zp = ZeroPattern((F(1, 2),), (3,))
         assert not zp.all_even
@@ -252,6 +257,9 @@ class TestChebyshevSign:
                                   Interval(F(1, 4), 1)) != 0
         with pytest.raises(ValueError):
             chebyshev_det_sign(v, (F(1, 2),), (2,), UNIT)  # wrong total
+        for mults in ((1.5, 1.5), (True, 2), (0, 3)):
+            with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
+                chebyshev_det_sign(v, (F(1, 4), F(1, 2)), mults, UNIT)
 
 
 class TestValidateInterval:

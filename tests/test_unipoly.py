@@ -1,16 +1,19 @@
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvehull import unipoly
-from curvehull.unipoly import (Interval, UniPoly, _over_lcm, count_roots_interior,
+from curvehull.unipoly import (Interval, RationalEnclosure, UniPoly, _over_lcm,
+                               count_roots_interior,
                                count_roots_with_multiplicity, derivative_bound,
                                is_nonnegative_on, isolate_roots, poly_gcd,
-                               squarefree_decomposition, squarefree_part)
+                               refine_isolating_interval, squarefree_decomposition,
+                               squarefree_part)
 
 t = UniPoly.t()
 
@@ -196,16 +199,39 @@ class TestIsolation:
         q = squarefree_part((t - F(1, 3)) * (t - F(2, 3)) * (t * t - 2))
         spans = isolate_roots(q, Interval(0, 2))
         assert len(spans) == 3  # 1/3, 2/3, sqrt(2)
-        for u, v in spans:
-            if u == v:
-                assert q(u) == 0
+        assert [enc.lo for enc in spans] == sorted(enc.lo for enc in spans)
+        for enc in spans:
+            if enc.width == 0:
+                assert q(enc.lo) == 0
             else:
-                assert q(u) * q(v) < 0  # simple root inside
+                assert q(enc.lo) * q(enc.hi) < 0  # simple root inside
 
     def test_exact_endpoint_roots(self):
         q = t * (t - 1)
         spans = isolate_roots(q, Interval(0, 1))
-        assert (F(0), F(0)) in spans and (F(1), F(1)) in spans
+        assert RationalEnclosure(0, 0) in spans and RationalEnclosure(1, 1) in spans
+
+    def test_refinement_shrinks_to_the_width_or_hits_the_root(self):
+        q = t * t - 2
+        (enc,) = isolate_roots(q, Interval(1, 2))
+        for max_width in (F(1, 2), F(1, 1000), F(1, 10 ** 12)):
+            got = refine_isolating_interval(q, enc, max_width)
+            assert 0 < got.width <= max_width
+            assert enc.lo <= got.lo and got.hi <= enc.hi
+            assert q(got.lo) * q(got.hi) < 0
+        q = (t - F(1, 2)) * (t - 3)
+        (enc,) = isolate_roots(q, Interval(0, 2))
+        assert refine_isolating_interval(q, enc, F(1, 10)) == RationalEnclosure(F(1, 2), F(1, 2))
+
+    @pytest.mark.parametrize("max_width", [0, F(-1, 3)])
+    def test_refinement_refuses_a_width_that_is_not_positive(self, max_width, monkeypatch):
+        # with max_width = 0 the bisection around sqrt(2) would never stop, so
+        # the check must come before the Sturm chain is built
+        q = t * t - 2
+        (enc,) = isolate_roots(q, Interval(1, 2))
+        monkeypatch.setattr(unipoly, "sturm_chain", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match="max_width must be positive"):
+            refine_isolating_interval(q, enc, max_width)
 
     def test_derivative_bound_is_a_bound(self):
         rng = random.Random(5)
@@ -451,8 +477,8 @@ class TestSturmCounts:
         inside = [r for r, _ in roots if s.lo <= r <= s.hi]
         irrational = quadratic_roots_in(quadratic[0], s) if quadratic else 0
         assert len(spans) == len(inside) + irrational
-        assert all(any(u <= r <= v for u, v in spans) for r in inside)
-        assert all(q(u) == 0 for u, v in spans if u == v)
+        assert all(any(enc.lo <= r <= enc.hi for enc in spans) for r in inside)
+        assert all(q(enc.lo) == 0 for enc in spans if enc.width == 0)
 
     @pytest.mark.xfail(strict=True, reason="known defect: a rational root met at a split "
                        "point is deflated and the bisection restarts on the quotient, so "
@@ -460,9 +486,9 @@ class TestSturmCounts:
     def test_isolating_intervals_hold_one_root_of_q(self):
         q = (t - F(1, 3)) * (t - 1)
         spans = isolate_roots(q, Interval(-2, 2))
-        for u, v in spans:
-            if u < v:
-                assert count_roots_with_multiplicity(q, Interval(u, v)) == 1
+        for enc in spans:
+            if enc.width > 0:
+                assert count_roots_with_multiplicity(q, Interval(enc.lo, enc.hi)) == 1
 
 
 # -- the cached Yun decomposition against the uncached routine ----------------
