@@ -60,13 +60,11 @@ def _partition(b) -> BlockPartition:
 
 @dataclass(frozen=True)
 class RowLabel:
-    """Provenance of a matrix row: tensor slot, derivative order, and the
-    scalar relating the raw derivative row to the reference normalization
-    (-1)^order / order!."""
+    """Provenance of a matrix row: tensor slot and derivative order.  The raw
+    derivative row times (-1)^order / order! is the reference normalization."""
 
     slot: int
     order: int
-    reference_scale: Fraction
 
 
 @dataclass(frozen=True)
@@ -107,11 +105,11 @@ class TensorMatrix:
         return poly_det(left, right)
 
     def reference_scale(self) -> Fraction:
-        """Product of the per-row scales: reference determinant = this scale
-        times the raw determinant."""
+        """Product of the per-row scales (-1)^order / order!: reference
+        determinant = this scale times the raw determinant."""
         out = Fraction(1)
         for lab in self.labels:
-            out *= lab.reference_scale
+            out *= Fraction((-1) ** lab.order, factorial(lab.order))
         return out
 
 
@@ -119,7 +117,7 @@ def evaluation_matrix(basis) -> TensorMatrix:
     """Matrix with entry (i, j) = p_j(t_i) over Q[t_0, ..., t_n]."""
     basis = tuple(basis)
     n1 = len(basis)
-    labels = tuple(RowLabel(i, 0, Fraction(1)) for i in range(n1))
+    labels = tuple(RowLabel(i, 0) for i in range(n1))
     return TensorMatrix(arity=n1, labels=labels, basis=basis)
 
 
@@ -168,15 +166,9 @@ class SchurMonomialIdeal:
         partition = _partition(partition)
         if partition.total != m.nvars:
             raise ValueError("block sizes must sum to the number of variables")
-        slot = partition.slot_of_row()
         r1 = partition.nblocks
-        gens = set()
-        for alpha in schur_via_tableaux(m).monomials():
-            e = [0] * r1
-            for i, a in enumerate(alpha):
-                e[slot[i]] += a
-            gens.add(tuple(e))
-        return cls(arity=r1, generators=tuple(sorted(gens)))
+        merged = schur_via_tableaux(m).merge_variables(partition.slot_of_row(), r1)
+        return cls(arity=r1, generators=tuple(sorted(merged.monomials())))
 
     def contains(self, g: MultiPoly) -> DivisibilityReport:
         """Membership test: in a monomial ideal, g is a member iff every one
@@ -228,17 +220,16 @@ def taylor_process(matrix: TensorMatrix, partition) -> TensorMatrix:
     block's anchor slot, re-expressed with one variable per block.
 
     Block nu anchored at slot nu contributes the rows (p_j^(k)(t_nu))_j for
-    k = 0, ..., b_nu - 1.  Raw derivatives carry no (-1)^k/k! factors; the
-    scalar relating each row to the reference normalization is recorded in
-    its label, so the determinant is tracked up to an explicit constant.
+    k = 0, ..., b_nu - 1.  Raw derivatives carry no (-1)^k/k! factors; each
+    label's order fixes the scalar relating its row to the reference
+    normalization, so the determinant is tracked up to an explicit constant.
     """
     partition = _partition(partition)
     if any(lab.order for lab in matrix.labels):
         raise ValueError("Taylor process needs a freshly built evaluation matrix")
     if partition.total != matrix.size:
         raise ValueError("block sizes must sum to the matrix size")
-    labels = tuple(RowLabel(nu, k, Fraction((-1) ** k, factorial(k)))
-                   for nu, b in enumerate(partition.sizes) for k in range(b))
+    labels = tuple(RowLabel(nu, k) for nu, b in enumerate(partition.sizes) for k in range(b))
     return TensorMatrix(arity=partition.nblocks, labels=labels, basis=matrix.basis)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import add
 
 from .linalg import det_frac
-from .unipoly import UniPoly, _over_lcm, _q
+from .unipoly import UniPoly, _over_lcm, _power, _q, _render_terms
 
 
 class MultiPoly:
@@ -131,11 +131,7 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for exp, c in o.terms.items():
-            acc = terms.get(exp, 0) + c
-            if acc:
-                terms[exp] = acc
-            else:
-                terms.pop(exp, None)
+            terms[exp] = terms.get(exp, 0) + c
         return MultiPoly(self.arity, terms)
 
     __radd__ = __add__
@@ -160,26 +156,13 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(e, 0) + c1 * c2
-                if acc:
-                    out[e] = acc
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.arity, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.constant(self.arity, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, MultiPoly.constant(self.arity, 1))
 
     # -- substitution --------------------------------------------------------
 
@@ -203,11 +186,7 @@ class MultiPoly:
         out = {}
         for exp, c in self.terms.items():
             key = exp[:keep]
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c
         return MultiPoly(keep, out)
 
     def merge_variables(self, target: list, new_arity: int) -> "MultiPoly":
@@ -221,11 +200,7 @@ class MultiPoly:
             for i, k in enumerate(exp):
                 e[target[i]] += k
             key = tuple(e)
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c
         return MultiPoly(new_arity, out)
 
     # -- division ------------------------------------------------------------
@@ -295,29 +270,11 @@ class MultiPoly:
     # -- printing --------------------------------------------------------------
 
     def to_string(self, var: str = "t") -> str:
-        if self.is_zero:
-            return "0"
-        def fmt(exp, c):
-            factors = []
-            for i, e in enumerate(exp):
-                if e == 1:
-                    factors.append(f"{var}{i}")
-                elif e > 1:
-                    factors.append(f"{var}{i}^{e}")
-            if not factors:
-                return str(c)
-            body = "*".join(factors)
-            if c == 1:
-                return body
-            if c == -1:
-                return f"-{body}"
-            return f"{c}*{body}"
+        def mono(exp):
+            return "*".join(f"{var}{i}" if e == 1 else f"{var}{i}^{e}"
+                            for i, e in enumerate(exp) if e)
         keys = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-        parts = [fmt(e, self.terms[e]) for e in keys]
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _render_terms((self.terms[e], mono(e)) for e in keys)
 
     def __repr__(self):
         return f"MultiPoly({self.to_string()})"

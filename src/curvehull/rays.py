@@ -20,7 +20,7 @@ from .diagonal import (BlockPartition, evaluation_matrix, normalize_basis_orders
                        vandermonde_cofactor)
 from .linalg import _eliminate, det_frac, nullspace_frac, solve_frac
 from .multipoly import MultiPoly
-from .schur import schur_via_tableaux
+from .schur import _scan, schur_via_tableaux
 from .unipoly import (Interval, UniPoly, _positive_int, _q, count_roots_interior,
                       count_roots_with_multiplicity, is_nonnegative_on,
                       _set_squarefree_decomposition, poly_gcd,
@@ -331,21 +331,13 @@ def _cofactor_term_decomposition(system: LinearSystem):
         raise AssertionError("evaluation determinant not divisible by the Vandermonde")
     sigma = schur_via_tableaux(system.orders)
     h = cof - sigma
-    n1 = system.dim
-    alphas = sorted(sigma.monomials())
-    parts = {alpha: {} for alpha in alphas}
-    for mono, c in h.terms.items():
-        hit = None
-        for alpha in alphas:
-            if all(m >= a for m, a in zip(mono, alpha)) and mono != alpha:
-                hit = alpha
-                break
-        if hit is None:
-            raise AssertionError(
-                "cofactor tail not in the product ideal; basis not normalized?")
-        rest = tuple(m - a for m, a in zip(mono, hit))
-        parts[hit][rest] = c
-    return {alpha: MultiPoly(n1, terms) for alpha, terms in parts.items()}
+    report = _scan(h.monomials(), sigma.monomials(), proper=True)
+    if not report.ok:
+        raise AssertionError("cofactor tail not in the product ideal; basis not normalized?")
+    parts = {alpha: {} for alpha in sorted(sigma.monomials())}
+    for mono, alpha in report.witness.items():
+        parts[alpha][tuple(m - a for m, a in zip(mono, alpha))] = h.terms[mono]
+    return {alpha: MultiPoly(system.dim, terms) for alpha, terms in parts.items()}
 
 
 def validate_interval(system: LinearSystem, s: Interval, samples: int) -> IntervalValidation:

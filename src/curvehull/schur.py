@@ -10,8 +10,10 @@ polynomials (with witnesses) live here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .multipoly import MultiPoly, poly_det
+from .multipoly import MultiPoly
+from .unipoly import UniPoly
 
 
 @dataclass(frozen=True)
@@ -112,39 +114,34 @@ def admissible_fillings(m):
     yield from fill(0)
 
 
-_TABLEAUX_CACHE: dict = {}
-
-
 def schur_via_tableaux(m) -> MultiPoly:
     """sigma_m(x_0, ..., x_n) as the generating sum over admissible fillings."""
-    m = _seq(m)
-    key = m.entries
-    cached = _TABLEAUX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    nvars = m.nvars
+    return _tableaux_sum(_seq(m).entries)
+
+
+@cache
+def _tableaux_sum(entries: tuple) -> MultiPoly:
+    """schur_via_tableaux, computed once per sequence.  The cache is unbounded,
+    but sequences with top entry k number 2^k, so it stays small."""
+    nvars = len(entries)
     terms: dict = {}
-    for tab in admissible_fillings(m):
+    for tab in admissible_fillings(entries):
         w = tab.weight(nvars)
         terms[w] = terms.get(w, 0) + 1
-    result = MultiPoly(nvars, terms)
-    _TABLEAUX_CACHE[key] = result
-    return result
+    return MultiPoly(nvars, terms)
 
 
 def schur_via_bialternant(m) -> MultiPoly:
     """sigma_m via the alternant determinant divided by the Vandermonde.
 
+    The alternant (x_i^{m_j}) is the evaluation matrix of the basis t^{m_j}.
     The division is performed binomial by binomial and is always exact; the
     result agrees with the tableau construction.
     """
-    from .diagonal import vandermonde_cofactor  # diagonal imports this module
+    from .diagonal import evaluation_matrix, vandermonde_cofactor  # diagonal imports this module
 
-    m = _seq(m)
-    nvars = m.nvars
-    rows = [[MultiPoly.monomial(nvars, tuple(mj if k == i else 0 for k in range(nvars)))
-             for mj in m.entries] for i in range(nvars)]
-    sigma = vandermonde_cofactor(poly_det(rows))
+    basis = (UniPoly.monomial(e) for e in _seq(m).entries)
+    sigma = vandermonde_cofactor(evaluation_matrix(basis).det())
     if sigma is None:
         raise AssertionError("alternant not divisible by the Vandermonde")
     return sigma

@@ -30,6 +30,38 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
+def _power(base, k: int, one):
+    """base**k by square-and-multiply, starting from the unit one."""
+    if k < 0:
+        raise ValueError("negative power")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+def _render_terms(pairs) -> str:
+    """Text of a sum of (coefficient, monomial text) pairs in the given order;
+    an empty monomial text marks the constant term, and no pairs read "0"."""
+    parts = []
+    for c, mono in pairs:
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+                              for term in parts[1:])
+
+
 def _over_lcm(values):
     """(ints, den) for a sequence of Fractions: den is the positive lcm of
     their denominators and values[k] == ints[k] / den."""
@@ -223,16 +255,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = UniPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, UniPoly.one())
 
     def __call__(self, x) -> Fraction:
         """Integer Horner at x = p/q: acc <- acc*p + c_k*q^(d-k), one
@@ -321,28 +344,8 @@ class UniPoly:
         raise AssertionError("unreachable")
 
     def to_string(self, var: str = "t") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
-                continue
-            if k == 0:
-                term = str(c)
-            else:
-                tk = var if k == 1 else f"{var}^{k}"
-                if c == 1:
-                    term = tk
-                elif c == -1:
-                    term = f"-{tk}"
-                else:
-                    term = f"{c}*{tk}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _render_terms((c, "" if k == 0 else var if k == 1 else f"{var}^{k}")
+                             for k, c in reversed(list(enumerate(self.coeffs))) if c)
 
     def __repr__(self):
         return f"UniPoly({self.to_string()})"
@@ -509,21 +512,13 @@ class _RationalRoot(Exception):
 
 
 def _split_point(q: UniPoly, a: Fraction, b: Fraction) -> Fraction:
-    """A non-root of q near the middle of (a, b); raises _RationalRoot when the
-    candidate closest to the midpoint happens to be an exact root.  Candidates
-    fan out from the midpoint, so the split stays balanced (q has at most
-    deg(q) roots to step around)."""
+    """The point a + (b - a) * floor(n/2)/n, n = 3(deg q + 2): the midpoint,
+    or just left of it for odd n.  Raises _RationalRoot when it is a root of q."""
     n = 3 * (q.degree + 2)
-    mid = n // 2
-    for offset in range(n):
-        k = mid + (offset + 1) // 2 * (1 if offset % 2 else -1)
-        if k <= 0 or k >= n:
-            continue
-        x = a + (b - a) * Fraction(k, n)
-        if q(x) != 0:
-            return x
+    x = a + (b - a) * Fraction(n // 2, n)
+    if q(x) == 0:
         raise _RationalRoot(x)
-    raise AssertionError("no split point found")
+    return x
 
 
 def isolate_roots(q: UniPoly, s: Interval):

@@ -259,3 +259,47 @@ class TestHashContract:
     def test_constants_collapse_in_a_set(self):
         assert len({MultiPoly.constant(3, 5), 5, F(5)}) == 1
         assert len({MultiPoly.zero(2), 0}) == 1
+
+
+def stores_no_zero(p: MultiPoly) -> bool:
+    return all(c != 0 for c in p.terms.values())
+
+
+class TestNoStoredZeros:
+    @settings(max_examples=120, deadline=None)
+    @given(mpolys(), mpolys(), st.integers(0, 3), st.integers(1, 3),
+           st.lists(st.integers(0, 1), min_size=3, max_size=3))
+    def test_no_operation_stores_a_zero_coefficient(self, a, b, k, keep, target):
+        for p in (a + b, a - b, a * b, a ** k, a - a, a + (-a), a * (b - b),
+                  (a - b) * (a + b) - (a * a - b * b),
+                  a.set_trailing_to_one(keep), a.merge_variables(target, 2)):
+            assert stores_no_zero(p)
+
+    def test_forced_cancellations_leave_no_term(self):
+        x0, x1, x2 = var(0), var(1), var(2)
+        p = x0 * x1 - F(1, 2) * x2 + 3
+        for q in (p - p, p + (-p), (x0 - x1) * (x0 + x1) - x0 ** 2 + x1 ** 2):
+            assert q.terms == {} and q.is_zero
+        assert (x0 - x1).merge_variables([0, 0, 1], 2).terms == {}
+        merged = (x0 - x1 + x2).merge_variables([0, 0, 1], 2)
+        assert merged.terms == {(0, 1): 1}
+        assert (x0 * x2 - x0 * x1).set_trailing_to_one(1).terms == {}
+        assert (x0 - x1) ** 0 == MultiPoly.constant(3, 1)
+
+
+class TestToString:
+    def test_known_strings(self):
+        x0, x1, x2 = var(0), var(1), var(2)
+        for p, text in (
+                (MultiPoly.zero(3), "0"),
+                (MultiPoly.constant(3, 5), "5"),
+                (MultiPoly.constant(3, F(-2, 3)), "-2/3"),
+                (x0, "t0"),
+                (-x0, "-t0"),
+                (x0 * x1 ** 2 - x2 + 1, "t0*t1^2 - t2 + 1"),
+                (-x0 ** 2 + F(1, 2) * x1 - 1, "-t0^2 + 1/2*t1 - 1"),
+                (-F(3, 4) * x0 * x2 - x1 * x2, "-3/4*t0*t2 - t1*t2"),
+                (2 * x1 - 2 * x2, "2*t1 - 2*t2")):
+            assert p.to_string() == text
+        assert (x0 - x1).to_string("x") == "x0 - x1"
+        assert repr(x0 + 1) == "MultiPoly(t0 + 1)"

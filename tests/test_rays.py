@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvehull import rays, unipoly
+from curvehull.diagonal import evaluation_matrix, vandermonde_cofactor
 from curvehull.linalg import det_frac
+from curvehull.multipoly import MultiPoly
 from curvehull.rays import (LinearSystem, ZeroPattern, _derivative_rows,
                             _sympy_irreducible_factors,
                             chebyshev_det_sign, extreme_candidate,
                             interval_supported_divisor, profile_and_normalize,
                             supporting_face_basis, validate_interval,
                             verify_extreme, zero_conditions_dim)
+from curvehull.schur import schur_via_tableaux
 from curvehull.unipoly import Interval, UniPoly, poly_gcd, squarefree_decomposition
 
 t = UniPoly.t()
@@ -290,6 +293,32 @@ class TestValidateInterval:
         v = profile_and_normalize((mono(3) + mono(4), mono(1), mono(0)), 0)
         report = validate_interval(v, Interval(0, F(1, 2)), 3)
         assert report.s1_sampled
+
+
+def random_system(rng, dim, top):
+    """A normalized system of dim polynomials t^m + random terms of degree
+    m + 1..top, the orders m drawn from 0..top - 1 (0 always among them)."""
+    orders = sorted(rng.sample(range(1, top), dim - 1), reverse=True) + [0]
+    basis = [mono(m) + UniPoly([0] * (m + 1) + [F(rng.randint(-4, 4), rng.randint(1, 3))
+                                                for _ in range(top - m)])
+             for m in orders]
+    return profile_and_normalize(basis, 0)
+
+
+class TestCofactorTermDecomposition:
+    @pytest.mark.parametrize("system", [moment_system(2), moment_system(3), moment_system(4),
+                                        random_system(random.Random(7), 4, 6)],
+                             ids=["moment2", "moment3", "moment4", "random"])
+    def test_terms_reassemble_the_vandermonde_cofactor(self, system):
+        n1 = system.dim
+        cof = vandermonde_cofactor(evaluation_matrix(system.basis).det())
+        parts = rays._cofactor_term_decomposition(system)
+        assert list(parts) == sorted(schur_via_tableaux(system.orders).monomials())
+        total = MultiPoly.zero(n1)
+        for alpha, g in parts.items():
+            assert g.arity == n1 and g.coeff((0,) * n1) == 0
+            total = total + MultiPoly.monomial(n1, alpha) * (1 + g)
+        assert total == cof
 
 
 # -- integer-coefficient factoring and the shared Yun decomposition -----------

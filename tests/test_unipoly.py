@@ -580,3 +580,26 @@ class TestHashContract:
         assert len({UniPoly((5,)), 5, F(5)}) == 1
         assert len({UniPoly(()), 0, F(0)}) == 1
         assert len({UniPoly((F(1, 2),)), F(1, 2)}) == 1
+
+
+class TestToString:
+    def test_known_strings(self):
+        for p, text in (
+                (UniPoly.zero(), "0"),
+                (UniPoly.constant(7), "7"),
+                (UniPoly.constant(F(-1, 2)), "-1/2"),
+                (t, "t"),
+                (-t, "-t"),
+                (t ** 3 - t + 1, "t^3 - t + 1"),
+                (-t ** 2 + F(2, 3) * t - 5, "-t^2 + 2/3*t - 5"),
+                (-F(5, 2) * t ** 4 - t ** 2, "-5/2*t^4 - t^2"),
+                (3 * t - 3, "3*t - 3")):
+            assert p.to_string() == text
+        assert (t * t - 1).to_string("x") == "x^2 - 1"
+        assert repr(t + 1) == "UniPoly(t + 1)"
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys)
+    def test_parse_poly_reads_back_to_string(self, p):
+        from curvehull.cli import parse_poly
+        assert parse_poly(p.to_string()) == p
