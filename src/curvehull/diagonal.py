@@ -154,9 +154,7 @@ class SchurMonomialIdeal:
 
     @classmethod
     def from_sequence(cls, m) -> "SchurMonomialIdeal":
-        m = _seq(m)
-        gens = tuple(sorted(schur_via_tableaux(m).monomials()))
-        return cls(arity=m.nvars, generators=gens)
+        return cls.collapsed(m, (1,) * _seq(m).nvars)
 
     @classmethod
     def collapsed(cls, m, partition) -> "SchurMonomialIdeal":

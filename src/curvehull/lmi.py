@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 from .linalg import SymMatrix, psd_check_exact
-from .rays import ZeroPattern
 from .unipoly import Interval, UniPoly, _over_lcm, _positive_int, _q
 
 
@@ -118,9 +118,8 @@ def interval_moment_lmi(n: int, s: Interval) -> BlockLMI:
         k = n // 2
         blocks = [
             _hankel_block(n, k + 1, UniPoly.one()),
+            _hankel_block(n, k, (b - t) * (t - a)),
         ]
-        if k >= 1:
-            blocks.append(_hankel_block(n, k, (b - t) * (t - a)))
     else:
         k = (n - 1) // 2
         blocks = [
@@ -177,59 +176,28 @@ def sosx_certificate(f: UniPoly, pattern: ZeroPattern, c) -> SosxCertificate:
 
 
 def _terminating_decimal(q: Fraction):
-    """Exact decimal string for q when the denominator is 2^a 5^b, else None."""
-    den = q.denominator
-    a = 0
-    while den % 2 == 0:
-        den //= 2
-        a += 1
-    b = 0
-    while den % 5 == 0:
-        den //= 5
-        b += 1
-    if den != 1:
-        return None
-    e = max(a, b)
-    if e == 0:
-        return str(q.numerator)
-    scaled = abs(q.numerator) * 10 ** e // q.denominator
-    digits = str(scaled).rjust(e + 1, "0")
-    head, tail = digits[:-e], digits[-e:].rstrip("0")
-    sign = "-" if q.numerator < 0 else ""
-    return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
+    """Exact decimal string for q when the denominator divides some 10^e, else
+    None; such an e is at most the denominator's bit length."""
+    den, e = q.denominator, 0
+    while 10 ** e % den:
+        if e > den.bit_length():
+            return None
+        e += 1
+    return f"{Decimal(f'{q.numerator * 10 ** e // den}E-{e}'):f}"
 
 
 def _sig_digits(q: Fraction, digits: int = 30) -> str:
-    """Rounded decimal with the given number of significant digits."""
-    if q == 0:
-        return "0"
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    exp = 0
-    while q >= 10:
-        q /= 10
-        exp += 1
-    while q < 1:
-        q *= 10
-        exp -= 1
-    scaled = q * 10 ** (digits - 1)
-    mantissa = scaled.numerator // scaled.denominator
-    if 2 * (scaled.numerator % scaled.denominator) >= scaled.denominator:
-        mantissa += 1
-    m = str(mantissa)
-    if len(m) > digits:  # rounding carried over
-        m = m[:digits]
-        exp += 1
-    point = exp + 1
-    if 0 < point <= digits:
-        out = m[:point] + "." + m[point:]
-    elif -6 < point <= 0:
-        out = "0." + "0" * (-point) + m
-    else:
-        out = m[0] + "." + m[1:] + f"e{exp}"
-    if "." in out and "e" not in out:
-        out = out.rstrip("0").rstrip(".")
-    return sign + out
+    """q rounded half up to the given number of significant digits (decimal
+    division is correctly rounded): fixed notation without trailing zeros
+    when the decimal point lands at -6 < point <= digits, else m.mmm...e{exp}."""
+    d = Context(prec=digits, rounding=ROUND_HALF_UP).divide(q.numerator, q.denominator)
+    point = d.adjusted() + 1
+    if -6 < point <= digits:
+        out = f"{d:f}"
+        return out.rstrip("0").rstrip(".") if "." in out else out
+    sign, m, _ = d.as_tuple()
+    m = "".join(map(str, m)).ljust(digits, "0")
+    return f"{'-' * sign}{m[0]}.{m[1:]}e{point - 1}"
 
 
 def emit_sdpa(lmi: BlockLMI, objective) -> str:

@@ -8,9 +8,9 @@ determinant identities:
   integer numerators over one common denominator) and so decides
   divisibility; `diagonal.divide_diagonals` divides a diagonal product
   prod (t_i - t_j)^k one binomial at a time.  Any other divisor is refused.
-* `poly_det` expands a square determinant by column-subset dynamic
-  programming, or det(D * C) for a wide polynomial D and a rational C by
-  Cauchy-Binet, reading every maximal minor of D off the same recursion.
+* `poly_det` expands det(D * C) for a wide polynomial D and a rational C by
+  Cauchy-Binet, reading every maximal minor of D off one column-subset
+  recursion; a square determinant is det(D * I).
 """
 
 from __future__ import annotations
@@ -288,8 +288,8 @@ def poly_det(rows, right=None) -> MultiPoly:
     columns S, so the work is O(2^K K) polynomial products for K columns,
     much less than the Leibniz sum for the matrix sizes used here.
 
-    * right None: rows is a square matrix of MultiPoly entries and the one
-      full-column state is its determinant.
+    * right None: rows is a square matrix of MultiPoly entries, and its
+      determinant is det(rows * I) by the same route.
     * right a K x N matrix of rationals: rows is N x K of MultiPoly entries
       (K >= N), the final states are every maximal minor det(rows[:, S]), and
       Cauchy-Binet gives det(rows * right) = sum over S of
@@ -306,11 +306,10 @@ def poly_det(rows, right=None) -> MultiPoly:
     if right is None:
         if width != n:
             raise ValueError("matrix is not square")
-        columns = range(width)
-    else:
-        if len(right) != width or any(len(r) != n for r in right):
-            raise ValueError("right factor must be columns x rows")
-        columns = [s for s in range(width) if any(right[s])]
+        right = [[int(r == c) for c in range(n)] for r in range(n)]
+    if len(right) != width or any(len(r) != n for r in right):
+        raise ValueError("right factor must be columns x rows")
+    columns = [s for s in range(width) if any(right[s])]
     arity = rows[0][0].arity
     states = {0: {(0,) * arity: 1}}
     for i, row in enumerate(rows):
@@ -339,8 +338,6 @@ def poly_det(rows, right=None) -> MultiPoly:
                 states[mask] = clean
         if not states:
             return MultiPoly.zero(arity)
-    if right is None:
-        return MultiPoly(arity, states.get((1 << n) - 1, {}))
     masks = list(states)
     ints, den = _over_lcm([det_frac([r for s, r in enumerate(right) if mask >> s & 1])
                            for mask in masks])

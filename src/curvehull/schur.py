@@ -23,12 +23,12 @@ class DecreasingSeq:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ValueError("empty sequence")
-        if any(e < 0 for e in entries):
-            raise ValueError("entries must be nonnegative")
+        if any(type(e) is not int or e < 0 for e in entries):  # bool is not an entry
+            raise ValueError(f"entries must be nonnegative integers, got {entries!r}")
         if any(a <= b for a, b in zip(entries, entries[1:])):
             raise ValueError(f"sequence {entries} is not strictly decreasing")
 
@@ -208,9 +208,11 @@ def subsequence_divisibility_check(a, indices) -> DivisibilityReport:
     at the given positions, is divisible by a monomial of
     sigma_a(x_0..x_r, 1, ..., 1)."""
     a = _seq(a)
-    indices = tuple(int(i) for i in indices)
+    indices = tuple(indices)
     if not indices:
         raise ValueError("empty index sequence")
+    if any(type(i) is not int for i in indices):  # bool is not an index
+        raise ValueError(f"indices must be integers, got {indices!r}")
     if any(i < 0 or i >= len(a) for i in indices):
         raise ValueError("index out of range")
     if any(i >= j for i, j in zip(indices, indices[1:])):

@@ -280,19 +280,13 @@ class UniPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         q = [Fraction(0)] * max(len(self.coeffs) - len(o.coeffs) + 1, 0)
         rem = list(self.coeffs)
-        dlead = o.leading_coeff
-        dn = o.degree
-        while len(rem) - 1 >= dn and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dn:
-                break
-            k = len(rem) - 1 - dn
-            f = rem[-1] / dlead
-            q[k] = f
-            for j, c in enumerate(o.coeffs):
-                rem[k + j] -= f * c
-            rem.pop()
+        lead, deg = o.leading_coeff, o.degree
+        for k in reversed(range(len(q))):
+            f = rem[k + deg] / lead
+            if f:
+                q[k] = f
+                for j, c in enumerate(o.coeffs):
+                    rem[k + j] -= f * c
         return UniPoly(q), UniPoly(rem)
 
     def __mod__(self, other):
@@ -357,11 +351,9 @@ class UniPoly:
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic greatest common divisor (gcd(0, 0) = 0)."""
     a, b = f, g
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic() if not a.is_zero else a
+    while b:
+        a, b = b, (a % b).monic()
+    return a.monic()
 
 
 def squarefree_decomposition(p: UniPoly):
@@ -424,13 +416,11 @@ def squarefree_part(p: UniPoly) -> UniPoly:
 def sturm_chain(q: UniPoly):
     """Sturm chain of a squarefree polynomial (positive scalings only)."""
     chain = [q, q.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
+    while chain[-1].degree > 0:
         rem = -(chain[-2] % chain[-1])
         if rem.is_zero:
             break
-        lc = rem.leading_coeff
-        if lc < 0:
-            lc = -lc
+        lc = abs(rem.leading_coeff)
         chain.append(UniPoly([c / lc for c in rem.coeffs]))
     return chain
 

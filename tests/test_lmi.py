@@ -412,3 +412,114 @@ class TestJson:
         assert blk["size"] == 2
         assert blk["A"] == ["1", "0", "0", "0"]
         assert blk["B"][0] == ["0", "1", "1", "0"]
+
+
+# -- SDPA decimals against the hand-rolled routines they replaced --------------
+
+def old_terminating_decimal(q: F):
+    """Oracle: the exact decimal string, by counting the factors 2 and 5."""
+    den = q.denominator
+    a = 0
+    while den % 2 == 0:
+        den //= 2
+        a += 1
+    b = 0
+    while den % 5 == 0:
+        den //= 5
+        b += 1
+    if den != 1:
+        return None
+    e = max(a, b)
+    if e == 0:
+        return str(q.numerator)
+    scaled = abs(q.numerator) * 10 ** e // q.denominator
+    digits = str(scaled).rjust(e + 1, "0")
+    head, tail = digits[:-e], digits[-e:].rstrip("0")
+    sign = "-" if q.numerator < 0 else ""
+    return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
+
+
+def old_sig_digits(q: F, digits: int = 30) -> str:
+    """Oracle: normalize by powers of 10, round half up and patch the carry."""
+    if q == 0:
+        return "0"
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    exp = 0
+    while q >= 10:
+        q /= 10
+        exp += 1
+    while q < 1:
+        q *= 10
+        exp -= 1
+    scaled = q * 10 ** (digits - 1)
+    mantissa = scaled.numerator // scaled.denominator
+    if 2 * (scaled.numerator % scaled.denominator) >= scaled.denominator:
+        mantissa += 1
+    m = str(mantissa)
+    if len(m) > digits:  # rounding carried over
+        m = m[:digits]
+        exp += 1
+    point = exp + 1
+    if 0 < point <= digits:
+        out = m[:point] + "." + m[point:]
+    elif -6 < point <= 0:
+        out = "0." + "0" * (-point) + m
+    else:
+        out = m[0] + "." + m[1:] + f"e{exp}"
+    if "." in out and "e" not in out:
+        out = out.rstrip("0").rstrip(".")
+    return sign + out
+
+
+signs = st.sampled_from((1, -1))
+# any magnitude from 10^-40 to 10^40, with denominators that do and do not terminate
+wide_rationals = st.builds(
+    lambda s, num, den, k: s * F(num, den) * F(10) ** k,
+    signs, st.integers(1, 10 ** 35), st.integers(1, 10 ** 12), st.integers(-40, 40))
+# exact ties at the 30th significant digit: 30 digits, then a 5
+ties = st.builds(lambda s, m, k: s * F(2 * m + 1, 2) * F(10) ** k,
+                 signs, st.integers(10 ** 29, 10 ** 30 - 1), st.integers(-45, 15))
+# just below a power of ten, so that rounding carries: 0.999...95 and kin
+carries = st.builds(lambda s, x, d, k: s * (1 - F(1, x * 10 ** d)) * F(10) ** k,
+                    signs, st.sampled_from((1, 2, 3, 7, 20)), st.integers(28, 33),
+                    st.integers(-40, 40))
+terminating = st.builds(lambda s, num, a, b: s * F(num, 2 ** a * 5 ** b),
+                        signs, st.integers(0, 10 ** 40), st.integers(0, 40), st.integers(0, 40))
+# the decimal point lands at -6, -5, 0, 1, 30 or 31: values in [10^(p-1), 10^p)
+at_points = st.builds(lambda s, head, num, den, p: s * (head + F(num % den, den)) * F(10) ** (p - 1),
+                      signs, st.integers(1, 9), st.integers(0, 10 ** 12), st.integers(1, 10 ** 6),
+                      st.sampled_from((-6, -5, 0, 1, 30, 31)))
+sdpa_values = st.one_of(st.just(F(0)), wide_rationals, ties, carries, terminating, at_points)
+
+
+class TestSdpaDecimals:
+    @settings(max_examples=600, deadline=None)
+    @given(sdpa_values)
+    def test_same_text_as_the_hand_rolled_routines(self, q):
+        assert lmi._terminating_decimal(q) == old_terminating_decimal(q)
+        assert lmi._sig_digits(q) == old_sig_digits(q)
+
+    @pytest.mark.parametrize("q, text", [
+        (F(2 * 10 ** 30 - 1, 2 * 10 ** 30), "1"),  # 0.999...95: carries to 1
+        (-F(2 * 10 ** 30 - 1, 2 * 10 ** 30), "-1"),
+        (F(2 * 10 ** 30 - 1, 2 * 10 ** 36), "0.000001"),  # carry moves the point to -5
+        (F(2 * 10 ** 30 - 1, 2), "1.00000000000000000000000000000e30"),  # carry past 30
+        (F(1, 3), "0.333333333333333333333333333333"),
+        (F(2, 3) * 10 ** 29, "66666666666666666666666666666.7"),
+        (F(2, 3) * 10 ** 30, "666666666666666666666666666667"),
+        (F(2, 3) * 10 ** 31, "6.66666666666666666666666666667e30"),
+        (F(1, 3) / 10 ** 5, "0.00000333333333333333333333333333333"),
+        (F(1, 3) / 10 ** 6, "3.33333333333333333333333333333e-7"),
+        (F(2 * 10 ** 29 + 1, 2) / 10 ** 44, "1.00000000000000000000000000001e-15"),  # tie
+    ])
+    def test_known_texts(self, q, text):
+        assert lmi._sig_digits(q) == old_sig_digits(q) == text
+
+    @pytest.mark.parametrize("q, text", [
+        (F(0), "0"), (F(-3), "-3"), (F(5, 2), "2.5"), (F(-1, 8), "-0.125"),
+        (F(7, 2 ** 40), old_terminating_decimal(F(7, 2 ** 40))),
+        (F(1, 3), None), (F(3, 7 * 2 ** 40), None),
+    ])
+    def test_known_terminating_decimals(self, q, text):
+        assert lmi._terminating_decimal(q) == text

@@ -35,6 +35,15 @@ class TestDecreasingSeq:
         with pytest.raises(ValueError):
             DecreasingSeq(())
 
+    def test_entries_are_not_truncated(self):
+        for entries in ((2.9, 1.5, False), (3, 1.0, 0), (2, True, 0), (F(3), 1, 0)):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                DecreasingSeq(entries)
+
+    def test_schur_of_a_float_sequence_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            schur_via_tableaux((2.9, 1, 0))
+
     def test_shape(self):
         assert DecreasingSeq((5, 4, 3, 2, 0)).shape() == (1, 1, 1, 1, 0)
         assert DecreasingSeq((2, 1, 0)).shape() == (0, 0, 0)
@@ -192,6 +201,11 @@ class TestSubsequence:
             subsequence_divisibility_check((3, 1, 0), (0, 5))
         with pytest.raises(ValueError):
             subsequence_divisibility_check((3, 1, 0), ())
+
+    def test_indices_are_not_truncated(self):
+        for idx in ((0.5, 1.7), (0, 1.0), (False, True), (0, F(2))):
+            with pytest.raises(ValueError, match="indices must be integers"):
+                subsequence_divisibility_check((3, 2, 0), idx)
 
     def test_exhaustive_small(self):
         for a in decreasing_sequences(3, 5):

@@ -603,3 +603,100 @@ class TestToString:
     def test_parse_poly_reads_back_to_string(self, p):
         from curvehull.cli import parse_poly
         assert parse_poly(p.to_string()) == p
+
+
+# -- division, gcd and Sturm chains against the loops they replaced ------------
+
+def old_divmod(a: UniPoly, b: UniPoly):
+    """Oracle: long division that re-scans the remainder and pops its zeros."""
+    if b.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    q = [F(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+    rem = list(a.coeffs)
+    dlead = b.leading_coeff
+    dn = b.degree
+    while len(rem) - 1 >= dn and any(c != 0 for c in rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dn:
+            break
+        k = len(rem) - 1 - dn
+        f = rem[-1] / dlead
+        q[k] = f
+        for j, c in enumerate(b.coeffs):
+            rem[k + j] -= f * c
+        rem.pop()
+    return UniPoly(q), UniPoly(rem)
+
+
+def old_poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, old_divmod(a, b)[1]
+        if not b.is_zero:
+            b = b.monic()
+    return a.monic() if not a.is_zero else a
+
+
+def old_sturm_chain(q: UniPoly):
+    chain = [q, q.derivative()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        rem = -old_divmod(chain[-2], chain[-1])[1]
+        if rem.is_zero:
+            break
+        lc = rem.leading_coeff
+        if lc < 0:
+            lc = -lc
+        chain.append(UniPoly([c / lc for c in rem.coeffs]))
+    return chain
+
+
+# mostly zero coefficients, so interior zeros are common
+sparse_polys = st.lists(st.one_of(st.just(F(0)), st.just(F(0)),
+                                  st.builds(F, st.integers(-30, 30), st.integers(1, 12))),
+                        max_size=9).map(UniPoly)
+constants = st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 12)).map(
+    UniPoly.constant)
+
+
+def coefficient_tuples(polys):
+    return [p.coeffs for p in polys]
+
+
+class TestDivisionLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_polys, st.one_of(sparse_polys, constants).filter(bool))
+    def test_divmod_matches_the_old_loop(self, a, b):  # constant divisors included
+        assert coefficient_tuples(divmod(a, b)) == coefficient_tuples(old_divmod(a, b))
+
+    def test_dividend_of_lower_degree(self):
+        a, b = 3 * t + F(1, 2), t ** 4 - t ** 2
+        assert coefficient_tuples(divmod(a, b)) == coefficient_tuples(old_divmod(a, b)) \
+            == [(), a.coeffs]
+        assert coefficient_tuples(divmod(UniPoly.zero(), b)) == [(), ()]
+
+    def test_interior_zeros(self):
+        a = t ** 7 - 2 * t ** 3 + F(1, 5)
+        for b in (t ** 2 + 1, t ** 3, F(2, 3) * t ** 5 - t, t - 2):
+            assert coefficient_tuples(divmod(a, b)) == coefficient_tuples(old_divmod(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_polys, sparse_polys, sparse_polys)
+    def test_gcd_matches_the_old_loop(self, g, h1, h2):
+        f1, f2 = g * h1, g * h2
+        assert poly_gcd(f1, f2).coeffs == old_poly_gcd(f1, f2).coeffs
+        assert poly_gcd(h1, h2).coeffs == old_poly_gcd(h1, h2).coeffs
+
+    def test_gcd_with_zero(self):
+        zero = UniPoly.zero()
+        assert poly_gcd(zero, zero) == zero
+        for f in (F(3, 2) * t ** 2 - 3, t ** 4 - t, UniPoly.constant(-7)):
+            assert poly_gcd(f, zero).coeffs == f.monic().coeffs
+            assert poly_gcd(zero, f).coeffs == f.monic().coeffs
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_polys)
+    def test_sturm_chain_matches_the_old_loop(self, q):
+        for p in (q, squarefree_part(q) if q else q):
+            assert coefficient_tuples(unipoly.sturm_chain(p)) == \
+                coefficient_tuples(old_sturm_chain(p))
