@@ -17,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -156,14 +157,12 @@ def _cmd_verify_schur(args) -> dict:
     failures = []
     cases = 0
     for length in range(1, max_n + 2):
-        for combo in combinations(range(max_entry + 1), length):
-            m = tuple(sorted(combo, reverse=True))
+        seqs = [tuple(sorted(c, reverse=True))
+                for c in combinations(range(max_entry + 1), length)]
+        for m in seqs:
             cases += 1
             if schur.schur_via_tableaux(m) != schur.schur_via_bialternant(m):
                 failures.append({"kind": "equality", "m": list(m)})
-    for length in range(1, max_n + 2):
-        seqs = [tuple(sorted(c, reverse=True))
-                for c in combinations(range(max_entry + 1), length)]
         for a in seqs:
             for b in seqs:
                 if a != b and all(x <= y for x, y in zip(a, b)):
@@ -221,18 +220,14 @@ def _cmd_extreme(args) -> dict:
         out["report"] = None
         out["note"] = "zero determinant: the zero conditions cut a space of dimension > 1"
         return out
-    rep = rays.verify_extreme(system, candidate, local)
-    out["report"] = {"nonneg": rep.nonneg, "zero_count": rep.zero_count,
-                     "face_dim": rep.face_dim, "extreme": rep.extreme}
+    out["report"] = asdict(rays.verify_extreme(system, candidate, local))
     return out
 
 
 def _cmd_verify_extreme(args) -> dict:
     f = parse_poly(args.poly)
     system, s, local = _system_from_args(args)
-    rep = rays.verify_extreme(system, f.shift(s.lo), local)
-    return {"poly": args.poly, "nonneg": rep.nonneg, "zero_count": rep.zero_count,
-            "face_dim": rep.face_dim, "extreme": rep.extreme}
+    return {"poly": args.poly, **asdict(rays.verify_extreme(system, f.shift(s.lo), local))}
 
 
 def _cmd_lmi(args) -> dict:
@@ -385,24 +380,18 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.handler(args)
+        result, code = args.handler(args), 0
     except UsageError as exc:
-        if args.format == "json":
-            print(json.dumps({"error": str(exc), "usage": True}))
-        else:
-            print(f"usage error: {exc}")
-        return 2
+        result, code = {"error": str(exc), "usage": True}, 2
     except ValueError as exc:
-        if args.format == "json":
-            print(json.dumps({"error": str(exc)}))
-        else:
-            print(f"error: {exc}")
-        return 1
+        result, code = {"error": str(exc)}, 1
     if args.format == "json":
-        print(json.dumps(result, sort_keys=False))
+        print(json.dumps(result))
+    elif code:
+        print(f"{'usage error' if code == 2 else 'error'}: {result['error']}")
     else:
         print(_render_text(result))
-    return 0
+    return code
 
 
 def main() -> None:

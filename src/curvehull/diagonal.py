@@ -181,8 +181,7 @@ def taylor_remainder_check(f: UniPoly, r: int) -> bool:
     multiple of (x-y)^{r+1}, the diagonal product of the block sizes
     (1, r + 1); true for every polynomial, so a False return flags broken
     arithmetic."""
-    if r < 1:
-        raise ValueError("need r >= 1")
+    _positive_int(r, "r")
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
     fx = MultiPoly.inject(f, 2, 0)

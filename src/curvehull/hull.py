@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .linalg import _bareiss_pivot
 from .lmi import BlockLMI, lmi_membership
-from .unipoly import (Interval, RationalEnclosure, UniPoly, _over_lcm, _q, derivative_bound,
-                      isolate_roots, refine_isolating_interval, squarefree_part)
+from .unipoly import (Interval, RationalEnclosure, UniPoly, _over_lcm, _positive_int, _q,
+                      derivative_bound, isolate_roots, refine_isolating_interval, squarefree_part)
 
 
 @dataclass(frozen=True)
@@ -303,8 +303,7 @@ def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
     """
     if lmi.n != curve.n:
         raise ValueError("pencil and curve dimensions differ")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _positive_int(trials, "trials")
     rng = random.Random(seed)
     report = CrossValidationReport(n=curve.n, trials=trials)
     samples = sample_curve(curve, sample_count)

@@ -110,8 +110,7 @@ def interval_moment_lmi(n: int, s: Interval) -> BlockLMI:
     the localized Hankels of (t - a) and (b - t) (each size k+1).  Every
     block has size at most 1 + floor(n/2).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _positive_int(n, "n")
     a, b = s.lo, s.hi
     t = UniPoly.t()
     if n % 2 == 0:
@@ -254,7 +253,7 @@ def _matrix_to_strings(m: SymMatrix):
 def _matrix_from_strings(vals, size: int) -> SymMatrix:
     if len(vals) != size * size:
         raise ValueError("matrix payload has the wrong length")
-    rows = [[Fraction(v) for v in vals[i * size:(i + 1) * size]] for i in range(size)]
+    rows = [[_q(v) for v in vals[i * size:(i + 1) * size]] for i in range(size)]
     return SymMatrix(rows)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import add
 
 from .linalg import det_frac
-from .unipoly import UniPoly, _over_lcm, _power, _q, _render_terms
+from .unipoly import UniPoly, _over_lcm, _positive_int, _power, _q, _render_terms
 
 
 class MultiPoly:
@@ -28,9 +28,7 @@ class MultiPoly:
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity: int, terms=None):
-        if arity < 1:
-            raise ValueError("arity must be positive")
-        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "arity", _positive_int(arity, "arity"))
         clean = {}
         for exp, c in (terms or {}).items():
             c = _q(c)
@@ -311,6 +309,8 @@ def poly_det(rows, right=None) -> MultiPoly:
         raise ValueError("right factor must be columns x rows")
     columns = [s for s in range(width) if any(right[s])]
     arity = rows[0][0].arity
+    if any(e.arity != arity for row in rows for e in row):
+        raise ValueError("entries of unequal arity")
     states = {0: {(0,) * arity: 1}}
     for i, row in enumerate(rows):
         # integral coefficients as ints: int products are much cheaper than

@@ -348,8 +348,7 @@ def validate_interval(system: LinearSystem, s: Interval, samples: int) -> Interv
     the collapsed cofactor factors 1 + g_alpha on a rational grid of
     samples^(r+1) configurations; it certifies only the sampled points.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample per axis")
+    _positive_int(samples, "samples")
     g = system.basis[0]
     for p in system.basis[1:]:
         g = poly_gcd(g, p)
@@ -367,34 +366,22 @@ def validate_interval(system: LinearSystem, s: Interval, samples: int) -> Interv
             samples=samples,
             note=f"cofactor decomposition unavailable: {exc}",
         )
-    n1 = system.dim
     if samples == 1:
         axis = [s.lo + (s.hi - s.lo) / 2]
     else:
         axis = [s.lo + (s.hi - s.lo) * Fraction(k, samples - 1) for k in range(samples)]
-    pattern_results = []
-    all_ok = True
-    for sizes in _compositions(n1):
+    patterns = []
+    for sizes in _compositions(system.dim):
         r1 = len(sizes)
         slot = BlockPartition(sizes).slot_of_row()
-        collapsed = {alpha: g.merge_variables(slot, r1) for alpha, g in g_alpha.items()}
-        ok = True
-        if any(not g.is_zero for g in collapsed.values()):
-            for point in product(axis, repeat=r1):
-                for g in collapsed.values():
-                    if g.is_zero:
-                        continue
-                    if 1 + g.evaluate(point) <= 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        pattern_results.append((sizes, ok))
-        all_ok = all_ok and ok
+        collapsed = [h for h in (g.merge_variables(slot, r1) for g in g_alpha.values())
+                     if not h.is_zero]
+        patterns.append((sizes, all(1 + h.evaluate(x) > 0
+                                    for h in collapsed for x in product(axis, repeat=r1))))
     return IntervalValidation(
         s0_no_base_point=s0,
         s2_coordinate_nonneg=s2,
-        s1_sampled=all_ok,
-        s1_patterns=tuple(pattern_results),
+        s1_sampled=all(ok for _, ok in patterns),
+        s1_patterns=tuple(patterns),
         samples=samples,
     )

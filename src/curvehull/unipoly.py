@@ -21,7 +21,11 @@ from math import lcm
 
 
 def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):  # numpy.float64 too; Fraction refuses the other numpy floats
+        raise TypeError(f"a float is not an exact rational: {x!r}")
+    return Fraction(x)
 
 
 def _positive_int(value, name: str) -> int:
@@ -331,11 +335,7 @@ class UniPoly:
         """Vanishing order at the rational point xi (0 if xi is not a root)."""
         if self.is_zero:
             raise ValueError("vanishing order of the zero polynomial is undefined")
-        p = self.shift(xi) if _q(xi) != 0 else self
-        for k, c in enumerate(p.coeffs):
-            if c != 0:
-                return k
-        raise AssertionError("unreachable")
+        return next(k for k, c in enumerate(self.shift(xi).coeffs) if c)
 
     def to_string(self, var: str = "t") -> str:
         return _render_terms((c, "" if k == 0 else var if k == 1 else f"{var}^{k}")

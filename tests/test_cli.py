@@ -354,6 +354,77 @@ class TestPolynomialAndSchurLimits:
             assert all(limit in out for limit in limits)
 
 
+class TestOutputBytes:
+    """What `run` prints, byte for byte, in both formats and for both error
+    kinds."""
+
+    def output(self, capsys, argv, expect):
+        assert run(argv) == expect
+        return capsys.readouterr().out
+
+    def test_text_usage_error(self, capsys, tmp_path):
+        argv = ["--format", "text", "member", "--lmi", str(tmp_path / "x.json"),
+                "--point", "1/0"]
+        assert self.output(capsys, argv, 2) == "usage error: zero denominator in rational: '1/0'\n"
+
+    def test_text_domain_error(self, capsys):
+        argv = ["--format", "text", "lmi", "--kind", "hankel", "--n", "3"]
+        assert self.output(capsys, argv, 1) == "error: the full Hankel pencil needs even n >= 2\n"
+
+    def test_json_usage_error(self, capsys, tmp_path):
+        argv = ["member", "--lmi", str(tmp_path / "x.json"), "--point", "1/0"]
+        assert self.output(capsys, argv, 2) == (
+            '{"error": "zero denominator in rational: \'1/0\'", "usage": true}\n')
+
+    def test_json_domain_error(self, capsys):
+        argv = ["lmi", "--kind", "hankel", "--n", "3"]
+        assert self.output(capsys, argv, 1) == (
+            '{"error": "the full Hankel pencil needs even n >= 2"}\n')
+
+    def test_extreme_payload(self, capsys):
+        argv = ["extreme", "--basis", "t^4,t^3,t^2,t,1", "--interval", "0,1",
+                "--zeros", "1/3:2,2/3:2"]
+        assert self.output(capsys, argv, 0) == (
+            '{"interval": ["0", "1"], "zeros": [["1/3", 2], ["2/3", 2]], '
+            '"candidate": "1/81*t^4 - 2/81*t^3 + 13/729*t^2 - 4/729*t + 4/6561", '
+            '"report": {"nonneg": true, "zero_count": 4, "face_dim": 1, "extreme": true}}\n')
+
+    def test_verify_extreme_payload(self, capsys):
+        argv = ["verify-extreme", "--basis", "t^2,t,1", "--interval", "0,1", "--poly", "1"]
+        assert self.output(capsys, argv, 0) == (
+            '{"poly": "1", "nonneg": true, "zero_count": 0, "face_dim": 3, "extreme": false}\n')
+
+    def test_text_success(self, capsys):
+        argv = ["--format", "text", "extreme", "--basis", "t^2,t,1", "--interval", "0,1",
+                "--zeros", "1/2:2"]
+        assert self.output(capsys, argv, 0) == (
+            "interval: \n  - 0\n  - 1\nzeros: \n  - \n    - 1/2\n    - 2\n"
+            "candidate: t^2 - t + 1/4\n"
+            "report: \n  nonneg: True\n  zero_count: 2\n  face_dim: 1\n  extreme: True\n")
+
+
+class TestFloatPencilEntries:
+    """A JSON number such as 0.3 is a binary float, not the rational 3/10."""
+
+    def member(self, capsys, tmp_path, entry, expect):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"n": 1, "blocks": [{"size": 1, "A": [entry],
+                                                         "B": [["1"]]}]}))
+        assert run(["member", "--lmi", str(path), "--point=-3/10"]) == expect
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return json.loads(captured.out)
+
+    def test_a_float_entry_is_a_json_error(self, capsys, tmp_path):
+        data = self.member(capsys, tmp_path, 0.3, 1)
+        assert data["error"].startswith("cannot load pencil: malformed pencil payload")
+
+    @pytest.mark.parametrize("entry", ["3/10", "0.3"])
+    def test_a_string_entry_is_exact(self, capsys, tmp_path, entry):
+        # the pencil 3/10 + x is 0 at x = -3/10
+        assert self.member(capsys, tmp_path, entry, 0) == {"member": True}
+
+
 def test_import_leaves_sympy_unloaded():
     src = str(Path(curvehull.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

@@ -180,6 +180,11 @@ class TestTaylorCongruence:
     def test_linear(self):
         assert taylor_remainder_check(t, 1)
 
+    @pytest.mark.parametrize("r", [0, True, 2.5])
+    def test_r_must_be_a_positive_int(self, r):
+        with pytest.raises(ValueError, match=f"r must be a positive integer, got {r!r}"):
+            taylor_remainder_check(t, r)
+
     def test_monomials_exhaustive(self):
         # the congruence is linear in f, so monomials up to degree 8 cover
         # every polynomial of degree <= 8

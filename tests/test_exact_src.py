@@ -1,0 +1,94 @@
+"""Float lint over the library source: no module under src/curvehull may
+bring a float into its arithmetic by any of the routes below.
+
+It fails on
+  - a float or complex literal (1.5, 1e-9, 2j);
+  - a call to float or complex;
+  - a name taken from math, by import or as math.<name>, other than the
+    integer functions lcm, gcd, factorial, comb, isqrt and prod;
+  - a call of random, uniform, gauss or triangular on anything.
+
+It is a syntax check, so it cannot see every float.  In particular it
+cannot see `/` between two ints (1 / 2 is 0.5): that needs the types of
+the operands, which only running the code gives.  The exact-arithmetic
+tests of each module cover that route.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import curvehull
+
+SRC = Path(curvehull.__file__).resolve().parent
+INTEGER_MATH = {"lcm", "gcd", "factorial", "comb", "isqrt", "prod"}
+FLOAT_DRAWS = {"random", "uniform", "gauss", "triangular"}
+
+
+def float_uses(tree: ast.AST) -> list:
+    """(line, description) of every float route above in the tree."""
+    math_aliases = {alias.asname or alias.name
+                    for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names if alias.name == "math"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"from math import {alias.name}")
+                      for alias in node.names if alias.name not in INTEGER_MATH]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in math_aliases and node.attr not in INTEGER_MATH):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if (isinstance(func, ast.Name) and name in ("float", "complex")
+                    or name in FLOAT_DRAWS):
+                found.append((node.lineno, f"call of {name}"))
+    return sorted(found)
+
+
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def test_every_module_is_seen():
+    assert {p.stem for p in MODULES} >= {"cli", "diagonal", "hull", "linalg", "lmi",
+                                         "multipoly", "rays", "schur", "unipoly"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_float_in_the_source(path):
+    assert float_uses(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("x = 0.5", [(1, "literal 0.5")]),
+    ("x = 1e-9", [(1, "literal 1e-09")]),
+    ("x = 2j", [(1, "literal 2j")]),
+    ("x = float(y)", [(1, "call of float")]),
+    ("x = complex(1, 2)", [(1, "call of complex")]),
+    ("from math import sqrt", [(1, "from math import sqrt")]),
+    ("from math import *", [(1, "from math import *")]),
+    ("import math\nx = math.log(2)", [(2, "math.log")]),
+    ("import math as m\nx = m.pi", [(2, "math.pi")]),
+    ("x = rng.random()", [(1, "call of random")]),
+    ("x = random.uniform(0, 1)", [(1, "call of uniform")]),
+    ("x = gauss(0, 1)", [(1, "call of gauss")]),
+    ("x = rng.triangular()", [(1, "call of triangular")]),
+])
+def test_each_route_is_caught(source, expected):
+    assert float_uses(ast.parse(source)) == expected
+
+
+@pytest.mark.parametrize("source", [
+    "from math import factorial, lcm, gcd, comb, isqrt, prod",
+    "import math\nx = math.lcm(2, 3) + math.factorial(4)",
+    "x = Fraction(1, 2) + 3",
+    "x = rng.randint(0, 9)",
+    "x = random.Random(0)",
+    "x = True",
+])
+def test_exact_code_passes(source):
+    assert float_uses(ast.parse(source)) == []

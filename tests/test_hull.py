@@ -270,6 +270,11 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(moment_curve(2, UNIT), interval_moment_lmi(3, UNIT), 5)
 
+    @pytest.mark.parametrize("trials", [0, -3, True, 2.5])
+    def test_trials_must_be_a_positive_int(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials!r}"):
+            cross_validate(moment_curve(2, UNIT), interval_moment_lmi(2, UNIT), trials)
+
     def test_json_shape(self):
         report = cross_validate(moment_curve(2, UNIT), interval_moment_lmi(2, UNIT),
                                 trials=4, seed=9, support_functionals=2)

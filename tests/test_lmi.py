@@ -52,6 +52,11 @@ class TestHankel:
 
 
 class TestIntervalMoment:
+    @pytest.mark.parametrize("n", [0, -1, True, 2.5])
+    def test_n_must_be_a_positive_int(self, n):
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {n!r}"):
+            interval_moment_lmi(n, UNIT)
+
     def test_n1_is_the_interval(self):
         pencil = interval_moment_lmi(1, UNIT)
         assert [b.size for b in pencil.blocks] == [1, 1]
@@ -404,6 +409,23 @@ class TestJson:
             lmi_from_json(payload)
         with pytest.raises(ValueError):
             lmi_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("blocks", [
+        [{"size": 1, "A": [0.3], "B": [["1"]]}],
+        [{"size": 1, "A": [0.5], "B": [["1"]]}],
+        [{"size": 1, "A": ["1"], "B": [[1.0]]}],
+    ])
+    def test_float_entries_are_refused(self, blocks):
+        # even a float that is exactly a dyadic rational: the wire format is
+        # strings or integers
+        with pytest.raises(ValueError, match="malformed pencil payload: TypeError"):
+            lmi_from_json({"n": 1, "blocks": blocks})
+
+    def test_string_and_integer_entries_load_exactly(self):
+        pencil = lmi_from_json({"n": 1, "blocks": [{"size": 2, "A": ["0.3", "3/10", "3/10", 1],
+                                                    "B": [["1", 0, 0, "-2"]]}]})
+        assert pencil.blocks[0].a0 == SymMatrix([[F(3, 10), F(3, 10)], [F(3, 10), 1]])
+        assert pencil.blocks[0].coeff[0] == SymMatrix([[1, 0], [0, -2]])
 
     def test_schema_shape(self):
         payload = lmi_to_json(hankel_lmi(2))

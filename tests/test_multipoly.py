@@ -157,6 +157,20 @@ class TestDeterminant:
         rows = [[x0, x0], [x0, x0]]
         assert poly_det(rows).is_zero
 
+    def test_mixed_arities_are_refused(self):
+        # exponent tuples of unequal length would be zipped short
+        a, b = var(0, 2), var(2, 3)
+        for rows in ([[a, b], [b, a]], [[b, a], [a, b]]):
+            with pytest.raises(ValueError, match="arity"):
+                poly_det(rows)
+
+
+class TestArity:
+    @pytest.mark.parametrize("arity", [0, -1, True, 2.5])
+    def test_arity_must_be_a_positive_int(self, arity):
+        with pytest.raises(ValueError, match=f"arity must be a positive integer, got {arity!r}"):
+            MultiPoly(arity)
+
 
 # -- properties of the two kernels (hypothesis) --------------------------------
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 import sympy
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvehull import rays, unipoly
-from curvehull.diagonal import evaluation_matrix, vandermonde_cofactor
+from curvehull.diagonal import BlockPartition, evaluation_matrix, vandermonde_cofactor
 from curvehull.linalg import det_frac
 from curvehull.multipoly import MultiPoly
 from curvehull.rays import (LinearSystem, ZeroPattern, _derivative_rows,
@@ -293,6 +294,64 @@ class TestValidateInterval:
         v = profile_and_normalize((mono(3) + mono(4), mono(1), mono(0)), 0)
         report = validate_interval(v, Interval(0, F(1, 2)), 3)
         assert report.s1_sampled
+
+
+    @pytest.mark.parametrize("samples", [0, -1, True, 2.5])
+    def test_samples_must_be_a_positive_int(self, samples):
+        with pytest.raises(ValueError, match=f"samples must be a positive integer, got {samples!r}"):
+            validate_interval(moment_system(2), UNIT, samples)
+
+    def test_a_failing_sampled_point(self):
+        v = profile_and_normalize((t ** 3 - t ** 5, t ** 2 - 3 * t ** 4, t, UniPoly.one()), 0)
+        report = validate_interval(v, UNIT, 3)
+        assert report.s1_patterns == (
+            ((1, 1, 1, 1), False), ((1, 1, 2), False), ((1, 2, 1), False), ((1, 3), False),
+            ((2, 1, 1), False), ((2, 2), True), ((3, 1), False), ((4,), True))
+        assert not report.s1_sampled
+        assert report.s1_patterns == s1_patterns_oracle(v, UNIT, 3)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_patterns_match_the_flag_loop(self, seed):
+        rng = random.Random(seed)
+        v = random_system(rng, rng.randint(2, 4), rng.randint(4, 6))
+        s = [UNIT, Interval(0, F(1, 2)), Interval(F(1, 3), 2)][seed % 3]
+        samples = 1 + seed % 3
+        report = validate_interval(v, s, samples)
+        assert report.s1_patterns == s1_patterns_oracle(v, s, samples)
+        assert report.s1_sampled == all(ok for _, ok in report.s1_patterns)
+
+
+def s1_patterns_oracle(system, s, samples):
+    """The sampled S1 check as validate_interval wrote it with two flags and
+    two breaks: per composition, False as soon as a nonzero collapsed factor
+    has 1 + g <= 0 at a grid point."""
+    try:
+        g_alpha = rays._cofactor_term_decomposition(system)
+    except AssertionError:
+        return ()
+    n1 = system.dim
+    if samples == 1:
+        axis = [s.lo + (s.hi - s.lo) / 2]
+    else:
+        axis = [s.lo + (s.hi - s.lo) * F(k, samples - 1) for k in range(samples)]
+    pattern_results = []
+    for sizes in rays._compositions(n1):
+        r1 = len(sizes)
+        slot = BlockPartition(sizes).slot_of_row()
+        collapsed = {alpha: g.merge_variables(slot, r1) for alpha, g in g_alpha.items()}
+        ok = True
+        if any(not g.is_zero for g in collapsed.values()):
+            for point in product(axis, repeat=r1):
+                for g in collapsed.values():
+                    if g.is_zero:
+                        continue
+                    if 1 + g.evaluate(point) <= 0:
+                        ok = False
+                        break
+                if not ok:
+                    break
+        pattern_results.append((sizes, ok))
+    return tuple(pattern_results)
 
 
 def random_system(rng, dim, top):

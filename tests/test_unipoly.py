@@ -257,6 +257,32 @@ class TestInterval:
         assert s.contains(F(1, 2)) and s.contains(0) and s.contains(1)
         assert not s.strictly_contains(0)
 
+    def test_float_endpoints_are_refused(self):
+        # 0.1 is 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(TypeError):
+            Interval(0.1, 1)
+        assert Interval("0.1", 1).lo == F(1, 10)
+
+
+class TestExactCoercion:
+    @pytest.mark.parametrize("value", [0.3, 0.5, 1.0, float("inf"), float("nan")])
+    def test_floats_are_refused(self, value):
+        with pytest.raises(TypeError):
+            unipoly._q(value)
+        with pytest.raises(TypeError):
+            UniPoly([1, value])
+
+    def test_numpy_floats_are_refused(self):
+        np = pytest.importorskip("numpy")
+        for value in (np.float64(0.3), np.float32(0.5), np.float16(1)):
+            with pytest.raises(TypeError):
+                unipoly._q(value)
+
+    @pytest.mark.parametrize("value, exact", [("0.3", F(3, 10)), ("3/10", F(3, 10)),
+                                              (3, F(3)), (F(3, 10), F(3, 10))])
+    def test_exact_values_pass(self, value, exact):
+        assert unipoly._q(value) == exact
+
 
 # -- integer kernels against the Fraction routines they replaced -------------
 
