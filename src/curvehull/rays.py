@@ -21,9 +21,9 @@ from .diagonal import (BlockPartition, evaluation_matrix, normalize_basis_orders
 from .linalg import _eliminate, det_frac, nullspace_frac, solve_frac
 from .multipoly import MultiPoly
 from .schur import _scan, schur_via_tableaux
-from .unipoly import (Interval, UniPoly, _positive_int, _q, count_roots_interior,
-                      count_roots_with_multiplicity, is_nonnegative_on,
-                      _set_squarefree_decomposition, poly_gcd,
+from .unipoly import (Interval, UniPoly, _layer_roots, _positive_int, _q,
+                      count_roots_interior, count_roots_with_multiplicity,
+                      is_nonnegative_on, _set_squarefree_decomposition, poly_gcd,
                       squarefree_decomposition)
 
 
@@ -163,22 +163,18 @@ def zero_conditions_dim(system: LinearSystem, pattern: ZeroPattern) -> int:
 
 
 def _sympy_irreducible_factors(p: UniPoly):
-    """Irreducible monic factors of squarefree p over Q.  sympy factors the
-    integer coefficient list; a linear p is irreducible and skips it.  Each
-    factor carries its squarefree decomposition, so counting its roots runs
-    no Yun."""
-    if p.degree == 1:
-        out = [p.monic()]
-    else:
-        import sympy  # imported on first use: it dominates the package's import time
+    """Irreducible monic factors of squarefree p over Q, from sympy's
+    factoring of the integer coefficient list.  Each factor carries its
+    squarefree decomposition, so counting its roots runs no Yun."""
+    import sympy  # imported on first use: it dominates the package's import time
 
-        nums, _ = p.integer_form()
-        x = sympy.Symbol("x")
-        _, factors = sympy.factor_list(sympy.Poly.from_list(nums[::-1], x, domain="ZZ"))
-        out = []
-        for fac, mult in factors:
-            h = UniPoly([int(c) for c in reversed(fac.all_coeffs())]).monic()
-            out.extend([h] * mult)
+    nums, _ = p.integer_form()
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(sympy.Poly.from_list(nums[::-1], x, domain="ZZ"))
+    out = []
+    for fac, mult in factors:
+        h = UniPoly([int(c) for c in reversed(fac.all_coeffs())]).monic()
+        out.extend([h] * mult)
     for h in out:
         _set_squarefree_decomposition(h, Fraction(1), [(h, 1)])
     return out
@@ -192,13 +188,21 @@ def interval_supported_divisor(f: UniPoly, s: Interval) -> UniPoly:
     power i.  Over Q, a vanishing-order condition at one root propagates to
     all of its conjugates, so divisibility by this polynomial captures the
     conditions "at least f's zeros in s" exactly on rational spaces.
+
+    A Sturm count of each layer's distinct roots in s skips a layer with
+    none there and keeps whole one with all of them there; only a layer with
+    some but not all of its roots in s is factored by sympy.
     """
     _, layers = squarefree_decomposition(f)
     d = UniPoly.one()
     for q, mult in layers:
-        for h in _sympy_irreducible_factors(q):
-            if count_roots_with_multiplicity(h, s) >= 1:
-                d = d * h ** mult
+        inside = sum(_layer_roots(q, s.lo, s.hi))
+        if inside == q.degree:
+            d = d * q ** mult
+        elif inside:
+            for h in _sympy_irreducible_factors(q):
+                if count_roots_with_multiplicity(h, s) >= 1:
+                    d = d * h ** mult
     return d
 
 

@@ -6,7 +6,8 @@ closed intervals are decided symbolically.  No floating point anywhere.
 Evaluation and the Taylor derivative bound run on Python integers: each
 polynomial caches its coefficients over their common denominator.  Each
 polynomial also caches its Yun squarefree decomposition, so the root counts,
-the nonnegativity test and the factoring of one polynomial share one run.
+the nonnegativity test and the factoring of one polynomial share one run,
+and its Sturm chain, so isolation and every refinement share one chain.
 The counts and the test take one Sturm count per layer, after dividing out
 the layer's endpoint roots.  Domains are `Interval`s (lo < hi); root
 isolation returns `RationalEnclosure`s (lo <= hi), where an exact root is an
@@ -124,12 +125,12 @@ class UniPoly:
 
     Instances are immutable; all operations return new polynomials. The zero
     polynomial has an empty coefficient tuple and degree -1.  The integer
-    form (see `integer_form`) and the squarefree decomposition (see
-    `squarefree_decomposition`) are filled on first use, so construction
-    does no extra work.
+    form (see `integer_form`), the squarefree decomposition (see
+    `squarefree_decomposition`) and the Sturm chain (see `_sturm_chain_of`)
+    are filled on first use, so construction does no extra work.
     """
 
-    __slots__ = ("coeffs", "_ints", "_sqf")
+    __slots__ = ("coeffs", "_ints", "_sqf", "_sturm")
 
     def __init__(self, coeffs=()):
         cs = [_q(c) for c in coeffs]
@@ -425,6 +426,17 @@ def sturm_chain(q: UniPoly):
     return chain
 
 
+def _sturm_chain_of(q: UniPoly):
+    """sturm_chain(q), built once per polynomial.  q keeps the chain without
+    its first entry: that entry is q itself, and would make a reference cycle."""
+    try:
+        tail = q._sturm
+    except AttributeError:
+        tail = tuple(sturm_chain(q)[1:])
+        object.__setattr__(q, "_sturm", tail)
+    return (q,) + tail
+
+
 def _variations(chain, x) -> int:
     vals = [p(x) for p in chain]
     signs = [1 if v > 0 else -1 for v in vals if v != 0]
@@ -448,7 +460,7 @@ def _layer_roots(q: UniPoly, lo: Fraction, hi: Fraction):
     ends, q = _deflate_ends(q, lo, hi)
     if q.degree <= 0:
         return len(ends), 0
-    chain = sturm_chain(q)
+    chain = _sturm_chain_of(q)
     return len(ends), _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -527,7 +539,7 @@ def isolate_roots(q: UniPoly, s: Interval):
         if q.degree <= 0:
             intervals = []
             break
-        chain = sturm_chain(q)
+        chain = _sturm_chain_of(q)
         try:
             intervals = _bisect(q, chain, lo, hi, _variations(chain, lo), _variations(chain, hi))
             break
@@ -561,7 +573,7 @@ def refine_isolating_interval(q: UniPoly, enc: RationalEnclosure,
     if max_width <= 0:
         raise ValueError("max_width must be positive")
     u, v = enc.lo, enc.hi
-    chain = sturm_chain(q)
+    chain = _sturm_chain_of(q)
     while v - u > max_width:
         try:
             m = _split_point(q, u, v)

@@ -432,3 +432,21 @@ def test_import_leaves_sympy_unloaded():
                           "import sys, curvehull.cli; print('sympy' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["extreme", "--basis", "t^4,t^3,t^2,t,1", "--interval", "0,1", "--zeros", "1/3:2,2/3:2"],
+    ["verify-extreme", "--basis", "t^2,t,1", "--interval", "0,1", "--poly", "t^2-t+1/4"],
+])
+def test_the_readme_extreme_verbs_leave_sympy_unloaded(argv):
+    # every zero of these members lies in [0, 1], so no layer is factored
+    src = str(Path(curvehull.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import contextlib, io, sys\n"
+              "from curvehull.cli import run\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = run({argv!r})\n"
+              "print(code, 'sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "False"]

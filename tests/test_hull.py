@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvehull import unipoly
 from curvehull.hull import (CurvePointRejected, CurveSegment, RationalEnclosure,
                             _leaving_row, cross_validate, finite_hull_membership,
                             lmi_support_enclosure, moment_curve, sample_curve,
@@ -61,6 +62,29 @@ class TestSupportMin:
         # t^2 on [0, 1]: the critical point 0 is an exact root of 2t
         enc = support_min_exact([0, 1], moment_curve(2, Interval(0, 1)), F(1, 10 ** 6))
         assert enc == RationalEnclosure(0, 0)
+
+    def test_one_sturm_chain_serves_every_refinement(self, monkeypatch):
+        def count_chains(fresh_chain_each_call):
+            calls = []
+            build = unipoly.sturm_chain
+
+            def counting(q):
+                calls.append(q)
+                return build(q)
+
+            with monkeypatch.context() as m:
+                m.setattr(unipoly, "sturm_chain", counting)
+                if fresh_chain_each_call:
+                    m.setattr(unipoly, "_sturm_chain_of", counting)
+                curve = moment_curve(6, Interval(-1, 1))
+                enc = support_min_exact((1, -4, -2, 5, 3, -1), curve, WIDTH)
+            return len(calls), enc
+
+        uncached, expected = count_chains(True)
+        cached, enc = count_chains(False)
+        assert uncached == 12  # isolation and each of the 11 refinements
+        assert cached <= 2
+        assert (enc.lo, enc.hi) == (expected.lo, expected.hi)
 
     @pytest.mark.parametrize("width", [0, F(-1, 2)])
     def test_width_must_be_positive(self, width):

@@ -438,7 +438,10 @@ class TestIntegerFactoring:
                 assert squarefree_decomposition(h) == (1, [(h, 1)])
 
     @settings(max_examples=50, deadline=None)
-    @given(factored_polys(), st.sampled_from((UNIT, Interval(-2, 2), Interval(F(1, 3), 5))))
+    # every root the strategy draws lies in [-13, 13] and none in [20, 21],
+    # so the samples reach the skipped, whole and factored layers
+    @given(factored_polys(), st.sampled_from((UNIT, Interval(-2, 2), Interval(F(1, 3), 5),
+                                              Interval(-13, 13), Interval(20, 21))))
     def test_divisor_matches_the_expression_route(self, p, s):
         expected = UniPoly.one()
         for q, mult in squarefree_decomposition(p)[1]:
@@ -448,32 +451,34 @@ class TestIntegerFactoring:
         assert interval_supported_divisor(p, s) == expected
 
 
+@pytest.fixture
+def counters(monkeypatch):
+    yun_args, factor_args = [], []
+    yun, factor_list = unipoly._yun, sympy.factor_list
+
+    def counting_yun(p):
+        yun_args.append(p)
+        return yun(p)
+
+    def counting_factor_list(*args, **kw):
+        factor_args.append(args[0])
+        return factor_list(*args, **kw)
+
+    monkeypatch.setattr(unipoly, "_yun", counting_yun)
+    monkeypatch.setattr(sympy, "factor_list", counting_factor_list)
+    return yun_args, factor_args
+
+
 class TestOneYunPerPolynomial:
-    @pytest.fixture
-    def counters(self, monkeypatch):
-        yun_args, factor_args = [], []
-        yun, factor_list = unipoly._yun, sympy.factor_list
-
-        def counting_yun(p):
-            yun_args.append(p)
-            return yun(p)
-
-        def counting_factor_list(*args, **kw):
-            factor_args.append(args[0])
-            return factor_list(*args, **kw)
-
-        monkeypatch.setattr(unipoly, "_yun", counting_yun)
-        monkeypatch.setattr(sympy, "factor_list", counting_factor_list)
-        return yun_args, factor_args
-
     def test_verify_extreme_runs_yun_once(self, counters):
         yun_args, factor_args = counters
         f = ((t - F(1, 3)) * (t - F(2, 3))) ** 2
         rep = verify_extreme(moment_system(4), f, UNIT)
         assert rep.extreme and rep.zero_count == 4
-        # one run on f; the two linear factors sympy returns carry theirs
+        # one run on f; both roots of its one layer lie in [0, 1], so the
+        # layer is kept whole and never reaches sympy
         assert yun_args == [f]
-        assert len(factor_args) == 1
+        assert factor_args == []
 
     def test_a_linear_layer_is_not_sent_to_sympy(self, counters):
         yun_args, factor_args = counters
@@ -482,6 +487,36 @@ class TestOneYunPerPolynomial:
         assert rep.extreme
         assert yun_args == [f]
         assert factor_args == []
+
+
+class TestDivisorBranches:
+    """interval_supported_divisor factors only a layer with some but not all
+    of its distinct roots in s."""
+
+    @pytest.mark.parametrize("f", [(t * t - 2) * (t - 5), ((t - 3) * (t * t + 1)) ** 2])
+    def test_a_layer_with_no_root_in_s_is_skipped(self, counters, f):
+        _, factor_args = counters
+        assert interval_supported_divisor(f, UNIT) == UniPoly.one()
+        assert factor_args == []
+
+    @pytest.mark.parametrize("f, s", [
+        ((2 * t * t - 1) ** 3, Interval(-1, 1)),  # the irrational pair +-sqrt(1/2)
+        (t * (t - F(1, 2)), UNIT),  # a root at s.lo
+        ((t * t - 2) * (t - 2) ** 2 * (t + 1), Interval(-2, 2)),
+    ])
+    def test_a_layer_with_every_root_in_s_is_kept_whole(self, counters, f, s):
+        _, factor_args = counters
+        assert interval_supported_divisor(f, s) == f.monic()
+        assert factor_args == []
+
+    @pytest.mark.parametrize("f, d", [
+        (((t - F(1, 2)) * (t - 3)) ** 2, (t - F(1, 2)) ** 2),
+        ((t * t - 2) * (t - 5), t * t - 2),
+    ])
+    def test_a_straddling_layer_is_factored(self, counters, f, d):
+        _, factor_args = counters
+        assert interval_supported_divisor(f, Interval(0, 2)) == d
+        assert len(factor_args) == 1
 
 
 def per_point_derivative_rows(basis, points, mults):
