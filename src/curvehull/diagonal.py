@@ -123,11 +123,15 @@ def evaluation_matrix(basis) -> TensorMatrix:
 
 def divide_diagonals(f: MultiPoly, sizes=None):
     """Exact quotient of f by prod_{i<j} (t_i - t_j)^(b_i b_j), or None if f
-    is not a multiple of it.  sizes = (b_0, ..., b_r) defaults to all ones
-    (the Vandermonde product).  One exact division per binomial factor, so
-    every factor proves a zero remainder."""
+    is not a multiple of it.  sizes = (b_0, ..., b_r), one positive int per
+    variable of f, defaults to all ones (the Vandermonde product).  One exact
+    division per binomial factor, so every factor proves a zero remainder;
+    the quotients stay in integer form, and only the one returned gets its
+    Fraction terms."""
     n1 = f.arity
-    sizes = sizes or (1,) * n1
+    sizes = (1,) * n1 if sizes is None else tuple(_positive_int(b, "block size") for b in sizes)
+    if len(sizes) != n1:
+        raise ValueError(f"need one block size per variable ({n1}), got {len(sizes)}")
     for i in range(n1):
         for j in range(i + 1, n1):
             binom = MultiPoly.variable(n1, i) - MultiPoly.variable(n1, j)
@@ -135,6 +139,7 @@ def divide_diagonals(f: MultiPoly, sizes=None):
                 f = f.exact_divide(binom)
                 if f is None:
                     return None
+    f.terms  # an output: its Fraction terms are built before it returns
     return f
 
 

@@ -1,13 +1,18 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Terms are stored as a map from exponent tuples to nonzero Fraction
-coefficients; the arity is fixed per instance.  Two kernels carry the
-determinant identities:
+A polynomial holds its coefficients in one or both of two forms, each
+built from the other on first read and then kept: `terms`, a map from
+exponent tuples to nonzero Fraction coefficients, and `integer_form()`,
+nonzero int numerators by exponent over one positive common denominator.
+The arity is fixed per instance.  Two kernels carry the determinant
+identities:
 
 * `MultiPoly.exact_divide` divides by t_i - t_j synthetically (additions on
-  integer numerators over one common denominator) and so decides
-  divisibility; `diagonal.divide_diagonals` divides a diagonal product
-  prod (t_i - t_j)^k one binomial at a time.  Any other divisor is refused.
+  the integer form) and so decides divisibility; its quotient comes in
+  integer form only, so `diagonal.divide_diagonals`, which divides a
+  diagonal product prod (t_i - t_j)^k one binomial at a time, builds
+  Fraction terms once, on the quotient it returns.  Any other divisor is
+  refused.
 * `poly_det` expands det(D * C) for a wide polynomial D and a rational C by
   Cauchy-Binet, reading every maximal minor of D off one column-subset
   recursion; a square determinant is det(D * I).
@@ -16,6 +21,7 @@ determinant identities:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .linalg import det_frac
@@ -23,9 +29,18 @@ from .unipoly import UniPoly, _over_lcm, _positive_int, _power, _q, _render_term
 
 
 class MultiPoly:
-    """Multivariate polynomial in variables t_0, ..., t_{arity-1}."""
+    """Multivariate polynomial in variables t_0, ..., t_{arity-1}.
 
-    __slots__ = ("arity", "terms")
+    Instances are immutable.  `terms` maps exponent tuples to nonzero
+    Fraction coefficients; `integer_form()` is (nums, den) with den a
+    positive common denominator of those coefficients, not necessarily the
+    least, and terms[e] == Fraction(nums[e], den) for every exponent e, the
+    same keys on both sides.  The public constructor fills `terms`; a kernel
+    output (`_trusted`) fills only the integer form.  Either form is built
+    from the other on first read.
+    """
+
+    __slots__ = ("arity", "_terms", "_ints")
 
     def __init__(self, arity: int, terms=None):
         object.__setattr__(self, "arity", _positive_int(arity, "arity"))
@@ -38,18 +53,19 @@ class MultiPoly:
             if len(exp) != arity or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for arity {arity}")
             clean[exp] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
-    def _trusted(cls, arity: int, terms: dict) -> "MultiPoly":
-        """Constructor for the kernels, whose terms are valid exponent tuples
-        with nonzero Fraction coefficients already: skips the checks."""
+    def _trusted(cls, arity: int, nums: dict, den: int) -> "MultiPoly":
+        """Constructor for the kernels: the integer form nums / den, whose
+        keys are valid exponent tuples and whose numerators are nonzero ints
+        already.  Skips the checks and leaves `terms` to its first read."""
         self = object.__new__(cls)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_ints", (nums, den))
         return self
 
     # -- constructors ------------------------------------------------------
@@ -84,6 +100,29 @@ class MultiPoly:
         return cls(arity, terms)
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple -> nonzero Fraction coefficient."""
+        try:
+            return self._terms
+        except AttributeError:
+            nums, den = self._ints
+            terms = {e: Fraction(v, den) for e, v in nums.items()}
+            object.__setattr__(self, "_terms", terms)
+            return terms
+
+    def integer_form(self):
+        """(nums, den): den is a positive common denominator of the
+        coefficients, not necessarily the least, and nums maps each exponent
+        of `terms` to its nonzero int numerator over den."""
+        try:
+            return self._ints
+        except AttributeError:
+            nums, den = _over_lcm(list(self._terms.values()))
+            ints = (dict(zip(self._terms, nums)), den)
+            object.__setattr__(self, "_ints", ints)
+            return ints
 
     @property
     def is_zero(self) -> bool:
@@ -218,12 +257,14 @@ class MultiPoly:
         multiple of g; any other nonzero divisor raises ValueError, and a
         divisor that is not a MultiPoly or a rational raises TypeError.
 
-        Synthetic division on integer numerators over the common denominator
-        of the coefficients.  Group the terms by the exponents of the other
-        variables and by d = e_i + e_j; in each group the quotient coefficient
-        of t_i^(k-1) t_j^(d-k) is the suffix sum c_d + ... + c_k of the
-        group's coefficients, and the group leaves a zero remainder iff its
-        coefficients sum to zero.  Additions only.
+        Synthetic division on the integer form nums / den of self.  Group
+        the terms by the exponents of the other variables and by
+        d = e_i + e_j; in each group the quotient numerator of
+        t_i^(k-1) t_j^(d-k) is the suffix sum c_d + ... + c_k of the group's
+        numerators, and the group leaves a zero remainder iff its numerators
+        sum to zero.  Additions only: g has unit coefficients, so the
+        quotient is returned in integer form over the same den, and its
+        Fraction terms are built only when first read.
         """
         if not isinstance(g, (MultiPoly, int, Fraction)):
             raise TypeError(f"cannot divide a MultiPoly by {type(g).__name__}")
@@ -234,9 +275,9 @@ class MultiPoly:
         if slots is None:
             raise ValueError(f"exact_divide divides only by t_i - t_j, not {g.to_string()}")
         i, j = slots
-        nums, den = _over_lcm(list(self.terms.values()))
+        nums, den = self.integer_form()
         groups = {}
-        for exp, c in zip(self.terms, nums):
+        for exp, c in nums.items():
             e = list(exp)
             k = e[i]
             e[j] += k
@@ -260,10 +301,10 @@ class MultiPoly:
                 if k and s:
                     e[i] = k - 1
                     e[j] = d - k
-                    quot[tuple(e)] = Fraction(s, den)
+                    quot[tuple(e)] = s
             if s:  # the group's remainder: its coefficients must sum to zero
                 return None
-        return MultiPoly._trusted(self.arity, quot)
+        return MultiPoly._trusted(self.arity, quot, den)
 
     # -- printing --------------------------------------------------------------
 
@@ -281,7 +322,7 @@ class MultiPoly:
 def poly_det(rows, right=None) -> MultiPoly:
     """Determinant of rows, or of the product rows * right.
 
-    Column-subset dynamic programming on raw term dicts: after row i every
+    Column-subset dynamic programming on integer term dicts: after row i every
     state maps a set S of i + 1 columns to the minor of rows 0..i on the
     columns S, so the work is O(2^K K) polynomial products for K columns,
     much less than the Leibniz sum for the matrix sizes used here.
@@ -312,12 +353,16 @@ def poly_det(rows, right=None) -> MultiPoly:
     if any(e.arity != arity for row in rows for e in row):
         raise ValueError("entries of unequal arity")
     states = {0: {(0,) * arity: 1}}
+    den = 1
     for i, row in enumerate(rows):
-        # integral coefficients as ints: int products are much cheaper than
-        # Fraction products in the inner loop
-        entries = [(1 << j, [(e, c.numerator if c.denominator == 1 else c)
-                             for e, c in row[j].terms.items()])
-                   for j in columns if row[j].terms]
+        # each row on int numerators over the lcm of its denominators: int
+        # products are much cheaper than Fraction products in the inner loop,
+        # and the minors are int polynomials over the product den
+        forms = [(1 << j, row[j].integer_form()) for j in columns]
+        row_den = lcm(*(d for _, (_, d) in forms))
+        den *= row_den
+        entries = [(bit, [(e, v * (row_den // d)) for e, v in nums.items()])
+                   for bit, (nums, d) in forms if nums]
         nxt = {}
         for mask, val in states.items():
             for bit, eterms in entries:
@@ -339,8 +384,8 @@ def poly_det(rows, right=None) -> MultiPoly:
         if not states:
             return MultiPoly.zero(arity)
     masks = list(states)
-    ints, den = _over_lcm([det_frac([r for s, r in enumerate(right) if mask >> s & 1])
-                           for mask in masks])
+    ints, right_den = _over_lcm([det_frac([r for s, r in enumerate(right) if mask >> s & 1])
+                                 for mask in masks])
     scales = dict(zip(masks, ints))
     out = {}
     while states:  # popped, so the minors are freed as the sum grows
@@ -349,4 +394,6 @@ def poly_det(rows, right=None) -> MultiPoly:
         if scale:
             for e, c in minor.items():
                 out[e] = out.get(e, 0) + scale * c
-    return MultiPoly._trusted(arity, {e: Fraction(v, den) for e, v in out.items() if v})
+    det = MultiPoly._trusted(arity, {e: v for e, v in out.items() if v}, den * right_den)
+    det.terms  # an output: its Fraction terms are built before it returns
+    return det

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curvehull import diagonal
+from curvehull import diagonal, multipoly
 from curvehull.diagonal import (BlockPartition, DivisibilityError,
                                 SchurMonomialIdeal, divide_diagonals,
                                 evaluation_matrix, factor_taylor_determinant,
@@ -28,6 +28,11 @@ def vandermonde_poly(arity: int) -> MultiPoly:
         for j in range(i + 1, arity):
             out = out * (MultiPoly.variable(arity, i) - MultiPoly.variable(arity, j))
     return out
+
+
+def has_terms(p: MultiPoly) -> bool:
+    """Whether p's Fraction terms are built (reading p.terms builds them)."""
+    return hasattr(p, "_terms")
 
 
 def random_normalized_basis(rng, orders, extra_terms=2, cap=None):
@@ -444,8 +449,54 @@ class TestDivideDiagonals:
         assert vandermonde_cofactor(det) == divide_diagonals(det, (1, 1, 1))
         assert vandermonde_cofactor(det + MultiPoly.variable(3, 0)) is None
 
+    @pytest.mark.parametrize("sizes", [(0, 0, 0), (0, 0, 0, 5), (1, 1), (1, 1, 1, 1),
+                                       (1, True, 1), (1, 2.5, 1), (1, -1, 1)])
+    def test_sizes_must_be_one_positive_int_per_variable(self, sizes):
+        # (0, 0, 0) would divide by nothing and (0, 0, 0, 5) drop an entry
+        with pytest.raises(ValueError):
+            divide_diagonals(vandermonde_poly(3), sizes)
+
+    def test_the_criterion_05_cofactor_builds_fraction_terms_once(self, monkeypatch):
+        """n = 4, orders (7, 6, 5, 3, 1), every perturbation slot filled: the
+        10 binomial divisions run on integer forms, the determinant's from
+        poly_det, and only the returned quotient gets Fraction terms."""
+        rng = random.Random(5)
+        basis = tuple(sum((mono(k, F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+                           for k in range(m + 1, 10)), mono(m)) for m in (7, 6, 5, 3, 1))
+        det = evaluation_matrix(basis).det()
+        assert has_terms(det) and len(det.terms) > 7000
+        quotients, builds, lcms = [], [], []
+        divide, build, over_lcm = MultiPoly.exact_divide, MultiPoly.terms.fget, multipoly._over_lcm
+
+        def recording_divide(self, g):
+            quotients.append(divide(self, g))
+            return quotients[-1]
+
+        def counting_build(self):
+            if not has_terms(self):
+                builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(MultiPoly, "exact_divide", recording_divide)
+        monkeypatch.setattr(MultiPoly, "terms", property(counting_build))
+        monkeypatch.setattr(multipoly, "_over_lcm", lambda v: lcms.append(v) or over_lcm(v))
+        cof = vandermonde_cofactor(det)
+        assert len(quotients) == 10 and quotients[-1] is cof
+        assert len(builds) == 1 and builds[0] is cof and has_terms(cof)
+        assert not any(has_terms(q) for q in quotients[:-1])
+        assert lcms == []
+        assert SchurMonomialIdeal.from_sequence((7, 6, 5, 3, 1)).contains(cof).ok
+
+    def test_outputs_carry_their_fraction_terms(self):
+        basis = (mono(3) + mono(4, F(1, 2)), mono(1) - mono(2, F(2, 3)), mono(0) + mono(1, F(1, 3)))
+        det = evaluation_matrix(basis).det()
+        res = factor_taylor_determinant(basis, (1, 2))
+        for p in (det, vandermonde_cofactor(det), divide_diagonals(det, (1, 1, 1)),
+                  res.det, res.cofactor, divide_diagonals(MultiPoly.constant(1, 3), (2,))):
+            assert has_terms(p)
+
     def test_failed_division_raises_in_the_taylor_factorization(self, monkeypatch):
-        from curvehull import diagonal
+        from curvehull import diagonal, multipoly
         monkeypatch.setattr(diagonal, "divide_diagonals", lambda f, sizes: None)
         with pytest.raises(DivisibilityError):
             factor_taylor_determinant((mono(3), mono(1), mono(0)), (1, 2))

@@ -1,5 +1,6 @@
 import heapq
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvehull.multipoly import MultiPoly, poly_det
-from curvehull.unipoly import UniPoly
+from curvehull.unipoly import UniPoly, _over_lcm
 
 
 def var(i, arity=3):
@@ -232,6 +233,124 @@ class TestKernelProperties:
             with pytest.raises(ValueError, match="only by t_i - t_j"):
                 (f * g).exact_divide(g)
             assert heap_divide(f * g, g) == f
+
+
+def fraction_route_divide(f, g):
+    """Oracle: exact division by g = t_i - t_j as it ran before quotients
+    kept an integer form: clear f's denominators by their lcm, take the
+    suffix sums of each group, and build a Fraction for every quotient term;
+    None when some group's numerators do not sum to zero."""
+    (i,), (j,) = ([e.index(1) for e, c in g.terms.items() if c == unit] for unit in (1, -1))
+    nums, den = _over_lcm(list(f.terms.values()))
+    groups = {}
+    for exp, c in zip(f.terms, nums):
+        key = list(exp)
+        key[j] += key[i]
+        key[i] = 0
+        groups.setdefault(tuple(key), {})[exp[i]] = c
+    quot = {}
+    for key, coeffs in groups.items():
+        e = list(key)
+        d = e[j]
+        s = 0
+        for k in range(max(coeffs), -1, -1):
+            s += coeffs.get(k, 0)
+            if k and s:
+                e[i], e[j] = k - 1, d - k
+                quot[tuple(e)] = Fraction(s, den)
+        if s:
+            return None
+    return MultiPoly(f.arity, quot)
+
+
+def has_terms(p: MultiPoly) -> bool:
+    """Whether p's Fraction terms are built (reading p.terms builds them)."""
+    return hasattr(p, "_terms")
+
+
+def first_failure(route, f, chain):
+    """(index of the first binomial of chain that route finds no multiple
+    of, or len(chain), and the quotients up to there)."""
+    quotients = []
+    for k, b in enumerate(chain):
+        f = route(f, b)
+        if f is None:
+            return k, quotients
+        quotients.append(f)
+    return len(chain), quotients
+
+
+dividends = st.one_of(
+    mpolys(max_terms=6), st.just(MultiPoly.zero(3)),
+    rationals.map(lambda c: MultiPoly.constant(3, c)))
+
+
+class TestIntegerForm:
+    @settings(max_examples=150, deadline=None)
+    @given(dividends, st.lists(binomials(), max_size=3), st.lists(binomials(), max_size=2),
+           st.one_of(st.none(), mpolys(max_terms=2)), st.randoms(use_true_random=False))
+    def test_quotients_and_verdicts_match_the_fraction_route(self, f, factors, extra, bump,
+                                                             rng):
+        for b in factors:
+            f = f * b
+        if bump is not None:
+            f = f + bump
+        rng.shuffle(factors)
+        chain = factors + extra
+        at, quotients = first_failure(MultiPoly.exact_divide, f, chain)
+        assert (at, quotients) == first_failure(fraction_route_divide, f, chain)
+        if bump is None:
+            assert at >= len(factors)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dividends, binomials())
+    def test_both_forms_hold_the_same_coefficients(self, f, b):
+        for p in (f, f * b, (f * b).exact_divide(b), poly_det([[f, b], [b, f]])):
+            nums, den = p.integer_form()
+            assert type(den) is int and den > 0
+            assert nums.keys() == p.terms.keys()
+            assert all(type(v) is int and v and Fraction(v, den) == p.terms[e]
+                       for e, v in nums.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(dividends, binomials(), mpolys(max_terms=3),
+           st.tuples(*[st.integers(0, 4)] * 3))
+    def test_a_lazy_quotient_behaves_like_an_eager_one(self, f, b, other, exp):
+        g = f * b
+        eager = MultiPoly(3, dict(g.exact_divide(b).terms))
+        checks = (
+            lambda q: q == eager and eager == q,
+            lambda q: (q == other) == (eager == other) and q != eager + 1,
+            lambda q: hash(q) == hash(eager),
+            lambda q: q.coeff(exp) == eager.coeff(exp)
+            and all(q.coeff(e) == c for e, c in eager.terms.items()),
+            lambda q: q.is_zero == eager.is_zero and bool(q) == bool(eager),
+            lambda q: q.to_string() == eager.to_string() and repr(q) == repr(eager),
+            lambda q: q + other == eager + other and other + q == other + eager,
+            lambda q: q * other == eager * other and q - other == eager - other,
+            lambda q: q.merge_variables([0, 0, 1], 2) == eager.merge_variables([0, 0, 1], 2),
+            lambda q: (q * b).exact_divide(b) == eager)
+        for check in checks:
+            q = g.exact_divide(b)
+            assert not has_terms(q)
+            assert check(q)
+
+    def test_a_quotient_keeps_the_dividends_denominator(self):
+        x0, x1 = var(0, 2), var(1, 2)
+        f = (F(1, 6) * x0 + F(1, 4)) * (x0 - x1)
+        assert f.integer_form() == ({(2, 0): 2, (1, 1): -2, (1, 0): 3, (0, 1): -3}, 12)
+        q = f.exact_divide(x0 - x1)
+        assert q.integer_form() == ({(1, 0): 2, (0, 0): 3}, 12)
+        assert not has_terms(q)
+        assert q.terms == {(1, 0): F(1, 6), (0, 0): F(1, 4)}
+        assert MultiPoly.zero(2).integer_form() == ({}, 1)
+
+    def test_kernel_outputs_other_than_a_quotient_have_their_terms(self):
+        x0, x1 = var(0, 2), var(1, 2)
+        half = MultiPoly.constant(2, F(1, 2))
+        assert has_terms(poly_det([[x0, half], [half * x1, x1]]))
+        assert has_terms(poly_det([[x0, x1]], [[F(1, 2)], [F(1, 3)]]))
+        assert has_terms(poly_det([[x0 - x0]]))
 
 
 class TestRingLaws:
