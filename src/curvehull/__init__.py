@@ -22,9 +22,9 @@ from .rays import (ExtremeReport, IntervalValidation, LinearSystem,
                    supporting_face_basis, validate_interval, verify_extreme,
                    zero_conditions_dim)
 from .schur import (DecreasingSeq, DivisibilityReport, Tableau,
-                    admissible_fillings, count_fillings,
-                    proper_dominance_check, schur_via_bialternant,
-                    schur_via_tableaux, subsequence_divisibility_check)
+                    admissible_fillings, proper_dominance_check,
+                    schur_via_bialternant, schur_via_tableaux,
+                    subsequence_divisibility_check)
 from .unipoly import (Interval, RationalEnclosure, UniPoly, count_roots_interior,
                       count_roots_with_multiplicity, is_nonnegative_on,
                       isolate_roots, poly_gcd, squarefree_decomposition,

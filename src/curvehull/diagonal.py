@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .linalg import _eliminate
 from .multipoly import MultiPoly, poly_det
@@ -59,36 +59,35 @@ def _partition(b) -> BlockPartition:
 
 
 @dataclass(frozen=True)
-class RowLabel:
-    """Provenance of a matrix row: tensor slot and derivative order.  The raw
-    derivative row times (-1)^order / order! is the reference normalization."""
-
-    slot: int
-    order: int
-
-
-@dataclass(frozen=True)
 class TensorMatrix:
-    """Square matrix of MultiPoly entries with row provenance.
+    """Square matrix of MultiPoly entries: a basis and a block partition.
 
-    Row (slot nu, order k) holds the raw derivatives p_j^(k)(t_nu) of the
-    source basis, which both the evaluation matrix (every order 0) and the
-    Taylor-process matrix keep; the labels and the basis determine it.
+    Block nu of size b holds the rows (p_j^(k)(t_nu))_j, k = 0, ..., b - 1, of
+    raw derivatives of the basis: the evaluation matrix has all-ones blocks,
+    and the Taylor-process matrix the blocks of its partition.  Row (nu, k)
+    times (-1)^k / k! is the reference normalization.
     """
 
-    arity: int
-    labels: tuple
     basis: tuple
+    partition: BlockPartition
+
+    @property
+    def arity(self) -> int:
+        return self.partition.nblocks
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return self.partition.total
+
+    def _rows(self):
+        """(slot nu, derivative order k) of each row, in order."""
+        return [(nu, k) for nu, b in enumerate(self.partition.sizes) for k in range(b)]
 
     @property
     def entries(self) -> tuple:
         """The rows, built on each access; det() does not need them."""
-        return tuple(tuple(MultiPoly.inject(p.derivative(lab.order), self.arity, lab.slot)
-                           for p in self.basis) for lab in self.labels)
+        return tuple(tuple(MultiPoly.inject(p.derivative(k), self.arity, nu) for p in self.basis)
+                     for nu, k in self._rows())
 
     def det(self) -> MultiPoly:
         """The determinant, by Cauchy-Binet over the basis coefficients.
@@ -99,26 +98,23 @@ class TensorMatrix:
         column sets S.
         """
         width = max(1, 1 + max(p.degree for p in self.basis))
-        left = [[MultiPoly.inject(UniPoly.monomial(s).derivative(lab.order), self.arity, lab.slot)
-                 for s in range(width)] for lab in self.labels]
+        zero = MultiPoly.zero(self.arity)
+        left = [[MultiPoly.monomial(self.arity, [(s - k) * (i == nu) for i in range(self.arity)],
+                                    factorial(s) // factorial(s - k)) if s >= k else zero
+                 for s in range(width)] for nu, k in self._rows()]
         right = [[p.coeff(s) for p in self.basis] for s in range(width)]
         return poly_det(left, right)
 
     def reference_scale(self) -> Fraction:
-        """Product of the per-row scales (-1)^order / order!: reference
-        determinant = this scale times the raw determinant."""
-        out = Fraction(1)
-        for lab in self.labels:
-            out *= Fraction((-1) ** lab.order, factorial(lab.order))
-        return out
+        """Product of the per-row scales (-1)^k / k!: reference determinant =
+        this scale times the raw determinant."""
+        return prod((Fraction((-1) ** k, factorial(k)) for _, k in self._rows()), start=Fraction(1))
 
 
 def evaluation_matrix(basis) -> TensorMatrix:
     """Matrix with entry (i, j) = p_j(t_i) over Q[t_0, ..., t_n]."""
     basis = tuple(basis)
-    n1 = len(basis)
-    labels = tuple(RowLabel(i, 0) for i in range(n1))
-    return TensorMatrix(arity=n1, labels=labels, basis=basis)
+    return TensorMatrix(basis, BlockPartition((1,) * len(basis)))
 
 
 def divide_diagonals(f: MultiPoly, sizes=None):
@@ -223,16 +219,15 @@ def taylor_process(matrix: TensorMatrix, partition) -> TensorMatrix:
 
     Block nu anchored at slot nu contributes the rows (p_j^(k)(t_nu))_j for
     k = 0, ..., b_nu - 1.  Raw derivatives carry no (-1)^k/k! factors; each
-    label's order fixes the scalar relating its row to the reference
-    normalization, so the determinant is tracked up to an explicit constant.
+    row's order fixes the scalar relating it to the reference normalization,
+    so the determinant is tracked up to an explicit constant.
     """
     partition = _partition(partition)
-    if any(lab.order for lab in matrix.labels):
+    if matrix.arity != matrix.size:  # some block holds derivative rows
         raise ValueError("Taylor process needs a freshly built evaluation matrix")
     if partition.total != matrix.size:
         raise ValueError("block sizes must sum to the matrix size")
-    labels = tuple(RowLabel(nu, k) for nu, b in enumerate(partition.sizes) for k in range(b))
-    return TensorMatrix(arity=partition.nblocks, labels=labels, basis=matrix.basis)
+    return TensorMatrix(matrix.basis, partition)
 
 
 @dataclass(frozen=True)

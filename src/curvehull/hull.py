@@ -59,7 +59,7 @@ def moment_curve(n: int, domain: Interval) -> CurveSegment:
 
 def sample_curve(curve: CurveSegment, count: int):
     """count equally spaced curve points, endpoints included, exact."""
-    if count < 2:
+    if _positive_int(count, "count") < 2:
         raise ValueError("need at least two samples")
     a, b = curve.domain.lo, curve.domain.hi
     return [curve.point_at(a + (b - a) * Fraction(k, count - 1)) for k in range(count)]
@@ -304,6 +304,9 @@ def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
     if lmi.n != curve.n:
         raise ValueError("pencil and curve dimensions differ")
     _positive_int(trials, "trials")
+    if type(support_functionals) is not int or support_functionals < 0:
+        raise ValueError(f"support_functionals must be a nonnegative integer, "
+                         f"got {support_functionals!r}")
     rng = random.Random(seed)
     report = CrossValidationReport(n=curve.n, trials=trials)
     samples = sample_curve(curve, sample_count)

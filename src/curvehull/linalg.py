@@ -41,12 +41,6 @@ class SymMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def __add__(self, other):
-        if not isinstance(other, SymMatrix) or other.dim != self.dim:
-            return NotImplemented
-        return SymMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
-
     def scale(self, c) -> "SymMatrix":
         c = _q(c)
         return SymMatrix([[c * x for x in r] for r in self.rows])
@@ -91,7 +85,7 @@ def psd_check_exact(a) -> bool:
         _check_symmetric(a)
     if not all(type(x) is int for r in a for x in r):
         d = len(a)
-        ints, _ = _over_lcm([x for r in a for x in r])
+        ints, _ = _over_lcm([_q(x) for r in a for x in r])
         a = [ints[i * d:(i + 1) * d] for i in range(d)]
     return _symmetric_pivots(a) is not None
 

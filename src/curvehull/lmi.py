@@ -151,10 +151,11 @@ class SosxCertificate:
     declared_rank: int
 
 
-def sosx_certificate(f: UniPoly, pattern: ZeroPattern, c) -> SosxCertificate:
+def sosx_certificate(f: UniPoly, pattern, c) -> SosxCertificate:
     """Certificate that a validated extreme candidate is a scaled square.
 
-    Requires every pattern multiplicity even; reconstructs
+    pattern is a `rays.ZeroPattern` (unannotated: this module does not
+    import rays).  Requires every pattern multiplicity even; reconstructs
     g = prod (t - xi_j)^{b_j/2} and checks f = c * g^2 exactly, raising if
     the reconstruction fails (a caller error: f was not of the stated form).
     """

@@ -25,10 +25,10 @@ from math import lcm
 from operator import add
 
 from .linalg import det_frac
-from .unipoly import UniPoly, _over_lcm, _positive_int, _power, _q, _render_terms
+from .unipoly import UniPoly, _Poly, _over_lcm, _positive_int, _q, _render_terms
 
 
-class MultiPoly:
+class MultiPoly(_Poly):
     """Multivariate polynomial in variables t_0, ..., t_{arity-1}.
 
     Instances are immutable.  `terms` maps exponent tuples to nonzero
@@ -54,9 +54,6 @@ class MultiPoly:
                 raise ValueError(f"bad exponent {exp} for arity {arity}")
             clean[exp] = c
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("MultiPoly is immutable")
 
     @classmethod
     def _trusted(cls, arity: int, nums: dict, den: int) -> "MultiPoly":
@@ -134,22 +131,12 @@ class MultiPoly:
     def coeff(self, exp) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MultiPoly):
-            return self.arity == other.arity and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == MultiPoly.constant(self.arity, other)
-        return NotImplemented
+    def _key(self, frozen=False):
+        return self.arity, frozenset(self.terms.items()) if frozen else self.terms
 
-    def __hash__(self):
-        # a constant equals its coefficient, so it must hash like it
+    def _constant(self):
         origin = (0,) * self.arity
-        if self.terms.keys() <= {origin}:
-            return hash(self.coeff(origin))
-        return hash((self.arity, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return not self.is_zero
+        return self.coeff(origin) if self.terms.keys() <= {origin} else None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -171,19 +158,8 @@ class MultiPoly:
             terms[exp] = terms.get(exp, 0) + c
         return MultiPoly(self.arity, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -195,11 +171,6 @@ class MultiPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.arity, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return _power(self, k, MultiPoly.constant(self.arity, 1))
 
     # -- substitution --------------------------------------------------------
 
@@ -314,9 +285,6 @@ class MultiPoly:
                             for i, e in enumerate(exp) if e)
         keys = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
         return _render_terms((self.terms[e], mono(e)) for e in keys)
-
-    def __repr__(self):
-        return f"MultiPoly({self.to_string()})"
 
 
 def poly_det(rows, right=None) -> MultiPoly:

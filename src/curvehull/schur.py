@@ -147,11 +147,6 @@ def schur_via_bialternant(m) -> MultiPoly:
     return sigma
 
 
-def count_fillings(m) -> int:
-    """Number of admissible fillings (= sigma_m(1, ..., 1))."""
-    return sum(1 for _ in admissible_fillings(_seq(m)))
-
-
 # -- monomial divisibility comparisons ----------------------------------------
 
 

@@ -35,19 +35,6 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
-def _power(base, k: int, one):
-    """base**k by square-and-multiply, starting from the unit one."""
-    if k < 0:
-        raise ValueError("negative power")
-    result = one
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
-    return result
-
-
 def _render_terms(pairs) -> str:
     """Text of a sum of (coefficient, monomial text) pairs in the given order;
     an empty monomial text marks the constant term, and no pairs read "0"."""
@@ -120,7 +107,66 @@ class RationalEnclosure:
         return self.lo <= other.hi and other.lo <= self.hi
 
 
-class UniPoly:
+class _Poly:
+    """The arithmetic protocol UniPoly and MultiPoly share.  Instances are
+    immutable; an int or Fraction operand is the constant polynomial, and a
+    constant equals, and hashes like, its coefficient.  A subclass supplies
+    the layout: `_coerce(other)` (the polynomial, or None for any other
+    operand), `_key(frozen)` (what equality compares, hashable when frozen),
+    `_constant()` (the value of a constant polynomial, else None), `is_zero`,
+    `__add__`, `__neg__`, `__mul__` and `to_string`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):  # pragma: no cover
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self._constant() == other
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        c = self._constant()
+        return hash(self._key(frozen=True) if c is None else c)
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, k: int):
+        """self**k by square-and-multiply, starting from the ring's 1."""
+        if k < 0:
+            raise ValueError("negative power")
+        result, base = self._coerce(1), self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_string()})"
+
+
+class UniPoly(_Poly):
     """Univariate polynomial with Fraction coefficients, dense by degree.
 
     Instances are immutable; all operations return new polynomials. The zero
@@ -137,9 +183,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("UniPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -197,19 +240,11 @@ class UniPoly:
             object.__setattr__(self, "_ints", ints)
             return ints
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly((other,))
-        return NotImplemented
+    def _key(self, frozen=False):
+        return self.coeffs
 
-    def __hash__(self):
-        # a constant equals its coefficient, so it must hash like it
-        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.coeff(0))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
+    def _constant(self):
+        return self.coeff(0) if len(self.coeffs) < 2 else None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -228,19 +263,8 @@ class UniPoly:
         n = max(len(self.coeffs), len(o.coeffs))
         return UniPoly([self.coeff(k) + o.coeff(k) for k in range(n)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -256,11 +280,6 @@ class UniPoly:
                 if b:
                     out[i + j] += a * b
         return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return _power(self, k, UniPoly.one())
 
     def __call__(self, x) -> Fraction:
         """Integer Horner at x = p/q: acc <- acc*p + c_k*q^(d-k), one
@@ -341,9 +360,6 @@ class UniPoly:
     def to_string(self, var: str = "t") -> str:
         return _render_terms((c, "" if k == 0 else var if k == 1 else f"{var}^{k}")
                              for k, c in reversed(list(enumerate(self.coeffs))) if c)
-
-    def __repr__(self):
-        return f"UniPoly({self.to_string()})"
 
 
 # -- gcd and squarefree structure ------------------------------------------
@@ -570,6 +586,7 @@ def refine_isolating_interval(q: UniPoly, enc: RationalEnclosure,
     is already exact; the result is exact (lo == hi) when a split point hits
     the root.
     """
+    max_width = _q(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
     u, v = enc.lo, enc.hi

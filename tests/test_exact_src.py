@@ -15,6 +15,9 @@ tests of each module cover that route.
 """
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,31 @@ def test_each_route_is_caught(source, expected):
 ])
 def test_exact_code_passes(source):
     assert float_uses(ast.parse(source)) == []
+
+
+def public_definitions():
+    """(name, object) of every public function, class and method of every
+    curvehull module; a property stands for its getter."""
+    for path in MODULES:
+        module = importlib.import_module(f"curvehull.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield f"{path.stem}.{name}", obj
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    func = member.fget if isinstance(member, property) else getattr(
+                        member, "__func__", member)
+                    if not attr.startswith("_") and inspect.isfunction(func):
+                        yield f"{path.stem}.{name}.{attr}", func
+
+
+def test_every_public_annotation_resolves():
+    unresolved = []
+    for name, obj in public_definitions():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []

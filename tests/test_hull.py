@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from unittest import mock
 
@@ -32,6 +33,12 @@ class TestCurve:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             sample_curve(moment_curve(2, UNIT), 1)
+
+    @pytest.mark.parametrize("count", [2.5, True, F(3)])
+    def test_count_must_be_an_int(self, count):
+        message = re.escape(f"count must be a positive integer, got {count!r}")
+        with pytest.raises(ValueError, match=message):
+            sample_curve(moment_curve(2, UNIT), count)
 
     def test_constant_curve_rejected(self):
         with pytest.raises(ValueError):
@@ -298,6 +305,24 @@ class TestCrossValidate:
     def test_trials_must_be_a_positive_int(self, trials):
         with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials!r}"):
             cross_validate(moment_curve(2, UNIT), interval_moment_lmi(2, UNIT), trials)
+
+    @pytest.mark.parametrize("count", [-3, True, 2.5])
+    def test_support_functionals_must_be_a_nonnegative_int(self, count):
+        with pytest.raises(ValueError, match="support_functionals must be a nonnegative integer"):
+            cross_validate(moment_curve(2, UNIT), interval_moment_lmi(2, UNIT), 2,
+                           support_functionals=count)
+
+    def test_zero_support_functionals_skips_the_support_table(self):
+        report = cross_validate(moment_curve(2, UNIT), interval_moment_lmi(2, UNIT), 2,
+                                support_functionals=0)
+        assert report.support_table == []
+
+    @pytest.mark.parametrize("count, message", [(2.5, "count must be a positive integer"),
+                                                (1, "need at least two samples")])
+    def test_sample_count_is_checked(self, count, message):
+        with pytest.raises(ValueError, match=message):
+            cross_validate(moment_curve(2, UNIT), interval_moment_lmi(2, UNIT), 2,
+                           sample_count=count)
 
     def test_json_shape(self):
         report = cross_validate(moment_curve(2, UNIT), interval_moment_lmi(2, UNIT),

@@ -117,6 +117,11 @@ class TestPsd:
                         for i in range(d)]
                 assert psd_check_exact(SymMatrix(gram))
 
+    @pytest.mark.parametrize("rows", [[[0.5]], [[1, 0.25], [0.25, 1]]])
+    def test_float_entries_are_refused(self, rows):
+        with pytest.raises(TypeError, match="a float is not an exact rational"):
+            psd_check_exact(rows)
+
     def test_negative_shift_fails(self):
         assert not psd_check_exact(SymMatrix([[1, 0], [0, -F(1, 10 ** 9)]]))
         assert psd_check_exact(SymMatrix([[1, 0], [0, 0]]))
@@ -129,7 +134,8 @@ class TestPsd:
         for d in (2, 3):
             for _ in range(25):
                 a = rand_sym(rng, d)
-                shifted = a + SymMatrix([[eps * (i == j) for j in range(d)] for i in range(d)])
+                shifted = SymMatrix([[x + eps * (i == j) for j, x in enumerate(r)]
+                                     for i, r in enumerate(a.rows)])
                 minors_ok = all(m > 0 for m in leading_principal_minors(shifted))
                 if psd_check_exact(a):
                     assert minors_ok

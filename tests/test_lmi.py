@@ -164,14 +164,12 @@ class TestEvaluate:
             blk = Block(size=d, a0=rand_sym(d), coeff=tuple(rand_sym(d) for _ in range(n)))
             x = [F(rng.randint(-20, 20), rng.randint(1, 30)) if rng.random() < 0.8 else 0
                  for _ in range(n)]
-            expected = blk.a0
-            for xi, b in zip(x, blk.coeff):
-                expected = expected + b.scale(xi)
             xs, q = _over_lcm([F(v) for v in x])
             rows = blk.integer_rows(xs, q)
-            # rows == c * expected for one c > 0
+            # rows == c * (A + sum x_i B_i) for one c > 0
             flat = [v for r in rows for v in r]
-            want = [v for r in expected.rows for v in r]
+            want = [a + sum(xi * b.rows[i][j] for xi, b in zip(x, blk.coeff))
+                    for i, r in enumerate(blk.a0.rows) for j, a in enumerate(r)]
             assert all(type(v) is int for v in flat)
             nonzero = [(v, w) for v, w in zip(flat, want) if w]
             c = F(nonzero[0][0], nonzero[0][1]) if nonzero else F(1)

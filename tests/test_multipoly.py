@@ -1,4 +1,5 @@
 import heapq
+import operator
 import random
 from fractions import Fraction
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvehull.multipoly import MultiPoly, poly_det
-from curvehull.unipoly import UniPoly, _over_lcm
+from curvehull.unipoly import UniPoly, _over_lcm, _Poly
 
 
 def var(i, arity=3):
@@ -392,6 +393,49 @@ class TestHashContract:
     def test_constants_collapse_in_a_set(self):
         assert len({MultiPoly.constant(3, 5), 5, F(5)}) == 1
         assert len({MultiPoly.zero(2), 0}) == 1
+
+
+PROTOCOL = ("__setattr__", "__eq__", "__hash__", "__bool__", "__radd__", "__sub__",
+            "__rsub__", "__rmul__", "__pow__", "__repr__")
+
+
+class TestSharedProtocol:
+    """The rules UniPoly and MultiPoly share live once, on _Poly."""
+
+    def test_each_rule_is_written_once(self):
+        for name in PROTOCOL:
+            assert name in vars(_Poly)
+            assert name not in vars(UniPoly) and name not in vars(MultiPoly)
+
+    def test_no_instance_dict(self):
+        # a __dict__ on every polynomial would cost memory on every kernel output
+        assert _Poly.__slots__ == ()
+        for p in (UniPoly.t(), MultiPoly.variable(2, 0)):
+            assert not hasattr(p, "__dict__")
+
+    def test_arities_compare_unequal_but_do_not_mix(self):
+        a, b = MultiPoly.variable(2, 0), MultiPoly.variable(3, 0)
+        assert a != b
+        with pytest.raises(ValueError, match="arity mismatch"):
+            a + b
+        assert UniPoly.t() != MultiPoly.variable(1, 0)
+
+    @pytest.mark.parametrize("p", [UniPoly((1, 2)), MultiPoly.variable(2, 1) + 1])
+    def test_float_operands_are_refused(self, p):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(p, 0.5)
+            with pytest.raises(TypeError):
+                op(0.5, p)
+
+    def test_powers_and_text(self):
+        p, m = UniPoly((1, 2)), MultiPoly.variable(2, 1) + 1
+        assert repr(p ** 0) == "UniPoly(1)" and repr(m ** 0) == "MultiPoly(1)"
+        assert repr(p ** 2) == "UniPoly(4*t^2 + 4*t + 1)"
+        assert repr(m ** 2) == "MultiPoly(t1^2 + 2*t1 + 1)"
+        for q in (p, m):
+            with pytest.raises(ValueError, match="negative power"):
+                q ** -1
 
 
 def stores_no_zero(p: MultiPoly) -> bool:

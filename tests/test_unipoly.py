@@ -233,6 +233,12 @@ class TestIsolation:
         with pytest.raises(ValueError, match="max_width must be positive"):
             refine_isolating_interval(q, enc, max_width)
 
+    def test_refinement_refuses_a_float_width(self):
+        q = t * t - 2
+        (enc,) = isolate_roots(q, Interval(1, 2))
+        with pytest.raises(TypeError, match="a float is not an exact rational"):
+            refine_isolating_interval(q, enc, 0.001)
+
     def test_derivative_bound_is_a_bound(self):
         rng = random.Random(5)
         for _ in range(20):
