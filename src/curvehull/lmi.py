@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 from .linalg import SymMatrix, psd_check_exact
-from .unipoly import Interval, UniPoly, _over_lcm, _positive_int, _q
+from .unipoly import Interval, UniPoly, _built, _over_lcm, _positive_int, _q
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def sosx_certificate(f: UniPoly, pattern, c) -> SosxCertificate:
         g = g * UniPoly((-x, 1)) ** (b // 2)
     if f - c * g * g != UniPoly.zero():
         raise ValueError("reconstruction failed: f != c * g^2 for this pattern")
-    return SosxCertificate(scale=c, square_root=g, declared_rank=1 + g.degree)
+    return SosxCertificate(scale=c, square_root=_built(g), declared_rank=1 + g.degree)
 
 
 # -- SDPA sparse emission -------------------------------------------------------

@@ -28,6 +28,12 @@ from .linalg import det_frac
 from .unipoly import UniPoly, _Poly, _over_lcm, _positive_int, _q, _render_terms
 
 
+def _slot(i, arity: int) -> int:
+    if type(i) is not int or not 0 <= i < arity:
+        raise ValueError(f"variable index {i!r} is outside 0..{arity - 1}")
+    return i
+
+
 class MultiPoly(_Poly):
     """Multivariate polynomial in variables t_0, ..., t_{arity-1}.
 
@@ -50,7 +56,7 @@ class MultiPoly(_Poly):
             if c == 0:
                 continue
             exp = tuple(exp)
-            if len(exp) != arity or any(e < 0 for e in exp):
+            if len(exp) != arity or any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for arity {arity}")
             clean[exp] = c
         object.__setattr__(self, "_terms", clean)
@@ -78,7 +84,7 @@ class MultiPoly(_Poly):
     @classmethod
     def variable(cls, arity: int, i: int) -> "MultiPoly":
         exp = [0] * arity
-        exp[i] = 1
+        exp[_slot(i, arity)] = 1
         return cls(arity, {tuple(exp): 1})
 
     @classmethod
@@ -88,6 +94,7 @@ class MultiPoly(_Poly):
     @classmethod
     def inject(cls, p: UniPoly, arity: int, slot: int) -> "MultiPoly":
         """The univariate p placed on variable t_slot."""
+        _slot(slot, arity)
         terms = {}
         for k, c in enumerate(p.coeffs):
             if c:
@@ -202,6 +209,8 @@ class MultiPoly(_Poly):
         collapse map: exponents of merged variables accumulate)."""
         if len(target) != self.arity:
             raise ValueError("target map must cover every variable")
+        for i in target:
+            _slot(i, new_arity)
         out = {}
         for exp, c in self.terms.items():
             e = [0] * new_arity

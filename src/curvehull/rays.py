@@ -21,7 +21,7 @@ from .diagonal import (BlockPartition, evaluation_matrix, normalize_basis_orders
 from .linalg import _eliminate, det_frac, nullspace_frac, solve_frac
 from .multipoly import MultiPoly
 from .schur import _scan, schur_via_tableaux
-from .unipoly import (Interval, UniPoly, _layer_roots, _positive_int, _q,
+from .unipoly import (Interval, UniPoly, _built, _layer_roots, _monic, _positive_int, _q,
                       count_roots_interior, count_roots_with_multiplicity,
                       is_nonnegative_on, _set_squarefree_decomposition, poly_gcd,
                       squarefree_decomposition)
@@ -66,7 +66,7 @@ def profile_and_normalize(basis, xi) -> LinearSystem:
     strip = orders[-1]
     if strip > 0:
         tpow = UniPoly.monomial(strip)
-        normalized = tuple(p.exact_divide(tpow) for p in normalized)
+        normalized = tuple(_built(p.exact_divide(tpow)) for p in normalized)
         orders = tuple(o - strip for o in orders)
     return LinearSystem(basis=normalized, base_point=xi, orders=orders)
 
@@ -150,8 +150,8 @@ def extreme_candidate(system: LinearSystem, pattern: ZeroPattern) -> UniPoly:
     rows = _derivative_rows(system.basis, pattern.points, pattern.mults)
     cof = _top_row_cofactors(rows, system.dim)
     det = sum((c * p for c, p in zip(cof, system.basis) if c), UniPoly.zero())
-    lowest = next((c for c in det.coeffs if c), 0)
-    return -det if lowest < 0 else det
+    lowest = next((c for c in det.integer_form()[0] if c), 0)
+    return _built(-det if lowest < 0 else det)
 
 
 def zero_conditions_dim(system: LinearSystem, pattern: ZeroPattern) -> int:
@@ -173,10 +173,9 @@ def _sympy_irreducible_factors(p: UniPoly):
     _, factors = sympy.factor_list(sympy.Poly.from_list(nums[::-1], x, domain="ZZ"))
     out = []
     for fac, mult in factors:
-        h = UniPoly([int(c) for c in reversed(fac.all_coeffs())]).monic()
-        out.extend([h] * mult)
-    for h in out:
+        h = _monic(tuple(int(c) for c in reversed(fac.all_coeffs())))
         _set_squarefree_decomposition(h, Fraction(1), [(h, 1)])
+        out.extend([h] * mult)
     return out
 
 
@@ -203,7 +202,7 @@ def interval_supported_divisor(f: UniPoly, s: Interval) -> UniPoly:
             for h in _sympy_irreducible_factors(q):
                 if count_roots_with_multiplicity(h, s) >= 1:
                     d = d * h ** mult
-    return d
+    return _built(d)
 
 
 def supporting_face_basis(system: LinearSystem, f: UniPoly, s: Interval):
@@ -224,13 +223,8 @@ def supporting_face_basis(system: LinearSystem, f: UniPoly, s: Interval):
         return list(system.basis)
     remainders = [p % d for p in system.basis]
     rows = [[r.coeff(k) for r in remainders] for k in range(d.degree)]
-    basis = []
-    for v in nullspace_frac(rows):
-        g = UniPoly.zero()
-        for c, p in zip(v, system.basis):
-            g = g + c * p
-        basis.append(g.monic())
-    return basis
+    return [_built(sum((c * p for c, p in zip(v, system.basis)), UniPoly.zero()).monic())
+            for v in nullspace_frac(rows)]
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,30 @@
 """Dense univariate polynomials over exact rationals.
 
-Everything in this module is exact: coefficients are `fractions.Fraction`,
-root counting runs Sturm chains on squarefree parts, and sign questions on
-closed intervals are decided symbolically.  No floating point anywhere.
-Evaluation and the Taylor derivative bound run on Python integers: each
-polynomial caches its coefficients over their common denominator.  Each
-polynomial also caches its Yun squarefree decomposition, so the root counts,
-the nonnegativity test and the factoring of one polynomial share one run,
-and its Sturm chain, so isolation and every refinement share one chain.
-The counts and the test take one Sturm count per layer, after dividing out
-the layer's endpoint roots.  Domains are `Interval`s (lo < hi); root
-isolation returns `RationalEnclosure`s (lo <= hi), where an exact root is an
-enclosure of width 0.
+Everything in this module is exact.  Coefficients are rationals, held as
+`fractions.Fraction`s and as int numerators over a common denominator; the
+arithmetic, gcds, Yun, Sturm chains and evaluation run on the numerators,
+and Fractions are built only when read.  Root counting runs Sturm chains on
+squarefree parts, and sign questions on closed intervals are decided
+symbolically.  No floating point anywhere.  Each polynomial caches its Yun
+squarefree decomposition, so the root counts, the nonnegativity test and
+the factoring of one polynomial share one run, and its Sturm chain, so
+isolation and every refinement share one chain.  The counts and the test
+take one Sturm count per layer, after dividing out the layer's endpoint
+roots.  Domains are `Interval`s (lo < hi); root isolation returns
+`RationalEnclosure`s (lo <= hi), where an exact root is an enclosure of
+width 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm, prod
+
+
+_SMALL = tuple(Fraction(k) for k in range(-16, 17))  # shared, as zeros are common
+_ZERO = _SMALL[16]
 
 
 def _q(x) -> Fraction:
@@ -26,12 +32,20 @@ def _q(x) -> Fraction:
         return x
     if isinstance(x, float):  # numpy.float64 too; Fraction refuses the other numpy floats
         raise TypeError(f"a float is not an exact rational: {x!r}")
+    if type(x) is int and -16 <= x <= 16:
+        return _SMALL[x + 16]
     return Fraction(x)
 
 
 def _positive_int(value, name: str) -> int:
     if type(value) is not int or value < 1:  # bool is not a count
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def _order(value, name: str) -> int:
+    if type(value) is not int or value < 0:  # bool is not an order
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     return value
 
 
@@ -166,23 +180,115 @@ class _Poly:
         return f"{type(self).__name__}({self.to_string()})"
 
 
-class UniPoly(_Poly):
-    """Univariate polynomial with Fraction coefficients, dense by degree.
+# -- int coefficient lists (low degree first) ---------------------------------
 
-    Instances are immutable; all operations return new polynomials. The zero
-    polynomial has an empty coefficient tuple and degree -1.  The integer
-    form (see `integer_form`), the squarefree decomposition (see
-    `squarefree_decomposition`) and the Sturm chain (see `_sturm_chain_of`)
-    are filled on first use, so construction does no extra work.
+
+def _strip(nums) -> tuple:
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    return tuple(nums[:n])
+
+
+def _primitive(nums) -> tuple:
+    """nums divided by their positive content (the gcd of the entries)."""
+    g = gcd(*nums)
+    return tuple(nums) if g < 2 else tuple(x // g for x in nums)
+
+
+def _combine(a, sa: int, b, sb: int) -> tuple:
+    """sa*a + sb*b."""
+    return _strip([x * sa + y * sb for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _derivative(nums, k: int = 1) -> tuple:
+    for _ in range(k):
+        nums = tuple(j * c for j, c in enumerate(nums[1:], 1))
+    return nums
+
+
+def _pdivmod(a, b):
+    """(q, r, s), s*a == q*b + r with deg r < deg b and s > 0, for int lists a
+    and b != (): pseudo-division that scales by |lc(b)|/gcd only at a step
+    lc(b) does not divide, so s is 1 when the quotient over Q is integral."""
+    lead, deg = b[-1], len(b) - 1
+    rem = list(a)
+    q = [0] * max(len(a) - deg, 0)
+    s = 1
+    for k in reversed(range(len(q))):
+        c = rem[k + deg]
+        if not c:
+            continue
+        f, r = divmod(c, lead)
+        if r:
+            m = abs(lead) // gcd(c, lead)
+            s *= m
+            rem = [x * m for x in rem[:k + deg + 1]]
+            q = [x * m for x in q]
+            f = c * m // lead
+        q[k] = f
+        rem[k:k + deg + 1] = [x - f * y for x, y in zip(rem[k:k + deg + 1], b)]
+    return tuple(q), _strip(rem[:deg]), s
+
+
+def _prs_gcd(a, b) -> tuple:
+    """A primitive gcd of int lists by the primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    return a
+
+
+def _monic(nums) -> "UniPoly":
+    """The monic multiple of the int list nums over its least denominator."""
+    if not nums:
+        return UniPoly._trusted((), 1)
+    g = gcd(*nums) if nums[-1] > 0 else -gcd(*nums)
+    return UniPoly._trusted(tuple(x // g for x in nums), nums[-1] // g)
+
+
+def _taylor(nums, mu: int, nu: int) -> list:
+    """Ints b with sum nums_k (t + mu/nu)^k = sum b_k (nu t)^k / nu^d, d = deg:
+    the Taylor shift by mu of sum nums_k nu^(d-k) t^k (synthetic division)."""
+    d = len(nums) - 1
+    b = [c * nu ** (d - k) for k, c in enumerate(nums)]
+    for i in range(d if mu else 0):
+        for j in range(d - 1, i - 1, -1):
+            b[j] += mu * b[j + 1]
+    return b
+
+
+def _built(p: "UniPoly") -> "UniPoly":
+    """p with its Fraction coefficients built, as a returned result has."""
+    p.coeffs
+    return p
+
+
+class UniPoly(_Poly):
+    """Univariate polynomial over Q, dense by degree.
+
+    Instances are immutable.  The coefficients are held in one or both of two
+    forms, each built from the other on first read and then kept: `coeffs`,
+    Fractions by degree (empty for the zero polynomial, of degree -1), and
+    `integer_form()`.  The public constructor fills `coeffs`; the kernels fill
+    only the integer form (`_trusted`).  The squarefree decomposition and the
+    Sturm chain (`_sturm_chain_of`) are filled on first use.
     """
 
-    __slots__ = ("coeffs", "_ints", "_sqf", "_sturm")
+    __slots__ = ("_coeffs", "_ints", "_sqf", "_sturm")
 
     def __init__(self, coeffs=()):
-        cs = [_q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_coeffs", _strip([_q(c) for c in coeffs]))
+        object.__setattr__(self, "_ints", None)
+
+    @classmethod
+    def _trusted(cls, nums: tuple, den: int) -> "UniPoly":
+        """Constructor for the kernels: the int tuple nums, whose last entry
+        is nonzero, over the positive int den; `coeffs` waits for a read."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_coeffs", None)
+        object.__setattr__(self, "_ints", (nums, den))
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -204,25 +310,33 @@ class UniPoly(_Poly):
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative exponent")
-        return cls((0,) * k + (c,))
+        return cls((0,) * _order(k, "exponent") + (c,))
 
     # -- basic structure ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """Fraction coefficients by degree, the last one nonzero."""
+        cs = self._coeffs
+        if cs is None:
+            nums, den = self._ints
+            cs = tuple(Fraction(v, den) if v else _ZERO for v in nums)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree < 0
 
     @property
     def degree(self) -> int:
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        cs = self._coeffs
+        return len(cs if cs is not None else self._ints[0]) - 1
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        cs = self.coeffs
+        return cs[k] if 0 <= k < len(cs) else _ZERO
 
     @property
     def leading_coeff(self) -> Fraction:
@@ -231,55 +345,58 @@ class UniPoly(_Poly):
         return self.coeffs[-1]
 
     def integer_form(self):
-        """(numerators, den): den is the positive lcm of the coefficient
-        denominators and coeffs[k] == numerators[k] / den."""
-        try:
-            return self._ints
-        except AttributeError:
-            ints = _over_lcm(self.coeffs)
+        """(nums, den): coeffs[k] == nums[k] / den for every k, den a positive
+        common denominator: the lcm for a constructed polynomial, else the one
+        its kernel found, which need not be the least."""
+        ints = self._ints
+        if ints is None:
+            ints = _over_lcm(self._coeffs)
             object.__setattr__(self, "_ints", ints)
-            return ints
+        return ints
 
     def _key(self, frozen=False):
         return self.coeffs
 
     def _constant(self):
-        return self.coeff(0) if len(self.coeffs) < 2 else None
+        return self.coeff(0) if self.degree < 1 else None
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic on the integer form -------------------------------------
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, UniPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return UniPoly((other,))
+            c = _q(other)
+            return UniPoly._trusted((c.numerator,) if c else (), c.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly([self.coeff(k) + o.coeff(k) for k in range(n)])
+        (a, da), (b, db) = self.integer_form(), o.integer_form()
+        den = da if da == db else lcm(da, db)
+        return UniPoly._trusted(_combine(a, den // da, b, den // db), den)
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        nums, den = self.integer_form()
+        return UniPoly._trusted(tuple(-x for x in nums), den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UniPoly(out)
+        (a, da), (b, db) = self.integer_form(), o.integer_form()
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return UniPoly._trusted((), 1)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                out[i:i + len(a)] = [u + x * y for u, x in zip(out[i:i + len(a)], a)]
+        return UniPoly._trusted(tuple(out), da * db)
 
     def __call__(self, x) -> Fraction:
         """Integer Horner at x = p/q: acc <- acc*p + c_k*q^(d-k), one
@@ -297,21 +414,16 @@ class UniPoly(_Poly):
         return Fraction(acc, den * qk)
 
     def __divmod__(self, other):
+        """Pseudo-division of the numerators: s*a = q*b + r gives
+        a/da = (q*db / (s*da)) * (b/db) + r/(s*da)."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(o.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        lead, deg = o.leading_coeff, o.degree
-        for k in reversed(range(len(q))):
-            f = rem[k + deg] / lead
-            if f:
-                q[k] = f
-                for j, c in enumerate(o.coeffs):
-                    rem[k + j] -= f * c
-        return UniPoly(q), UniPoly(rem)
+        (a, da), (b, db) = self.integer_form(), o.integer_form()
+        q, r, s = _pdivmod(a, b)
+        return UniPoly._trusted(tuple(x * db for x in q), s * da), UniPoly._trusted(r, s * da)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -327,35 +439,30 @@ class UniPoly(_Poly):
 
     def derivative(self, k: int = 1) -> "UniPoly":
         """k-th derivative; derivative(p, 0) = p."""
-        if k < 0:
-            raise ValueError("negative derivative order")
-        p = self
-        for _ in range(k):
-            p = UniPoly([i * c for i, c in enumerate(p.coeffs)][1:])
-        return p
+        if _order(k, "derivative order") == 0:
+            return self
+        nums, den = self.integer_form()
+        return UniPoly._trusted(_derivative(nums, k), den)
 
     def shift(self, a) -> "UniPoly":
-        """Return q with q(t) = self(t + a)."""
+        """Return q with q(t) = self(t + a): for a = mu/nu, self(t + a) is
+        sum b_k nu^k t^k / (den nu^d) with b from `_taylor`."""
         a = _q(a)
-        if a == 0:
+        if not a or self.is_zero:
             return self
-        acc = UniPoly.zero()
-        x_plus_a = UniPoly((a, 1))
-        for c in reversed(self.coeffs):
-            acc = acc * x_plus_a + c
-        return acc
+        nums, den = self.integer_form()
+        nu, d = a.denominator, len(nums) - 1
+        b = _taylor(nums, a.numerator, nu)
+        return UniPoly._trusted(tuple(c * nu ** k for k, c in enumerate(b)), den * nu ** d)
 
     def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        lc = self.leading_coeff
-        return UniPoly([c / lc for c in self.coeffs])
+        return _monic(self.integer_form()[0])
 
     def ord_at(self, xi) -> int:
         """Vanishing order at the rational point xi (0 if xi is not a root)."""
         if self.is_zero:
             raise ValueError("vanishing order of the zero polynomial is undefined")
-        return next(k for k, c in enumerate(self.shift(xi).coeffs) if c)
+        return next(k for k, c in enumerate(self.shift(xi).integer_form()[0]) if c)
 
     def to_string(self, var: str = "t") -> str:
         return _render_terms((c, "" if k == 0 else var if k == 1 else f"{var}^{k}")
@@ -366,11 +473,9 @@ class UniPoly(_Poly):
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic greatest common divisor (gcd(0, 0) = 0)."""
-    a, b = f, g
-    while b:
-        a, b = b, (a % b).monic()
-    return a.monic()
+    """Monic greatest common divisor (gcd(0, 0) = 0), by the primitive
+    remainder sequence of the numerators."""
+    return _monic(_prs_gcd(f.integer_form()[0], g.integer_form()[0]))
 
 
 def squarefree_decomposition(p: UniPoly):
@@ -397,48 +502,43 @@ def _set_squarefree_decomposition(p: UniPoly, unit, layers) -> None:
 
 
 def _yun(p: UniPoly):
-    unit = p.leading_coeff
-    a = p.monic()
-    if a.degree == 0:
-        return unit, []
-    g = poly_gcd(a, a.derivative())
-    if g.degree == 0:
-        return unit, [(a, 1)]
-    b = a.exact_divide(g)
-    d = a.derivative().exact_divide(g) - b.derivative()
-    out = []
-    i = 1
-    while b.degree > 0:
-        f = poly_gcd(b, d)
-        b = b.exact_divide(f)
-        d = d.exact_divide(f) - b.derivative()
-        if f.degree > 0:
-            out.append((f, i))
+    """Yun on the primitive numerators of p, from b = p, d = p' (the first
+    gcd, gcd(p, p'), is no layer).  Each b, d is one rational multiple of the
+    monic run's and each divisor a primitive gcd, so every exact quotient has
+    int coefficients (Gauss).  Layers are made monic once."""
+    b = _primitive(p.integer_form()[0])
+    d, out, i = _derivative(b), [], 0
+    while len(b) > 1:
+        f = _prs_gcd(b, d)
+        if not i and len(f) == 1:  # p is squarefree: one layer
+            return p.leading_coeff, [(_monic(b), 1)]
+        b = _pdivmod(b, f)[0]
+        d = _combine(_pdivmod(d, f)[0], 1, _derivative(b), -1)
+        if i and len(f) > 1:
+            out.append((_monic(f), i))
         i += 1
-    return unit, out
+    return p.leading_coeff, out
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
     """Monic product of the distinct irreducible factors of p."""
-    _, factors = squarefree_decomposition(p)
-    out = UniPoly.one()
-    for f, _ in factors:
-        out = out * f
-    return out
+    return prod((f for f, _ in squarefree_decomposition(p)[1]), start=UniPoly.one())
 
 
 # -- Sturm machinery ---------------------------------------------------------
 
 
 def sturm_chain(q: UniPoly):
-    """Sturm chain of a squarefree polynomial (positive scalings only)."""
+    """Sturm chain of a squarefree polynomial: q, q', then each negated
+    remainder scaled to a leading coefficient of +-1."""
     chain = [q, q.derivative()]
-    while chain[-1].degree > 0:
-        rem = -(chain[-2] % chain[-1])
-        if rem.is_zero:
+    a, b = (_primitive(p.integer_form()[0]) for p in chain)
+    while len(b) > 1:
+        # positive multiples of the last two entries: so is the remainder
+        a, b = b, _primitive(tuple(-x for x in _pdivmod(a, b)[1]))
+        if not b:
             break
-        lc = abs(rem.leading_coeff)
-        chain.append(UniPoly([c / lc for c in rem.coeffs]))
+        chain.append(UniPoly._trusted(b, abs(b[-1])))
     return chain
 
 
@@ -606,34 +706,22 @@ def refine_isolating_interval(q: UniPoly, enc: RationalEnclosure,
 def derivative_bound(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction:
     """Upper bound for |p'| on [lo, hi].
 
-    Taylor expansion of p' around the interval midpoint (exact, the sum is
+    Taylor expansion of p' around the interval midpoint m (exact, the sum is
     finite): |p'(x)| <= sum_k |p'^(k)(m)| / k! * r^k for |x - m| <= r.  The
     bound shrinks with the interval, which keeps branch-and-bound pruning
-    effective near flat minima.
-
-    Computed in integers: with p' = sum_j c_j t^j / den of degree e and
-    m = mu/nu, the coefficients c_j*nu^(e-j) are Taylor-shifted to mu by
-    synthetic division, giving b_k with p'^(k)(m)/k! = b_k*nu^k / (den*nu^e);
-    with r = rho/sigma the bound is
+    effective near flat minima.  With p' = sum c_j t^j / den of degree e,
+    m = mu/nu, r = rho/sigma and b = _taylor(c, mu, nu), the bound is
     sum_k |b_k|*nu^k*rho^k*sigma^(e-k) / (den*nu^e*sigma^e).
     """
     lo, hi = _q(lo), _q(hi)
     nums, den = p.integer_form()
-    e = len(nums) - 2
-    if e < 0:
-        return Fraction(0)
-    m = (lo + hi) / 2
-    r = (hi - lo) / 2
-    mu, nu = m.numerator, m.denominator
-    rho, sigma = r.numerator, r.denominator
-    b = [j * nums[j] * nu ** (e + 1 - j) for j in range(1, e + 2)]
-    if mu:
-        for i in range(e):
-            for j in range(e - 1, i - 1, -1):
-                b[j] += mu * b[j + 1]
-    total = 0
-    sk = 1
+    m, r = (lo + hi) / 2, (hi - lo) / 2
+    nu, rho, sigma = m.denominator, r.numerator, r.denominator
+    b = _taylor(_derivative(nums), m.numerator, nu)
+    if not b:
+        return _ZERO
+    total, sk = 0, 1
     for bk in reversed(b):
         total = total * (nu * rho) + abs(bk) * sk
         sk *= sigma
-    return Fraction(total, den * (nu * sigma) ** e)
+    return Fraction(total, den * (nu * sigma) ** (len(b) - 1))

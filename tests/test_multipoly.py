@@ -173,6 +173,34 @@ class TestArity:
         with pytest.raises(ValueError, match=f"arity must be a positive integer, got {arity!r}"):
             MultiPoly(arity)
 
+    @pytest.mark.parametrize("exp", [(1.5, 0), (1.0, 0), (True, 0), (0, F(1)), (-1, 0)])
+    def test_exponent_entries_must_be_nonnegative_ints(self, exp):
+        with pytest.raises(ValueError, match="bad exponent"):
+            MultiPoly.monomial(2, exp)
+        with pytest.raises(ValueError, match="bad exponent"):
+            MultiPoly(2, {exp: 1})
+
+    @pytest.mark.parametrize("i", [-1, -2, 2, 5, True, 1.0])
+    def test_variable_refuses_an_index_outside_the_arity(self, i):
+        with pytest.raises(ValueError, match=f"variable index {i!r} is outside 0..1"):
+            MultiPoly.variable(2, i)
+
+    @pytest.mark.parametrize("slot", [-1, 3])
+    def test_inject_refuses_an_index_outside_the_arity(self, slot):
+        with pytest.raises(ValueError, match=f"variable index {slot} is outside 0..2"):
+            MultiPoly.inject(UniPoly((1, 2)), 3, slot)
+
+    @pytest.mark.parametrize("target", [[-1, 0], [0, 2], [0, -3]])
+    def test_merge_variables_refuses_an_index_outside_the_new_arity(self, target):
+        bad = next(i for i in target if not 0 <= i < 2)
+        with pytest.raises(ValueError, match=f"variable index {bad} is outside 0..1"):
+            (var(0, 2) + var(1, 2)).merge_variables(target, 2)
+
+    def test_indices_inside_the_arity_pass(self):
+        assert MultiPoly.variable(2, 1).to_string() == "t1"
+        assert MultiPoly.inject(UniPoly((1, 2)), 3, 2).to_string() == "2*t2 + 1"
+        assert (var(0, 2) + var(1, 2)).merge_variables([1, 1], 2).to_string() == "2*t1"
+
 
 # -- properties of the two kernels (hypothesis) --------------------------------
 

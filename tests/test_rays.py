@@ -662,3 +662,34 @@ class TestOneElimination:
         assert calls == ["eliminate"]
         c = f.leading_coeff
         assert c > 0 and f == c * ((t - F(1, 5)) * (t - F(1, 2)) * (t - F(4, 5))) ** 2
+
+
+# -- results leave with their Fraction coefficients built ----------------------
+
+def built(p: UniPoly) -> bool:
+    return p._coeffs is not None
+
+
+class TestResultsCarryTheirFractions:
+    @pytest.mark.parametrize("n, negated", [(2, True), (4, False)])
+    def test_extreme_candidate(self, n, negated, monkeypatch):
+        negations = []
+        neg = UniPoly.__neg__
+        monkeypatch.setattr(UniPoly, "__neg__", lambda p: negations.append(p) or neg(p))
+        pattern = ZeroPattern((F(1, 2),), (n,))
+        candidate = extreme_candidate(moment_system(n), pattern)
+        assert built(candidate)
+        assert bool(negations) == negated  # both branches of the sign normalization
+        assert candidate.monic() == (t - F(1, 2)) ** n and candidate(0) > 0
+
+    def test_divisor_face_basis_and_stripped_system(self):
+        f = ((t - F(1, 3)) * (t - F(2, 3))) ** 2 * (t * t + 1)
+        assert built(interval_supported_divisor(f, UNIT))
+        system = moment_system(6)
+        assert all(built(g) for g in supporting_face_basis(system, f, UNIT))
+        # 0 is a base point of t^3, t^4: both are divided by t^3
+        assert all(built(p) for p in profile_and_normalize((t ** 3, t ** 4 - t ** 3), 0).basis)
+
+    def test_curve_objective(self):
+        from curvehull.hull import moment_curve
+        assert built(moment_curve(3, UNIT).objective((1, F(-1, 2), 3)))

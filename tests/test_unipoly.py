@@ -732,3 +732,155 @@ class TestDivisionLoops:
         for p in (q, squarefree_part(q) if q else q):
             assert coefficient_tuples(unipoly.sturm_chain(p)) == \
                 coefficient_tuples(old_sturm_chain(p))
+
+
+# -- integer kernels against the Fraction loops they replaced ------------------
+
+def frac_add(a: UniPoly, b: UniPoly) -> UniPoly:
+    n = max(len(a.coeffs), len(b.coeffs))
+    return UniPoly([a.coeff(k) + b.coeff(k) for k in range(n)])
+
+
+def frac_neg(a: UniPoly) -> UniPoly:
+    return UniPoly([-c for c in a.coeffs])
+
+
+def frac_mul(a: UniPoly, b: UniPoly) -> UniPoly:
+    out = [F(0)] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return UniPoly(out)
+
+
+def frac_derivative(a: UniPoly, k: int) -> UniPoly:
+    for _ in range(k):
+        a = UniPoly([i * c for i, c in enumerate(a.coeffs)][1:])
+    return a
+
+
+def frac_monic(a: UniPoly) -> UniPoly:
+    return UniPoly([c / a.coeffs[-1] for c in a.coeffs]) if a.coeffs else a
+
+
+def frac_shift(a: UniPoly, x) -> UniPoly:
+    acc = UniPoly.zero()
+    for c in reversed(a.coeffs):
+        acc = frac_add(frac_mul(acc, UniPoly((x, 1))), UniPoly((c,)))
+    return acc
+
+
+def assert_integer_form(p: UniPoly):
+    """The common-denominator invariant: int numerators, positive int den,
+    one numerator per Fraction coefficient and the last one nonzero."""
+    nums, den = p.integer_form()
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in nums)
+    assert len(nums) == len(p.coeffs) and (not nums or nums[-1])
+    assert all(F(v, den) == c for v, c in zip(nums, p.coeffs))
+
+
+def assert_kernel_output(p: UniPoly, expected: UniPoly):
+    """p agrees with the oracle's constructor-built polynomial: the same
+    Fraction coefficients, equality and hash both ways, and a valid integer
+    form.  Equality and hashing run before p's coeffs are read."""
+    assert p == expected and expected == p
+    assert hash(p) == hash(expected)
+    assert p.coeffs == expected.coeffs and all(type(c) is F for c in p.coeffs)
+    assert_integer_form(p)
+
+
+mixed_polys = st.one_of(
+    small_polys,
+    st.just(UniPoly.zero()),
+    constants,
+    # a negative leading coefficient over mixed denominators
+    st.lists(st.builds(F, st.integers(-30, 30), st.integers(1, 60)), min_size=1, max_size=6)
+    .map(lambda cs: UniPoly(cs + [F(-7, 9)])))
+
+
+class TestIntegerArithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_polys, mixed_polys)
+    def test_ring_operations_match_the_fraction_loops(self, a, b):
+        assert_kernel_output(a + b, frac_add(a, b))
+        assert_kernel_output(a - b, frac_add(a, frac_neg(b)))
+        assert_kernel_output(-a, frac_neg(a))
+        assert_kernel_output(a * b, frac_mul(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_polys, st.integers(0, 4), points)
+    def test_derivative_monic_and_shift_match_the_fraction_loops(self, a, k, x):
+        assert_kernel_output(a.derivative(k), frac_derivative(a, k))
+        assert_kernel_output(a.monic(), frac_monic(a))
+        assert_kernel_output(a.shift(x), frac_shift(a, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_polys, mixed_polys.filter(bool))
+    def test_divmod_matches_the_fraction_loop(self, a, b):
+        for got, expected in zip(divmod(a, b), old_divmod(a, b)):
+            assert_kernel_output(got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_polys, mixed_polys)
+    def test_outputs_of_outputs_keep_the_invariant(self, a, b):
+        for p in (a * b - a, (a + b) ** 2, (a * b).derivative().monic()):
+            assert_integer_form(p)
+            assert_integer_form(p * p - p)
+
+    def test_constants_made_by_kernels_equal_their_value(self):
+        half = (t + F(1, 2)) - t
+        assert half._coeffs is None  # not read yet
+        assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+        assert len({half, F(1, 2), UniPoly.constant(F(1, 2))}) == 1
+        assert (t - t) == 0 and (t - t).integer_form() == ((), 1)
+
+    def test_small_integers_share_their_fraction(self):
+        assert UniPoly.monomial(5).coeffs[0] is UniPoly.monomial(3).coeffs[1]
+        assert unipoly._q(-16) is unipoly._q(-16) and unipoly._q(16) == 16
+        assert (t * t - t * t + 2 * t).coeffs[0] is UniPoly.zero().coeff(0)
+
+    def test_kernels_leave_the_fractions_to_their_first_read(self):
+        p = F(1, 3) * t ** 3 - F(2, 5) * t + 1
+        assert p._coeffs is None
+        assert p.coeffs == (1, F(-2, 5), 0, F(1, 3))
+        assert p._coeffs is p.coeffs
+
+
+# -- orders must be nonnegative ints --------------------------------------------
+
+class TestOrders:
+    @pytest.mark.parametrize("k", [True, False, 2.0, 1.5, -1, F(1)])
+    def test_monomial_refuses_an_exponent_that_is_not_a_nonnegative_int(self, k):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            UniPoly.monomial(k)
+
+    @pytest.mark.parametrize("k", [True, False, 2.0, 1.5, -1, F(1)])
+    def test_derivative_refuses_an_order_that_is_not_a_nonnegative_int(self, k):
+        with pytest.raises(ValueError, match="derivative order must be a nonnegative integer"):
+            UniPoly((1, 2)).derivative(k)
+
+    def test_int_orders_pass(self):
+        assert UniPoly.monomial(0) == 1 and UniPoly.monomial(2, 3) == 3 * t * t
+        assert (t ** 3).derivative(2) == 6 * t and (t ** 3).derivative(4) == 0
+
+
+# -- Yun, gcd and Sturm chains build no polynomial through the constructor ------
+
+class TestNoConstructorCalls:
+    def test_the_n8_candidate_with_four_double_zeros(self):
+        from curvehull.rays import ZeroPattern, extreme_candidate, profile_and_normalize
+        system = profile_and_normalize([UniPoly.monomial(k) for k in range(8, -1, -1)], 0)
+        points = (F(1, 5), F(2, 5), F(3, 5), F(4, 5))
+        candidate = extreme_candidate(system, ZeroPattern(points, (2, 2, 2, 2)))
+        root = (t - points[0]) * (t - points[1]) * (t - points[2]) * (t - points[3])
+        fresh, fresh_root = UniPoly(candidate.coeffs), UniPoly(root.coeffs)
+        with mock.patch.object(UniPoly, "__init__", autospec=True,
+                               side_effect=UniPoly.__init__) as built:
+            unit, layers = squarefree_decomposition(fresh)
+            gcd = poly_gcd(fresh, fresh.derivative())
+            chain = unipoly.sturm_chain(fresh_root)
+        assert built.call_count == 0
+        assert unit * root ** 2 == candidate and layers == [(root, 2)]
+        assert gcd == root and len(chain) == 5
+        assert coefficient_tuples(chain) == coefficient_tuples(old_sturm_chain(fresh_root))
