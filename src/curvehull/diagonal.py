@@ -198,13 +198,14 @@ def normalize_basis_orders(basis):
     """The reduced echelon basis at 0: strictly decreasing vanishing orders,
     each with a unit coefficient at its order.
 
-    One Gauss-Jordan `_eliminate` of the coefficient rows, columns in
-    increasing degree: each pivot column is a vanishing order and each
-    reduced row, scaled to 1 at its pivot, is the basis element of that
-    order.  The result spans the same space and depends only on that span.
-    Raises on linearly dependent input, a zero element included.
+    One Gauss-Jordan `_eliminate` of the integer coefficient rows (scaling
+    a row leaves the reduced echelon form as it is), columns in increasing
+    degree: each pivot column is a vanishing order and each reduced row,
+    scaled to 1 at its pivot, is the basis element of that order.  The
+    result spans the same space and depends only on that span.  Raises on
+    linearly dependent input, a zero element included.
     """
-    rows = [(p if isinstance(p, UniPoly) else UniPoly(p)).coeffs for p in basis]
+    rows = [(p if isinstance(p, UniPoly) else UniPoly(p)).integer_form()[0] for p in basis]
     width = max(map(len, rows), default=0)
     tab, _, pivots, _, _ = _eliminate([r + (0,) * (width - len(r)) for r in rows])
     if len(pivots) < len(rows):

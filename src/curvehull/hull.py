@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from .linalg import _bareiss_pivot
 from .lmi import BlockLMI, lmi_membership
-from .unipoly import (Interval, RationalEnclosure, UniPoly, _built, _over_lcm, _positive_int, _q,
-                      derivative_bound, isolate_roots, refine_isolating_interval, squarefree_part)
+from .unipoly import (Interval, RationalEnclosure, UniPoly, _built, _order, _over_lcm,
+                      _positive_int, _q, derivative_bound, isolate_roots,
+                      refine_isolating_interval, squarefree_part)
 
 
 @dataclass(frozen=True)
@@ -301,9 +302,7 @@ def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
     if lmi.n != curve.n:
         raise ValueError("pencil and curve dimensions differ")
     _positive_int(trials, "trials")
-    if type(support_functionals) is not int or support_functionals < 0:
-        raise ValueError(f"support_functionals must be a nonnegative integer, "
-                         f"got {support_functionals!r}")
+    _order(support_functionals, "support_functionals")
     rng = random.Random(seed)
     report = CrossValidationReport(n=curve.n, trials=trials)
     samples = sample_curve(curve, sample_count)

@@ -1,11 +1,10 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial holds its coefficients in one or both of two forms, each
-built from the other on first read and then kept: `terms`, a map from
-exponent tuples to nonzero Fraction coefficients, and `integer_form()`,
-nonzero int numerators by exponent over one positive common denominator.
-The arity is fixed per instance.  Two kernels carry the determinant
-identities:
+A polynomial is born with its integer form, `integer_form()`: nonzero int
+numerators by exponent tuple over one positive common denominator.  Its
+arithmetic, substitutions and kernels run on the numerators, and the
+Fraction view `terms` is built on first read and then kept.  The arity is
+fixed per instance.  Two kernels carry the determinant identities:
 
 * `MultiPoly.exact_divide` divides by t_i - t_j synthetically (additions on
   the integer form) and so decides divisibility; its quotient comes in
@@ -21,6 +20,7 @@ identities:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import add
 
@@ -34,16 +34,23 @@ def _slot(i, arity: int) -> int:
     return i
 
 
+def _collect(pairs) -> dict:
+    """The (exponent, int) pairs summed by exponent, zero sums dropped."""
+    out = {}
+    for e, v in pairs:
+        out[e] = out.get(e, 0) + v
+    return {e: v for e, v in out.items() if v}
+
+
 class MultiPoly(_Poly):
     """Multivariate polynomial in variables t_0, ..., t_{arity-1}.
 
-    Instances are immutable.  `terms` maps exponent tuples to nonzero
-    Fraction coefficients; `integer_form()` is (nums, den) with den a
-    positive common denominator of those coefficients, not necessarily the
-    least, and terms[e] == Fraction(nums[e], den) for every exponent e, the
-    same keys on both sides.  The public constructor fills `terms`; a kernel
-    output (`_trusted`) fills only the integer form.  Either form is built
-    from the other on first read.
+    Instances are immutable.  `integer_form()` is (nums, den): nums maps
+    exponent tuples to nonzero int numerators over den, a positive common
+    denominator; `terms`, the map of each exponent e to the Fraction
+    nums[e] / den, is built on first read.  The public constructor checks
+    its input, drops zero coefficients and clears the denominators by their
+    lcm; the kernels build their results by `_trusted`.
     """
 
     __slots__ = ("arity", "_terms", "_ints")
@@ -59,13 +66,13 @@ class MultiPoly(_Poly):
             if len(exp) != arity or any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for arity {arity}")
             clean[exp] = c
-        object.__setattr__(self, "_terms", clean)
+        nums, den = _over_lcm(list(clean.values()))
+        object.__setattr__(self, "_ints", (dict(zip(clean, nums)), den))
 
     @classmethod
     def _trusted(cls, arity: int, nums: dict, den: int) -> "MultiPoly":
-        """Constructor for the kernels: the integer form nums / den, whose
-        keys are valid exponent tuples and whose numerators are nonzero ints
-        already.  Skips the checks and leaves `terms` to its first read."""
+        """Constructor for the kernels: nums maps valid exponent tuples to
+        nonzero ints over the positive int den, with no checks."""
         self = object.__new__(cls)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_ints", (nums, den))
@@ -83,9 +90,9 @@ class MultiPoly(_Poly):
 
     @classmethod
     def variable(cls, arity: int, i: int) -> "MultiPoly":
-        exp = [0] * arity
+        exp = [0] * _positive_int(arity, "arity")
         exp[_slot(i, arity)] = 1
-        return cls(arity, {tuple(exp): 1})
+        return cls._trusted(arity, {tuple(exp): 1}, 1)
 
     @classmethod
     def monomial(cls, arity: int, exp, c=1) -> "MultiPoly":
@@ -116,24 +123,8 @@ class MultiPoly(_Poly):
             object.__setattr__(self, "_terms", terms)
             return terms
 
-    def integer_form(self):
-        """(nums, den): den is a positive common denominator of the
-        coefficients, not necessarily the least, and nums maps each exponent
-        of `terms` to its nonzero int numerator over den."""
-        try:
-            return self._ints
-        except AttributeError:
-            nums, den = _over_lcm(list(self._terms.values()))
-            ints = (dict(zip(self._terms, nums)), den)
-            object.__setattr__(self, "_ints", ints)
-            return ints
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def monomials(self):
-        return self.terms.keys()
+        return self.integer_form()[0].keys()
 
     def coeff(self, exp) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
@@ -153,31 +144,34 @@ class MultiPoly(_Poly):
                 raise ValueError("arity mismatch")
             return other
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(self.arity, other)
+            c = _q(other)
+            nums = {(0,) * self.arity: c.numerator} if c else {}
+            return MultiPoly._trusted(self.arity, nums, c.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exp, c in o.terms.items():
-            terms[exp] = terms.get(exp, 0) + c
-        return MultiPoly(self.arity, terms)
+        (a, da), (b, db) = self.integer_form(), o.integer_form()
+        den = da if da == db else lcm(da, db)
+        sa, sb = den // da, den // db
+        out = _collect(chain(((e, v * sa) for e, v in a.items()),
+                             ((e, v * sb) for e, v in b.items())))
+        return MultiPoly._trusted(self.arity, out, den)
 
     def __neg__(self):
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        nums, den = self.integer_form()
+        return MultiPoly._trusted(self.arity, {e: -v for e, v in nums.items()}, den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.arity, out)
+        (a, da), (b, db) = self.integer_form(), o.integer_form()
+        out = _collect((tuple(map(add, e1, e2)), c1 * c2)
+                       for e1, c1 in a.items() for e2, c2 in b.items())
+        return MultiPoly._trusted(self.arity, out, da * db)
 
     # -- substitution --------------------------------------------------------
 
@@ -196,41 +190,41 @@ class MultiPoly(_Poly):
 
     def set_trailing_to_one(self, keep: int) -> "MultiPoly":
         """Substitute t_keep = ... = t_{arity-1} = 1 and drop those variables."""
-        if not 1 <= keep <= self.arity:
+        if _positive_int(keep, "keep") > self.arity:
             raise ValueError("bad variable count")
-        out = {}
-        for exp, c in self.terms.items():
-            key = exp[:keep]
-            out[key] = out.get(key, 0) + c
-        return MultiPoly(keep, out)
+        nums, den = self.integer_form()
+        return MultiPoly._trusted(keep, _collect((e[:keep], v) for e, v in nums.items()), den)
 
     def merge_variables(self, target: list, new_arity: int) -> "MultiPoly":
         """Map variable i to variable target[i], adding exponents (the block
         collapse map: exponents of merged variables accumulate)."""
+        _positive_int(new_arity, "new_arity")
         if len(target) != self.arity:
             raise ValueError("target map must cover every variable")
         for i in target:
             _slot(i, new_arity)
-        out = {}
-        for exp, c in self.terms.items():
+
+        def merged(exp):
             e = [0] * new_arity
-            for i, k in enumerate(exp):
-                e[target[i]] += k
-            key = tuple(e)
-            out[key] = out.get(key, 0) + c
-        return MultiPoly(new_arity, out)
+            for i, k in zip(target, exp):
+                e[i] += k
+            return tuple(e)
+
+        nums, den = self.integer_form()
+        return MultiPoly._trusted(new_arity, _collect((merged(e), v) for e, v in nums.items()), den)
 
     # -- division ------------------------------------------------------------
 
     def _binomial_slots(self):
         """(i, j) when self is exactly t_i - t_j, otherwise None."""
-        if len(self.terms) != 2:
+        nums, den = self.integer_form()
+        if len(nums) != 2:
             return None
-        (e1, c1), (e2, c2) = self.terms.items()
-        if c1 + c2 or abs(c1) != 1 or sum(e1) != 1 or sum(e2) != 1:
+        (e1, c1), (e2, c2) = nums.items()
+        if c1 + c2 or abs(c1) != den or sum(e1) != 1 or sum(e2) != 1:
             return None
         i, j = e1.index(1), e2.index(1)
-        return (i, j) if c1 == 1 else (j, i)
+        return (i, j) if c1 > 0 else (j, i)
 
     def exact_divide(self, g: "MultiPoly"):
         """Exact quotient self/g for g = t_i - t_j, or None when self is not a
@@ -358,8 +352,8 @@ def poly_det(rows, right=None) -> MultiPoly:
             clean = {e: c for e, c in acc.items() if c}
             if clean:
                 states[mask] = clean
-        if not states:
-            return MultiPoly.zero(arity)
+        if not states:  # det is zero; the one exit below still builds its terms
+            break
     masks = list(states)
     ints, right_den = _over_lcm([det_frac([r for s, r in enumerate(right) if mask >> s & 1])
                                  for mask in masks])

@@ -66,9 +66,9 @@ def profile_and_normalize(basis, xi) -> LinearSystem:
     strip = orders[-1]
     if strip > 0:
         tpow = UniPoly.monomial(strip)
-        normalized = tuple(_built(p.exact_divide(tpow)) for p in normalized)
+        normalized = tuple(p.exact_divide(tpow) for p in normalized)
         orders = tuple(o - strip for o in orders)
-    return LinearSystem(basis=normalized, base_point=xi, orders=orders)
+    return LinearSystem(basis=tuple(map(_built, normalized)), base_point=xi, orders=orders)
 
 
 @dataclass(frozen=True)

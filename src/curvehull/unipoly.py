@@ -1,18 +1,17 @@
 """Dense univariate polynomials over exact rationals.
 
 Everything in this module is exact.  Coefficients are rationals, held as
-`fractions.Fraction`s and as int numerators over a common denominator; the
-arithmetic, gcds, Yun, Sturm chains and evaluation run on the numerators,
-and Fractions are built only when read.  Root counting runs Sturm chains on
-squarefree parts, and sign questions on closed intervals are decided
-symbolically.  No floating point anywhere.  Each polynomial caches its Yun
-squarefree decomposition, so the root counts, the nonnegativity test and
-the factoring of one polynomial share one run, and its Sturm chain, so
-isolation and every refinement share one chain.  The counts and the test
-take one Sturm count per layer, after dividing out the layer's endpoint
-roots.  Domains are `Interval`s (lo < hi); root isolation returns
-`RationalEnclosure`s (lo <= hi), where an exact root is an enclosure of
-width 0.
+int numerators over a common denominator; the arithmetic, gcds, Yun, Sturm
+chains and evaluation run on the numerators, and `fractions.Fraction`s are
+built only when read.  Root counting runs Sturm chains on squarefree parts,
+and sign questions on closed intervals are decided symbolically.  No
+floating point anywhere.  Each polynomial caches its Yun squarefree
+decomposition, so the root counts, the nonnegativity test and the factoring
+of one polynomial share one run, and its Sturm chain, so isolation and
+every refinement share one chain.  The counts and the test take one Sturm
+count per layer, after dividing out the layer's endpoint roots.  Domains
+are `Interval`s (lo < hi); root isolation returns `RationalEnclosure`s
+(lo <= hi), where an exact root is an enclosure of width 0.
 """
 
 from __future__ import annotations
@@ -124,16 +123,33 @@ class RationalEnclosure:
 class _Poly:
     """The arithmetic protocol UniPoly and MultiPoly share.  Instances are
     immutable; an int or Fraction operand is the constant polynomial, and a
-    constant equals, and hashes like, its coefficient.  A subclass supplies
-    the layout: `_coerce(other)` (the polynomial, or None for any other
-    operand), `_key(frozen)` (what equality compares, hashable when frozen),
-    `_constant()` (the value of a constant polynomial, else None), `is_zero`,
-    `__add__`, `__neg__`, `__mul__` and `to_string`."""
+    constant equals, and hashes like, its coefficient.
+
+    Every polynomial is born with one state, its integer form `_ints` =
+    (nums, den): int numerators over den, a positive common denominator of
+    the coefficients (the lcm when the constructor built it, else the one a
+    kernel found, which need not be the least).  The Fraction view of the
+    coefficients is built from it on first read and then kept; polynomials
+    that rays, lmi, hull and the determinant kernels return carry it built.
+    A subclass supplies the layout of nums, `_trusted` (the unchecked
+    constructor of kernel results), `_coerce(other)` (the polynomial, or
+    None for any other operand), `_key(frozen)` (what equality compares,
+    hashable when frozen), `_constant()` (the value of a constant
+    polynomial, else None), `__add__`, `__neg__`, `__mul__` and
+    `to_string`."""
 
     __slots__ = ()
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def integer_form(self):
+        """(nums, den): the coefficients as int numerators over den > 0."""
+        return self._ints
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._ints[0]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -166,8 +182,8 @@ class _Poly:
 
     def __pow__(self, k: int):
         """self**k by square-and-multiply, starting from the ring's 1."""
-        if k < 0:
-            raise ValueError("negative power")
+        if type(k) is not int or k < 0:  # bool is not an exponent
+            raise ValueError(f"exponent must be an int >= 0, not a negative power, got {k!r}")
         result, base = self._coerce(1), self
         while k:
             if k & 1:
@@ -267,24 +283,25 @@ def _built(p: "UniPoly") -> "UniPoly":
 class UniPoly(_Poly):
     """Univariate polynomial over Q, dense by degree.
 
-    Instances are immutable.  The coefficients are held in one or both of two
-    forms, each built from the other on first read and then kept: `coeffs`,
-    Fractions by degree (empty for the zero polynomial, of degree -1), and
-    `integer_form()`.  The public constructor fills `coeffs`; the kernels fill
-    only the integer form (`_trusted`).  The squarefree decomposition and the
-    Sturm chain (`_sturm_chain_of`) are filled on first use.
+    Instances are immutable.  `integer_form()` is (nums, den) with nums the
+    int numerators by degree, the last one nonzero (empty for the zero
+    polynomial, of degree -1); `coeffs`, the Fractions nums[k] / den, is
+    built on first read.  The public constructor checks its input and clears
+    its denominators by their lcm; the kernels build their results by
+    `_trusted`.  The squarefree decomposition and the Sturm chain
+    (`_sturm_chain_of`) are filled on first use.
     """
 
     __slots__ = ("_coeffs", "_ints", "_sqf", "_sturm")
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "_coeffs", _strip([_q(c) for c in coeffs]))
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_coeffs", None)
+        object.__setattr__(self, "_ints", _over_lcm(_strip([_q(c) for c in coeffs])))
 
     @classmethod
     def _trusted(cls, nums: tuple, den: int) -> "UniPoly":
         """Constructor for the kernels: the int tuple nums, whose last entry
-        is nonzero, over the positive int den; `coeffs` waits for a read."""
+        is nonzero, over the positive int den, with no checks."""
         self = object.__new__(cls)
         object.__setattr__(self, "_coeffs", None)
         object.__setattr__(self, "_ints", (nums, den))
@@ -325,14 +342,9 @@ class UniPoly(_Poly):
         return cs
 
     @property
-    def is_zero(self) -> bool:
-        return self.degree < 0
-
-    @property
     def degree(self) -> int:
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""
-        cs = self._coeffs
-        return len(cs if cs is not None else self._ints[0]) - 1
+        return len(self._ints[0]) - 1
 
     def coeff(self, k: int) -> Fraction:
         cs = self.coeffs
@@ -343,16 +355,6 @@ class UniPoly(_Poly):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def integer_form(self):
-        """(nums, den): coeffs[k] == nums[k] / den for every k, den a positive
-        common denominator: the lcm for a constructed polynomial, else the one
-        its kernel found, which need not be the least."""
-        ints = self._ints
-        if ints is None:
-            ints = _over_lcm(self._coeffs)
-            object.__setattr__(self, "_ints", ints)
-        return ints
 
     def _key(self, frozen=False):
         return self.coeffs

@@ -12,6 +12,11 @@ It is a syntax check, so it cannot see every float.  In particular it
 cannot see `/` between two ints (1 / 2 is 0.5): that needs the types of
 the operands, which only running the code gives.  The exact-arithmetic
 tests of each module cover that route.
+
+A second lint keeps the polynomial representation behind its two modules:
+only unipoly and multipoly may name the slots `_ints`, `_coeffs` and
+`_terms` or the unchecked constructor `_trusted`; every other module reads
+`integer_form()`, `coeffs` and `terms`.
 """
 
 import ast
@@ -123,3 +128,49 @@ def test_every_public_annotation_resolves():
         except NameError as exc:
             unresolved.append(f"{name}: {exc}")
     assert unresolved == []
+
+
+REPRESENTATION = {"_ints", "_coeffs", "_terms", "_trusted"}
+OWNERS = {"unipoly", "multipoly"}
+
+
+def representation_uses(tree: ast.AST) -> list:
+    """(line, name) of every attribute, name, imported name or string
+    constant in the tree that is one of REPRESENTATION."""
+    found = []
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias)
+                else node.value if isinstance(node, ast.Constant) else None)
+        if isinstance(name, str) and name in REPRESENTATION:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem not in OWNERS],
+                         ids=lambda p: p.name)
+def test_the_representation_stays_in_its_two_modules(path):
+    assert representation_uses(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("nums, den = p._ints", [(1, "_ints")]),
+    ("c = p._coeffs[0]", [(1, "_coeffs")]),
+    ("from .multipoly import _trusted", [(1, "_trusted")]),
+    ("q = MultiPoly._trusted(2, {}, 1)", [(1, "_trusted")]),
+    ("built = hasattr(p, '_terms')", [(1, "_terms")]),
+    ("_ints = 1", [(1, "_ints")]),
+])
+def test_each_representation_use_is_caught(source, expected):
+    assert representation_uses(ast.parse(source)) == expected
+
+
+@pytest.mark.parametrize("source", [
+    "nums, den = p.integer_form()",
+    "c = p.coeffs[0] + q.terms[e]",
+    "from .unipoly import _over_lcm, _built",
+    "x = '_ints are private'",
+])
+def test_public_reads_pass(source):
+    assert representation_uses(ast.parse(source)) == []

@@ -1,9 +1,11 @@
 import heapq
 import operator
 import random
+import re
 from fractions import Fraction
 from fractions import Fraction as F
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,13 @@ class TestExactDivide:
     def test_indivisible(self):
         x0, x1 = var(0, 2), var(1, 2)
         assert (x0 * x1).exact_divide(x0 - x1) is None
+
+    def test_a_divisor_over_a_denominator_that_is_not_the_least(self):
+        x0, x1 = var(0, 2), var(1, 2)
+        g, h = (2 * x0 - 2 * x1) * F(1, 2), (2 * x1 - 2 * x0) * F(1, 2)
+        assert g.integer_form() == ({(1, 0): 2, (0, 1): -2}, 2)
+        assert (x0 * x0 - x1 * x1).exact_divide(g) == x0 + x1
+        assert (x0 * x0 - x1 * x1).exact_divide(h) == -x0 - x1
 
     def test_quotient_via_remultiplication(self):
         x0, x1, x2 = var(0), var(1), var(2)
@@ -195,6 +204,23 @@ class TestArity:
         bad = next(i for i in target if not 0 <= i < 2)
         with pytest.raises(ValueError, match=f"variable index {bad} is outside 0..1"):
             (var(0, 2) + var(1, 2)).merge_variables(target, 2)
+
+    @pytest.mark.parametrize("arity", [0, True, 2.0])
+    def test_variable_refuses_an_arity_that_is_not_a_positive_int(self, arity):
+        with pytest.raises(ValueError, match=f"arity must be a positive integer, got {arity!r}"):
+            MultiPoly.variable(arity, 0)
+
+    @pytest.mark.parametrize("keep", [True, 1.0, 0])
+    def test_set_trailing_to_one_refuses_a_count_that_is_not_a_positive_int(self, keep):
+        # True once returned a polynomial of arity True, 1.0 died slicing
+        with pytest.raises(ValueError, match=f"keep must be a positive integer, got {keep!r}"):
+            (var(0, 2) + var(1, 2)).set_trailing_to_one(keep)
+
+    @pytest.mark.parametrize("new_arity", [True, 1.0, 0])
+    def test_merge_variables_refuses_an_arity_that_is_not_a_positive_int(self, new_arity):
+        with pytest.raises(ValueError,
+                           match=f"new_arity must be a positive integer, got {new_arity!r}"):
+            (var(0, 2) + var(1, 2)).merge_variables([0, 0], new_arity)
 
     def test_indices_inside_the_arity_pass(self):
         assert MultiPoly.variable(2, 1).to_string() == "t1"
@@ -382,6 +408,118 @@ class TestIntegerForm:
         assert has_terms(poly_det([[x0 - x0]]))
 
 
+# -- arithmetic and substitution against the Fraction loops they replaced -------
+
+def frac_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        terms[e] = terms.get(e, 0) + c
+    return MultiPoly(a.arity, terms)
+
+
+def frac_neg(a: MultiPoly) -> MultiPoly:
+    return MultiPoly(a.arity, {e: -c for e, c in a.terms.items()})
+
+
+def frac_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return MultiPoly(a.arity, out)
+
+
+def frac_set_trailing_to_one(a: MultiPoly, keep: int) -> MultiPoly:
+    out = {}
+    for e, c in a.terms.items():
+        out[e[:keep]] = out.get(e[:keep], 0) + c
+    return MultiPoly(keep, out)
+
+
+def frac_merge_variables(a: MultiPoly, target, new_arity: int) -> MultiPoly:
+    out = {}
+    for exp, c in a.terms.items():
+        e = [0] * new_arity
+        for i, k in enumerate(exp):
+            e[target[i]] += k
+        out[tuple(e)] = out.get(tuple(e), 0) + c
+    return MultiPoly(new_arity, out)
+
+
+def assert_kernel_output(p: MultiPoly, expected: MultiPoly):
+    """p is a kernel result with no Fraction terms until they are read, a
+    valid integer form, and the oracle's terms in the oracle's order."""
+    assert not has_terms(p)
+    nums, den = p.integer_form()
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v for v in nums.values())
+    assert p.arity == expected.arity and p == expected
+    assert list(p.terms.items()) == list(expected.terms.items())
+    assert all(Fraction(v, den) == p.terms[e] for e, v in nums.items())
+
+
+operands = st.one_of(mpolys(), st.just(MultiPoly.zero(3)),
+                     rationals.map(lambda c: MultiPoly.constant(3, c)))
+
+
+class TestIntegerArithmetic:
+    @settings(max_examples=150, deadline=None)
+    @given(operands, operands)
+    def test_ring_operations_match_the_fraction_loops(self, a, b):
+        assert_kernel_output(a + b, frac_add(a, b))
+        assert_kernel_output(a - b, frac_add(a, frac_neg(b)))
+        assert_kernel_output(-a, frac_neg(a))
+        assert_kernel_output(a * b, frac_mul(a, b))
+        assert_kernel_output(a - a, MultiPoly.zero(3))
+        assert_kernel_output(a * (b - b), MultiPoly.zero(3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(operands, st.integers(1, 3), st.lists(st.integers(0, 1), min_size=3, max_size=3))
+    def test_substitutions_match_the_fraction_loops(self, a, keep, target):
+        assert_kernel_output(a.set_trailing_to_one(keep), frac_set_trailing_to_one(a, keep))
+        assert_kernel_output(a.merge_variables(target, 2), frac_merge_variables(a, target, 2))
+
+    def test_cancellations_over_mixed_denominators(self):
+        x0, x1, x2 = var(0), var(1), var(2)
+        p = F(1, 6) * x0 * x2 - F(1, 4) * x1 * x2 + F(2, 3)
+        q = F(1, 4) * x1 - F(1, 6) * x0
+        assert_kernel_output(p + q * x2, MultiPoly.constant(3, F(2, 3)))
+        assert_kernel_output(p.set_trailing_to_one(2) + q.set_trailing_to_one(2),
+                             MultiPoly.constant(2, F(2, 3)))
+        assert_kernel_output((x0 - x1).merge_variables([0, 0, 1], 2), MultiPoly.zero(2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(mpolys())
+    def test_a_constructed_and_a_kernel_copy_share_one_integer_form(self, f):
+        b = var(0) - var(2)
+        fresh = MultiPoly(3, dict(f.terms))
+        copies = (fresh, -(-fresh), fresh * 1, fresh + 0, (fresh * b).exact_divide(b),
+                  fresh.merge_variables([0, 1, 2], 3), fresh.set_trailing_to_one(3))
+        assert not any(has_terms(p) for p in copies)
+        assert all(p.integer_form() == fresh.integer_form() for p in copies)
+        nums, den = _over_lcm(list(f.terms.values()))
+        assert fresh.integer_form() == (dict(zip(f.terms, nums)), den)
+        assert not any(has_terms(p) for p in copies)
+        assert all(p.terms == f.terms for p in copies)
+
+
+class TestNoConstructorCalls:
+    def test_arithmetic_and_substitution_on_existing_polynomials(self):
+        x0, x1, x2 = var(0), var(1), var(2)
+        p = F(1, 3) * x0 * x1 - F(2, 5) * x2 + 1
+        q = x0 - F(1, 2) * x1 * x1
+        with mock.patch.object(MultiPoly, "__init__", autospec=True,
+                               side_effect=MultiPoly.__init__) as built:
+            results = (p + q, p - q, -p, p * q, p ** 3, p + 2, F(1, 2) * p, 3 - p,
+                       p.set_trailing_to_one(2), p.merge_variables([0, 0, 1], 2),
+                       (p * (x0 - x2)).exact_divide(x0 - x2), MultiPoly.variable(3, 1),
+                       poly_det([[p, q], [q, p]]), poly_det([[p - p]]))
+        assert built.call_count == 0
+        assert results[0] == frac_add(p, q) and results[3] == frac_mul(p, q)
+        assert results[10] == p and results[-1].is_zero
+
+
 class TestRingLaws:
     @settings(max_examples=100, deadline=None)
     @given(mpolys(), mpolys(), mpolys(), st.tuples(rationals, rationals, rationals))
@@ -464,6 +602,18 @@ class TestSharedProtocol:
         for q in (p, m):
             with pytest.raises(ValueError, match="negative power"):
                 q ** -1
+
+    @pytest.mark.parametrize("k", [True, False, 2.0, 0.0, F(2), -2])
+    def test_powers_refuse_an_exponent_that_is_not_an_int_at_least_zero(self, k):
+        # t ** True once returned t, and t ** 2.0 died on a bitwise and
+        for q in (UniPoly((1, 2)), MultiPoly.variable(2, 1) + 1):
+            with pytest.raises(ValueError, match="exponent must be an int >= 0.*got " + re.escape(repr(k))):
+                q ** k
+
+    def test_the_integer_form_is_read_in_one_place(self):
+        for name in ("integer_form", "is_zero"):
+            assert name in vars(_Poly)
+            assert name not in vars(UniPoly) and name not in vars(MultiPoly)
 
 
 def stores_no_zero(p: MultiPoly) -> bool:

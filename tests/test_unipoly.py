@@ -840,6 +840,17 @@ class TestIntegerArithmetic:
         assert unipoly._q(-16) is unipoly._q(-16) and unipoly._q(16) == 16
         assert (t * t - t * t + 2 * t).coeffs[0] is UniPoly.zero().coeff(0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_polys)
+    def test_a_constructed_and_a_kernel_copy_share_one_integer_form(self, p):
+        fresh = UniPoly(p.coeffs)
+        copies = (fresh, -(-fresh), fresh * 1, fresh + 0, (fresh * (t - 1)).exact_divide(t - 1))
+        assert all(q._coeffs is None for q in copies)
+        assert all(q.integer_form() == fresh.integer_form() == _over_lcm(p.coeffs)
+                   for q in copies)
+        assert all(q._coeffs is None for q in copies)
+        assert all(q.coeffs == p.coeffs for q in copies)
+
     def test_kernels_leave_the_fractions_to_their_first_read(self):
         p = F(1, 3) * t ** 3 - F(2, 5) * t + 1
         assert p._coeffs is None
