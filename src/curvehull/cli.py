@@ -6,9 +6,9 @@ for a plain rendering); rationals are accepted as "p/q", integers, or
 terminating decimals.  Exit codes: 0 success, 1 domain error, 2 usage error.
 Input limits: --n of lmi, support and cross-validate is in 1..64,
 --trials of cross-validate in 1..10000, --max-n of verify-schur in 0..4 and
-its --max-entry in 0..8, and every exponent of t in a polynomial argument
-in 0..1000; a value outside them is a domain error, reported before any
-work is done.
+its --max-entry in 0..8, the --seq of schur has 1..5 entries, each in 0..8,
+and every exponent of t in a polynomial argument is in 0..1000; a value
+outside them is a domain error, reported before any work is done.
 """
 
 from __future__ import annotations
@@ -140,6 +140,9 @@ def parse_zeros(s: str) -> rays.ZeroPattern:
 
 def _cmd_schur(args) -> dict:
     m = parse_seq(args.seq)
+    _check_range("--seq length", len(m), 1, MAX_SCHUR_N + 1)
+    for x in m:
+        _check_range("--seq entries", x, 0, MAX_SCHUR_ENTRY)
     out = {"seq": list(m)}
     if args.method in ("tableaux", "both"):
         out["tableaux"] = schur.schur_via_tableaux(m).to_string("x")
@@ -300,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("schur", help="Schur polynomial of a decreasing sequence")
-    p.add_argument("--seq", required=True)
+    p.add_argument("--seq", required=True,
+                   help=f"decreasing, 1..{MAX_SCHUR_N + 1} entries in 0..{MAX_SCHUR_ENTRY}")
     p.add_argument("--method", choices=("tableaux", "bialternant", "both"),
                    default="both")
     p.set_defaults(handler=_cmd_schur)

@@ -121,9 +121,7 @@ def divide_diagonals(f: MultiPoly, sizes=None):
     """Exact quotient of f by prod_{i<j} (t_i - t_j)^(b_i b_j), or None if f
     is not a multiple of it.  sizes = (b_0, ..., b_r), one positive int per
     variable of f, defaults to all ones (the Vandermonde product).  One exact
-    division per binomial factor, so every factor proves a zero remainder;
-    the quotients stay in integer form, and only the one returned gets its
-    Fraction terms."""
+    division per binomial factor, so every factor proves a zero remainder."""
     n1 = f.arity
     sizes = (1,) * n1 if sizes is None else tuple(_positive_int(b, "block size") for b in sizes)
     if len(sizes) != n1:
@@ -135,7 +133,6 @@ def divide_diagonals(f: MultiPoly, sizes=None):
                 f = f.exact_divide(binom)
                 if f is None:
                     return None
-    f.terms  # an output: its Fraction terms are built before it returns
     return f
 
 

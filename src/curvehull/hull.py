@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .linalg import _bareiss_pivot
 from .lmi import BlockLMI, lmi_membership
-from .unipoly import (Interval, RationalEnclosure, UniPoly, _built, _order, _over_lcm,
+from .unipoly import (Interval, RationalEnclosure, UniPoly, _order, _over_lcm,
                       _positive_int, _q, derivative_bound, isolate_roots,
                       refine_isolating_interval, squarefree_part)
 
@@ -47,7 +47,7 @@ class CurveSegment:
         """The polynomial sum l_i p_i of a linear functional on the curve."""
         if len(l) != self.n:
             raise ValueError("functional dimension mismatch")
-        return _built(sum((_q(c) * p for c, p in zip(l, self.components)), UniPoly.zero()))
+        return sum((_q(c) * p for c, p in zip(l, self.components)), UniPoly.zero())
 
 
 def moment_curve(n: int, domain: Interval) -> CurveSegment:

@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 from .linalg import SymMatrix, psd_check_exact
-from .unipoly import Interval, UniPoly, _built, _over_lcm, _positive_int, _q
+from .unipoly import Interval, UniPoly, _over_lcm, _positive_int, _q
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,10 @@ def _hankel_block(n: int, size: int, weight: UniPoly) -> Block:
     """Localized Hankel block: entry (i, j) = sum_d w_d x_{i+j+d}, x_0 = 1."""
     a0 = [[Fraction(0)] * size for _ in range(size)]
     coeff = [[[Fraction(0)] * size for _ in range(size)] for _ in range(n)]
+    weights = weight.coeffs
     for i in range(size):
         for j in range(size):
-            for d, wd in enumerate(weight.coeffs):
+            for d, wd in enumerate(weights):
                 if wd == 0:
                     continue
                 k = i + j + d
@@ -169,7 +170,7 @@ def sosx_certificate(f: UniPoly, pattern, c) -> SosxCertificate:
         g = g * UniPoly((-x, 1)) ** (b // 2)
     if f - c * g * g != UniPoly.zero():
         raise ValueError("reconstruction failed: f != c * g^2 for this pattern")
-    return SosxCertificate(scale=c, square_root=_built(g), declared_rank=1 + g.degree)
+    return SosxCertificate(scale=c, square_root=g, declared_rank=1 + g.degree)
 
 
 # -- SDPA sparse emission -------------------------------------------------------

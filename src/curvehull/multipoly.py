@@ -1,17 +1,17 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial is born with its integer form, `integer_form()`: nonzero int
-numerators by exponent tuple over one positive common denominator.  Its
-arithmetic, substitutions and kernels run on the numerators, and the
-Fraction view `terms` is built on first read and then kept.  The arity is
-fixed per instance.  Two kernels carry the determinant identities:
+A polynomial's one state is its integer form, `integer_form()`: nonzero
+int numerators by exponent tuple over their least positive common
+denominator.  Its arithmetic, substitutions and kernels run on the
+numerators, and the Fraction coefficients `terms` are computed on each
+read.  The arity is fixed per instance.  Two kernels carry the determinant
+identities:
 
 * `MultiPoly.exact_divide` divides by t_i - t_j synthetically (additions on
-  the integer form) and so decides divisibility; its quotient comes in
-  integer form only, so `diagonal.divide_diagonals`, which divides a
-  diagonal product prod (t_i - t_j)^k one binomial at a time, builds
-  Fraction terms once, on the quotient it returns.  Any other divisor is
-  refused.
+  the integer form) and so decides divisibility, so
+  `diagonal.divide_diagonals`, which divides a diagonal product
+  prod (t_i - t_j)^k one binomial at a time, makes no Fraction.  Any other
+  divisor is refused.
 * `poly_det` expands det(D * C) for a wide polynomial D and a rational C by
   Cauchy-Binet, reading every maximal minor of D off one column-subset
   recursion; a square determinant is det(D * I).
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm, prod
 from operator import add
 
 from .linalg import det_frac
@@ -46,14 +46,14 @@ class MultiPoly(_Poly):
     """Multivariate polynomial in variables t_0, ..., t_{arity-1}.
 
     Instances are immutable.  `integer_form()` is (nums, den): nums maps
-    exponent tuples to nonzero int numerators over den, a positive common
-    denominator; `terms`, the map of each exponent e to the Fraction
-    nums[e] / den, is built on first read.  The public constructor checks
-    its input, drops zero coefficients and clears the denominators by their
-    lcm; the kernels build their results by `_trusted`.
+    exponent tuples to nonzero int numerators over den, the least positive
+    common denominator; `terms` is the map of each exponent e to the
+    Fraction nums[e] / den.  The public constructor checks its input, drops
+    zero coefficients and clears the denominators by their lcm; the kernels
+    build their results by `_trusted`.
     """
 
-    __slots__ = ("arity", "_terms", "_ints")
+    __slots__ = ("arity", "_ints")
 
     def __init__(self, arity: int, terms=None):
         object.__setattr__(self, "arity", _positive_int(arity, "arity"))
@@ -72,7 +72,11 @@ class MultiPoly(_Poly):
     @classmethod
     def _trusted(cls, arity: int, nums: dict, den: int) -> "MultiPoly":
         """Constructor for the kernels: nums maps valid exponent tuples to
-        nonzero ints over the positive int den, with no checks."""
+        nonzero ints over the positive int den, with no checks but one
+        division by gcd(den, *nums.values())."""
+        g = gcd(den, *nums.values())
+        if g > 1:
+            nums, den = {e: v // g for e, v in nums.items()}, den // g
         self = object.__new__(cls)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_ints", (nums, den))
@@ -101,40 +105,41 @@ class MultiPoly(_Poly):
     @classmethod
     def inject(cls, p: UniPoly, arity: int, slot: int) -> "MultiPoly":
         """The univariate p placed on variable t_slot."""
-        _slot(slot, arity)
+        _slot(slot, _positive_int(arity, "arity"))
+        nums, den = p.integer_form()
         terms = {}
-        for k, c in enumerate(p.coeffs):
-            if c:
+        for k, v in enumerate(nums):
+            if v:
                 exp = [0] * arity
                 exp[slot] = k
-                terms[tuple(exp)] = c
-        return cls(arity, terms)
+                terms[tuple(exp)] = v
+        return cls._trusted(arity, terms, den)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def terms(self) -> dict:
         """Exponent tuple -> nonzero Fraction coefficient."""
-        try:
-            return self._terms
-        except AttributeError:
-            nums, den = self._ints
-            terms = {e: Fraction(v, den) for e, v in nums.items()}
-            object.__setattr__(self, "_terms", terms)
-            return terms
+        nums, den = self._ints
+        return {e: Fraction(v, den) for e, v in nums.items()}
 
     def monomials(self):
         return self.integer_form()[0].keys()
 
     def coeff(self, exp) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        exp = tuple(exp)
+        if len(exp) != self.arity:
+            raise ValueError(f"exponent {exp} does not have arity {self.arity}")
+        nums, den = self._ints
+        return Fraction(nums.get(exp, 0), den)
 
     def _key(self, frozen=False):
-        return self.arity, frozenset(self.terms.items()) if frozen else self.terms
+        nums, den = self._ints
+        return self.arity, frozenset(nums.items()) if frozen else nums, den
 
     def _constant(self):
         origin = (0,) * self.arity
-        return self.coeff(origin) if self.terms.keys() <= {origin} else None
+        return self.coeff(origin) if self._ints[0].keys() <= {origin} else None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -179,14 +184,9 @@ class MultiPoly(_Poly):
         point = [_q(x) for x in point]
         if len(point) != self.arity:
             raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exp):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
+        nums, den = self.integer_form()
+        return Fraction(sum(v * prod(x ** e for x, e in zip(point, exp) if e)
+                            for exp, v in nums.items()), den)
 
     def set_trailing_to_one(self, keep: int) -> "MultiPoly":
         """Substitute t_keep = ... = t_{arity-1} = 1 and drop those variables."""
@@ -218,10 +218,10 @@ class MultiPoly(_Poly):
     def _binomial_slots(self):
         """(i, j) when self is exactly t_i - t_j, otherwise None."""
         nums, den = self.integer_form()
-        if len(nums) != 2:
+        if len(nums) != 2 or den != 1:
             return None
         (e1, c1), (e2, c2) = nums.items()
-        if c1 + c2 or abs(c1) != den or sum(e1) != 1 or sum(e2) != 1:
+        if c1 + c2 or abs(c1) != 1 or sum(e1) != 1 or sum(e2) != 1:
             return None
         i, j = e1.index(1), e2.index(1)
         return (i, j) if c1 > 0 else (j, i)
@@ -237,8 +237,7 @@ class MultiPoly(_Poly):
         t_i^(k-1) t_j^(d-k) is the suffix sum c_d + ... + c_k of the group's
         numerators, and the group leaves a zero remainder iff its numerators
         sum to zero.  Additions only: g has unit coefficients, so the
-        quotient is returned in integer form over the same den, and its
-        Fraction terms are built only when first read.
+        quotient numerators are over the same den.
         """
         if not isinstance(g, (MultiPoly, int, Fraction)):
             raise TypeError(f"cannot divide a MultiPoly by {type(g).__name__}")
@@ -286,8 +285,9 @@ class MultiPoly(_Poly):
         def mono(exp):
             return "*".join(f"{var}{i}" if e == 1 else f"{var}{i}^{e}"
                             for i, e in enumerate(exp) if e)
-        keys = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-        return _render_terms((self.terms[e], mono(e)) for e in keys)
+        terms = self.terms
+        keys = sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
+        return _render_terms((terms[e], mono(e)) for e in keys)
 
 
 def poly_det(rows, right=None) -> MultiPoly:
@@ -352,7 +352,7 @@ def poly_det(rows, right=None) -> MultiPoly:
             clean = {e: c for e, c in acc.items() if c}
             if clean:
                 states[mask] = clean
-        if not states:  # det is zero; the one exit below still builds its terms
+        if not states:  # det is zero
             break
     masks = list(states)
     ints, right_den = _over_lcm([det_frac([r for s, r in enumerate(right) if mask >> s & 1])
@@ -365,6 +365,4 @@ def poly_det(rows, right=None) -> MultiPoly:
         if scale:
             for e, c in minor.items():
                 out[e] = out.get(e, 0) + scale * c
-    det = MultiPoly._trusted(arity, {e: v for e, v in out.items() if v}, den * right_den)
-    det.terms  # an output: its Fraction terms are built before it returns
-    return det
+    return MultiPoly._trusted(arity, {e: v for e, v in out.items() if v}, den * right_den)

@@ -21,7 +21,7 @@ from .diagonal import (BlockPartition, evaluation_matrix, normalize_basis_orders
 from .linalg import _eliminate, det_frac, nullspace_frac, solve_frac
 from .multipoly import MultiPoly
 from .schur import _scan, schur_via_tableaux
-from .unipoly import (Interval, UniPoly, _built, _layer_roots, _monic, _positive_int, _q,
+from .unipoly import (Interval, UniPoly, _layer_roots, _monic, _positive_int, _q,
                       count_roots_interior, count_roots_with_multiplicity,
                       is_nonnegative_on, _set_squarefree_decomposition, poly_gcd,
                       squarefree_decomposition)
@@ -68,7 +68,7 @@ def profile_and_normalize(basis, xi) -> LinearSystem:
         tpow = UniPoly.monomial(strip)
         normalized = tuple(p.exact_divide(tpow) for p in normalized)
         orders = tuple(o - strip for o in orders)
-    return LinearSystem(basis=tuple(map(_built, normalized)), base_point=xi, orders=orders)
+    return LinearSystem(basis=normalized, base_point=xi, orders=orders)
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def extreme_candidate(system: LinearSystem, pattern: ZeroPattern) -> UniPoly:
     cof = _top_row_cofactors(rows, system.dim)
     det = sum((c * p for c, p in zip(cof, system.basis) if c), UniPoly.zero())
     lowest = next((c for c in det.integer_form()[0] if c), 0)
-    return _built(-det if lowest < 0 else det)
+    return -det if lowest < 0 else det
 
 
 def zero_conditions_dim(system: LinearSystem, pattern: ZeroPattern) -> int:
@@ -202,7 +202,7 @@ def interval_supported_divisor(f: UniPoly, s: Interval) -> UniPoly:
             for h in _sympy_irreducible_factors(q):
                 if count_roots_with_multiplicity(h, s) >= 1:
                     d = d * h ** mult
-    return _built(d)
+    return d
 
 
 def supporting_face_basis(system: LinearSystem, f: UniPoly, s: Interval):
@@ -223,7 +223,7 @@ def supporting_face_basis(system: LinearSystem, f: UniPoly, s: Interval):
         return list(system.basis)
     remainders = [p % d for p in system.basis]
     rows = [[r.coeff(k) for r in remainders] for k in range(d.degree)]
-    return [_built(sum((c * p for c, p in zip(v, system.basis)), UniPoly.zero()).monic())
+    return [sum((c * p for c, p in zip(v, system.basis)), UniPoly.zero()).monic()
             for v in nullspace_frac(rows)]
 
 
@@ -333,8 +333,9 @@ def _cofactor_term_decomposition(system: LinearSystem):
     if not report.ok:
         raise AssertionError("cofactor tail not in the product ideal; basis not normalized?")
     parts = {alpha: {} for alpha in sorted(sigma.monomials())}
+    terms = h.terms
     for mono, alpha in report.witness.items():
-        parts[alpha][tuple(m - a for m, a in zip(mono, alpha))] = h.terms[mono]
+        parts[alpha][tuple(m - a for m, a in zip(mono, alpha))] = terms[mono]
     return {alpha: MultiPoly(system.dim, terms) for alpha, terms in parts.items()}
 
 

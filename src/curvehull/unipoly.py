@@ -1,17 +1,18 @@
 """Dense univariate polynomials over exact rationals.
 
-Everything in this module is exact.  Coefficients are rationals, held as
-int numerators over a common denominator; the arithmetic, gcds, Yun, Sturm
-chains and evaluation run on the numerators, and `fractions.Fraction`s are
-built only when read.  Root counting runs Sturm chains on squarefree parts,
-and sign questions on closed intervals are decided symbolically.  No
-floating point anywhere.  Each polynomial caches its Yun squarefree
-decomposition, so the root counts, the nonnegativity test and the factoring
-of one polynomial share one run, and its Sturm chain, so isolation and
-every refinement share one chain.  The counts and the test take one Sturm
-count per layer, after dividing out the layer's endpoint roots.  Domains
-are `Interval`s (lo < hi); root isolation returns `RationalEnclosure`s
-(lo <= hi), where an exact root is an enclosure of width 0.
+Everything in this module is exact.  Coefficients are rationals, held only
+as int numerators over their least positive common denominator; the
+arithmetic, gcds, Yun, Sturm chains and evaluation run on the numerators,
+and `fractions.Fraction`s are made only when coefficients are read.  Root
+counting runs Sturm chains on squarefree parts, and sign questions on
+closed intervals are decided symbolically.  No floating point anywhere.
+Each polynomial caches its Yun squarefree decomposition, so the root
+counts, the nonnegativity test and the factoring of one polynomial share
+one run, and its Sturm chain, so isolation and every refinement share one
+chain.  The counts and the test take one Sturm count per layer, after
+dividing out the layer's endpoint roots.  Domains are `Interval`s
+(lo < hi); root isolation returns `RationalEnclosure`s (lo <= hi), where an
+exact root is an enclosure of width 0.
 """
 
 from __future__ import annotations
@@ -125,18 +126,15 @@ class _Poly:
     immutable; an int or Fraction operand is the constant polynomial, and a
     constant equals, and hashes like, its coefficient.
 
-    Every polynomial is born with one state, its integer form `_ints` =
-    (nums, den): int numerators over den, a positive common denominator of
-    the coefficients (the lcm when the constructor built it, else the one a
-    kernel found, which need not be the least).  The Fraction view of the
-    coefficients is built from it on first read and then kept; polynomials
-    that rays, lmi, hull and the determinant kernels return carry it built.
-    A subclass supplies the layout of nums, `_trusted` (the unchecked
-    constructor of kernel results), `_coerce(other)` (the polynomial, or
-    None for any other operand), `_key(frozen)` (what equality compares,
-    hashable when frozen), `_constant()` (the value of a constant
-    polynomial, else None), `__add__`, `__neg__`, `__mul__` and
-    `to_string`."""
+    A polynomial's one state is its integer form `_ints` = (nums, den): int
+    numerators over den > 0 with gcd(den, *nums) == 1, so each value has
+    exactly one form.  The Fraction coefficients are computed from it on
+    each read.  A subclass supplies the layout of nums, `_trusted` (the
+    unchecked constructor of kernel results, which divides out the common
+    factor), `_coerce(other)` (the polynomial, or None for any other
+    operand), `_key(frozen)` (what equality compares, hashable when
+    frozen), `_constant()` (the value of a constant polynomial, else None),
+    `__add__`, `__neg__`, `__mul__` and `to_string`."""
 
     __slots__ = ()
 
@@ -256,11 +254,10 @@ def _prs_gcd(a, b) -> tuple:
 
 
 def _monic(nums) -> "UniPoly":
-    """The monic multiple of the int list nums over its least denominator."""
-    if not nums:
-        return UniPoly._trusted((), 1)
-    g = gcd(*nums) if nums[-1] > 0 else -gcd(*nums)
-    return UniPoly._trusted(tuple(x // g for x in nums), nums[-1] // g)
+    """The monic multiple of the int tuple nums."""
+    if nums and nums[-1] < 0:
+        nums = tuple(-x for x in nums)
+    return UniPoly._trusted(nums, nums[-1] if nums else 1)
 
 
 def _taylor(nums, mu: int, nu: int) -> list:
@@ -274,36 +271,32 @@ def _taylor(nums, mu: int, nu: int) -> list:
     return b
 
 
-def _built(p: "UniPoly") -> "UniPoly":
-    """p with its Fraction coefficients built, as a returned result has."""
-    p.coeffs
-    return p
-
-
 class UniPoly(_Poly):
     """Univariate polynomial over Q, dense by degree.
 
     Instances are immutable.  `integer_form()` is (nums, den) with nums the
     int numerators by degree, the last one nonzero (empty for the zero
-    polynomial, of degree -1); `coeffs`, the Fractions nums[k] / den, is
-    built on first read.  The public constructor checks its input and clears
-    its denominators by their lcm; the kernels build their results by
-    `_trusted`.  The squarefree decomposition and the Sturm chain
+    polynomial, of degree -1), over the least positive den; `coeffs` is the
+    Fractions nums[k] / den.  The public constructor checks its input and
+    clears its denominators by their lcm; the kernels build their results
+    by `_trusted`.  The squarefree decomposition and the Sturm chain
     (`_sturm_chain_of`) are filled on first use.
     """
 
-    __slots__ = ("_coeffs", "_ints", "_sqf", "_sturm")
+    __slots__ = ("_ints", "_sqf", "_sturm")
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "_coeffs", None)
         object.__setattr__(self, "_ints", _over_lcm(_strip([_q(c) for c in coeffs])))
 
     @classmethod
     def _trusted(cls, nums: tuple, den: int) -> "UniPoly":
         """Constructor for the kernels: the int tuple nums, whose last entry
-        is nonzero, over the positive int den, with no checks."""
+        is nonzero, over the positive int den, with no checks but one
+        division by gcd(den, *nums)."""
+        g = gcd(den, *nums)
+        if g > 1:
+            nums, den = tuple(x // g for x in nums), den // g
         self = object.__new__(cls)
-        object.__setattr__(self, "_coeffs", None)
         object.__setattr__(self, "_ints", (nums, den))
         return self
 
@@ -334,12 +327,8 @@ class UniPoly(_Poly):
     @property
     def coeffs(self) -> tuple:
         """Fraction coefficients by degree, the last one nonzero."""
-        cs = self._coeffs
-        if cs is None:
-            nums, den = self._ints
-            cs = tuple(Fraction(v, den) if v else _ZERO for v in nums)
-            object.__setattr__(self, "_coeffs", cs)
-        return cs
+        nums, den = self._ints
+        return tuple(Fraction(v, den) if v else _ZERO for v in nums)
 
     @property
     def degree(self) -> int:
@@ -347,17 +336,20 @@ class UniPoly(_Poly):
         return len(self._ints[0]) - 1
 
     def coeff(self, k: int) -> Fraction:
-        cs = self.coeffs
-        return cs[k] if 0 <= k < len(cs) else _ZERO
+        if type(k) is not int:  # bool is not a degree
+            raise ValueError(f"degree must be an int, got {k!r}")
+        nums, den = self._ints
+        v = nums[k] if 0 <= k < len(nums) else 0
+        return Fraction(v, den) if v else _ZERO
 
     @property
     def leading_coeff(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def _key(self, frozen=False):
-        return self.coeffs
+        return self._ints
 
     def _constant(self):
         return self.coeff(0) if self.degree < 1 else None

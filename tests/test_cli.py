@@ -319,6 +319,10 @@ class TestPolynomialAndSchurLimits:
         (["verify-schur", "--max-entry", "9"], "--max-entry must be in 0..8, got 9"),
         (["verify-schur", "--max-n", "2", "--max-entry", "-1"],
          "--max-entry must be in 0..8, got -1"),
+        (["schur", "--seq", "16,12,8,4,0", "--method", "tableaux"],
+         "--seq entries must be in 0..8, got 16"),
+        (["schur", "--seq", "8,7,6,5,4,3"], "--seq length must be in 1..5, got 6"),
+        (["schur", "--seq", "2,1,-1"], "--seq entries must be in 0..8, got -1"),
     ])
     def test_limits_are_json_errors_before_any_work(self, capsys, no_work, argv, message):
         assert run(argv) == 1
@@ -343,8 +347,15 @@ class TestPolynomialAndSchurLimits:
             assert max(map(len, seen)) == min(max_n, max_entry) + 1
             assert max(map(max, seen)) == max_entry
 
+    def test_the_schur_limits_themselves_are_accepted(self, capsys):
+        for seq in ("8,6,4,2,0", "0"):
+            assert run(["schur", "--seq", seq]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["seq"] == [int(x) for x in seq.split(",")] and data["equal"] is True
+
     def test_limits_are_in_the_help(self, capsys):
-        for verb, limits in (("verify-schur", ("0..4", "0..8")),
+        for verb, limits in (("schur", ("1..5", "0..8")),
+                             ("verify-schur", ("0..4", "0..8")),
                              ("verify-diagonal", ("0..1000",)),
                              ("extreme", ("0..1000",)),
                              ("verify-extreme", ("0..1000",))):

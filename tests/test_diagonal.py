@@ -30,11 +30,6 @@ def vandermonde_poly(arity: int) -> MultiPoly:
     return out
 
 
-def has_terms(p: MultiPoly) -> bool:
-    """Whether p's Fraction terms are built (reading p.terms builds them)."""
-    return hasattr(p, "_terms")
-
-
 def random_normalized_basis(rng, orders, extra_terms=2, cap=None):
     """p_i = t^{m_i} + random higher-order terms, unit leading coefficient."""
     cap = cap if cap is not None else orders[0] + 2
@@ -456,35 +451,28 @@ class TestDivideDiagonals:
         with pytest.raises(ValueError):
             divide_diagonals(vandermonde_poly(3), sizes)
 
-    def test_the_criterion_05_cofactor_builds_fraction_terms_once(self, monkeypatch):
+    def test_the_criterion_05_cofactor_reads_no_fraction_terms(self, monkeypatch):
         """n = 4, orders (7, 6, 5, 3, 1), every perturbation slot filled: the
         10 binomial divisions run on integer forms, the determinant's from
-        poly_det, and only the returned quotient gets Fraction terms."""
+        poly_det, and read no Fraction terms."""
         rng = random.Random(5)
         basis = tuple(sum((mono(k, F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
                            for k in range(m + 1, 10)), mono(m)) for m in (7, 6, 5, 3, 1))
         det = evaluation_matrix(basis).det()
-        assert has_terms(det) and len(det.terms) > 7000
-        quotients, builds, lcms = [], [], []
-        divide, build, over_lcm = MultiPoly.exact_divide, MultiPoly.terms.fget, multipoly._over_lcm
+        assert len(det.terms) > 7000
+        quotients, reads, lcms = [], [], []
+        divide, read, over_lcm = MultiPoly.exact_divide, MultiPoly.terms.fget, multipoly._over_lcm
 
         def recording_divide(self, g):
             quotients.append(divide(self, g))
             return quotients[-1]
 
-        def counting_build(self):
-            if not has_terms(self):
-                builds.append(self)
-            return build(self)
-
         monkeypatch.setattr(MultiPoly, "exact_divide", recording_divide)
-        monkeypatch.setattr(MultiPoly, "terms", property(counting_build))
+        monkeypatch.setattr(MultiPoly, "terms", property(lambda p: reads.append(p) or read(p)))
         monkeypatch.setattr(multipoly, "_over_lcm", lambda v: lcms.append(v) or over_lcm(v))
         cof = vandermonde_cofactor(det)
         assert len(quotients) == 10 and quotients[-1] is cof
-        assert len(builds) == 1 and builds[0] is cof and has_terms(cof)
-        assert not any(has_terms(q) for q in quotients[:-1])
-        assert lcms == []
+        assert reads == [] and lcms == []
         assert SchurMonomialIdeal.from_sequence((7, 6, 5, 3, 1)).contains(cof).ok
 
     def test_outputs_carry_their_fraction_terms(self):
@@ -493,7 +481,9 @@ class TestDivideDiagonals:
         res = factor_taylor_determinant(basis, (1, 2))
         for p in (det, vandermonde_cofactor(det), divide_diagonals(det, (1, 1, 1)),
                   res.det, res.cofactor, divide_diagonals(MultiPoly.constant(1, 3), (2,))):
-            assert has_terms(p)
+            nums, den = p.integer_form()
+            assert p.terms == {e: F(v, den) for e, v in nums.items()}
+            assert all(type(c) is F for c in p.terms.values())
 
     def test_failed_division_raises_in_the_taylor_factorization(self, monkeypatch):
         from curvehull import diagonal, multipoly

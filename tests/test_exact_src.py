@@ -14,9 +14,10 @@ the operands, which only running the code gives.  The exact-arithmetic
 tests of each module cover that route.
 
 A second lint keeps the polynomial representation behind its two modules:
-only unipoly and multipoly may name the slots `_ints`, `_coeffs` and
-`_terms` or the unchecked constructor `_trusted`; every other module reads
-`integer_form()`, `coeffs` and `terms`.
+only unipoly and multipoly may name the slot `_ints` or the unchecked
+constructor `_trusted`; every other module reads `integer_form()`, `coeffs`
+and `terms`.  The slots of both types are pinned, so the integer form stays
+the only stored state of a polynomial.
 """
 
 import ast
@@ -130,7 +131,7 @@ def test_every_public_annotation_resolves():
     assert unresolved == []
 
 
-REPRESENTATION = {"_ints", "_coeffs", "_terms", "_trusted"}
+REPRESENTATION = {"_ints", "_trusted"}
 OWNERS = {"unipoly", "multipoly"}
 
 
@@ -156,14 +157,23 @@ def test_the_representation_stays_in_its_two_modules(path):
 
 @pytest.mark.parametrize("source, expected", [
     ("nums, den = p._ints", [(1, "_ints")]),
-    ("c = p._coeffs[0]", [(1, "_coeffs")]),
+    ("nums = p._ints if q._trusted else None", [(1, "_ints"), (1, "_trusted")]),
     ("from .multipoly import _trusted", [(1, "_trusted")]),
     ("q = MultiPoly._trusted(2, {}, 1)", [(1, "_trusted")]),
-    ("built = hasattr(p, '_terms')", [(1, "_terms")]),
+    ("built = hasattr(p, '_ints')", [(1, "_ints")]),
     ("_ints = 1", [(1, "_ints")]),
 ])
 def test_each_representation_use_is_caught(source, expected):
     assert representation_uses(ast.parse(source)) == expected
+
+
+def test_the_integer_form_is_the_only_stored_state():
+    """A cached coefficient view would need a slot of its own."""
+    from curvehull.multipoly import MultiPoly
+    from curvehull.unipoly import UniPoly, _Poly
+    assert _Poly.__slots__ == ()
+    assert UniPoly.__slots__ == ("_ints", "_sqf", "_sturm")
+    assert MultiPoly.__slots__ == ("arity", "_ints")
 
 
 @pytest.mark.parametrize("source", [

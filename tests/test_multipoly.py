@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 from fractions import Fraction as F
 from itertools import permutations
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -93,7 +94,7 @@ class TestExactDivide:
     def test_a_divisor_over_a_denominator_that_is_not_the_least(self):
         x0, x1 = var(0, 2), var(1, 2)
         g, h = (2 * x0 - 2 * x1) * F(1, 2), (2 * x1 - 2 * x0) * F(1, 2)
-        assert g.integer_form() == ({(1, 0): 2, (0, 1): -2}, 2)
+        assert g.integer_form() == ({(1, 0): 1, (0, 1): -1}, 1)
         assert (x0 * x0 - x1 * x1).exact_divide(g) == x0 + x1
         assert (x0 * x0 - x1 * x1).exact_divide(h) == -x0 - x1
 
@@ -193,6 +194,13 @@ class TestArity:
     def test_variable_refuses_an_index_outside_the_arity(self, i):
         with pytest.raises(ValueError, match=f"variable index {i!r} is outside 0..1"):
             MultiPoly.variable(2, i)
+
+    @pytest.mark.parametrize("exp", [(1,), (1, 0, 0), ()])
+    def test_coeff_refuses_an_exponent_of_another_arity(self, exp):
+        p = MultiPoly(2, {(1, 0): 3})
+        with pytest.raises(ValueError, match="does not have arity 2"):
+            p.coeff(exp)
+        assert p.coeff((1, 0)) == 3 and p.coeff((0, 1)) == 0
 
     @pytest.mark.parametrize("slot", [-1, 3])
     def test_inject_refuses_an_index_outside_the_arity(self, slot):
@@ -318,11 +326,6 @@ def fraction_route_divide(f, g):
     return MultiPoly(f.arity, quot)
 
 
-def has_terms(p: MultiPoly) -> bool:
-    """Whether p's Fraction terms are built (reading p.terms builds them)."""
-    return hasattr(p, "_terms")
-
-
 def first_failure(route, f, chain):
     """(index of the first binomial of chain that route finds no multiple
     of, or len(chain), and the quotients up to there)."""
@@ -386,9 +389,7 @@ class TestIntegerForm:
             lambda q: q.merge_variables([0, 0, 1], 2) == eager.merge_variables([0, 0, 1], 2),
             lambda q: (q * b).exact_divide(b) == eager)
         for check in checks:
-            q = g.exact_divide(b)
-            assert not has_terms(q)
-            assert check(q)
+            assert check(g.exact_divide(b))
 
     def test_a_quotient_keeps_the_dividends_denominator(self):
         x0, x1 = var(0, 2), var(1, 2)
@@ -396,16 +397,16 @@ class TestIntegerForm:
         assert f.integer_form() == ({(2, 0): 2, (1, 1): -2, (1, 0): 3, (0, 1): -3}, 12)
         q = f.exact_divide(x0 - x1)
         assert q.integer_form() == ({(1, 0): 2, (0, 0): 3}, 12)
-        assert not has_terms(q)
         assert q.terms == {(1, 0): F(1, 6), (0, 0): F(1, 4)}
         assert MultiPoly.zero(2).integer_form() == ({}, 1)
 
     def test_kernel_outputs_other_than_a_quotient_have_their_terms(self):
         x0, x1 = var(0, 2), var(1, 2)
         half = MultiPoly.constant(2, F(1, 2))
-        assert has_terms(poly_det([[x0, half], [half * x1, x1]]))
-        assert has_terms(poly_det([[x0, x1]], [[F(1, 2)], [F(1, 3)]]))
-        assert has_terms(poly_det([[x0 - x0]]))
+        assert poly_det([[x0, half], [half * x1, x1]]).terms == {(1, 1): 1, (0, 1): F(-1, 4)}
+        assert poly_det([[x0, x1]], [[F(1, 2)], [F(1, 3)]]).terms == {(1, 0): F(1, 2),
+                                                                      (0, 1): F(1, 3)}
+        assert poly_det([[x0 - x0]]).terms == {}
 
 
 # -- arithmetic and substitution against the Fraction loops they replaced -------
@@ -448,9 +449,8 @@ def frac_merge_variables(a: MultiPoly, target, new_arity: int) -> MultiPoly:
 
 
 def assert_kernel_output(p: MultiPoly, expected: MultiPoly):
-    """p is a kernel result with no Fraction terms until they are read, a
-    valid integer form, and the oracle's terms in the oracle's order."""
-    assert not has_terms(p)
+    """p is a kernel result with a valid integer form and the oracle's terms
+    in the oracle's order."""
     nums, den = p.integer_form()
     assert type(den) is int and den > 0
     assert all(type(v) is int and v for v in nums.values())
@@ -490,18 +490,29 @@ class TestIntegerArithmetic:
         assert_kernel_output((x0 - x1).merge_variables([0, 0, 1], 2), MultiPoly.zero(2))
 
     @settings(max_examples=100, deadline=None)
-    @given(mpolys())
-    def test_a_constructed_and_a_kernel_copy_share_one_integer_form(self, f):
+    @given(mpolys(), operands, st.lists(rationals, max_size=4))
+    def test_a_constructed_and_a_kernel_copy_share_one_integer_form(self, f, g, cs):
         b = var(0) - var(2)
         fresh = MultiPoly(3, dict(f.terms))
         copies = (fresh, -(-fresh), fresh * 1, fresh + 0, (fresh * b).exact_divide(b),
                   fresh.merge_variables([0, 1, 2], 3), fresh.set_trailing_to_one(3))
-        assert not any(has_terms(p) for p in copies)
         assert all(p.integer_form() == fresh.integer_form() for p in copies)
         nums, den = _over_lcm(list(f.terms.values()))
         assert fresh.integer_form() == (dict(zip(f.terms, nums)), den)
-        assert not any(has_terms(p) for p in copies)
         assert all(p.terms == f.terms for p in copies)
+        # every kernel result is over its least denominator
+        results = (f + g, f - g, -f, f * g, (f * b).exact_divide(b),
+                   f.set_trailing_to_one(2), f.merge_variables([0, 0, 1], 2),
+                   MultiPoly.inject(UniPoly(cs), 3, 1), poly_det([[f, g], [g, f]]),
+                   poly_det([[f, g]], [[F(1, 2)], [F(1, 3)]]))
+        for p in results:
+            nums, den = p.integer_form()
+            assert den > 0 and gcd(den, *nums.values()) == 1
+        # so scaling down and back up leaves no common factor behind
+        p, q = var(0, 2), fresh
+        for _ in range(20):
+            p, q = (p * F(1, 2)) * 2, (q * F(1, 2)) * 2
+        assert p.integer_form() == ({(1, 0): 1}, 1) and q.integer_form() == fresh.integer_form()
 
 
 class TestNoConstructorCalls:

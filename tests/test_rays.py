@@ -664,11 +664,7 @@ class TestOneElimination:
         assert c > 0 and f == c * ((t - F(1, 5)) * (t - F(1, 2)) * (t - F(4, 5))) ** 2
 
 
-# -- results leave with their Fraction coefficients built ----------------------
-
-def built(p: UniPoly) -> bool:
-    return p._coeffs is not None
-
+# -- results read as the Fraction coefficients they stand for ------------------
 
 class TestResultsCarryTheirFractions:
     @pytest.mark.parametrize("n, negated", [(2, True), (4, False)])
@@ -678,18 +674,21 @@ class TestResultsCarryTheirFractions:
         monkeypatch.setattr(UniPoly, "__neg__", lambda p: negations.append(p) or neg(p))
         pattern = ZeroPattern((F(1, 2),), (n,))
         candidate = extreme_candidate(moment_system(n), pattern)
-        assert built(candidate)
         assert bool(negations) == negated  # both branches of the sign normalization
         assert candidate.monic() == (t - F(1, 2)) ** n and candidate(0) > 0
 
     def test_divisor_face_basis_and_stripped_system(self):
         f = ((t - F(1, 3)) * (t - F(2, 3))) ** 2 * (t * t + 1)
-        assert built(interval_supported_divisor(f, UNIT))
+        assert interval_supported_divisor(f, UNIT).coeffs == (
+            F(4, 81), F(-4, 9), F(13, 9), -2, 1)
         system = moment_system(6)
-        assert all(built(g) for g in supporting_face_basis(system, f, UNIT))
+        face = supporting_face_basis(system, f, UNIT)
+        assert len(face) == 3 and all(g.coeffs[-1] == 1 for g in face)
+        assert all(g.exact_divide(interval_supported_divisor(f, UNIT)).degree == 2 for g in face)
         # 0 is a base point of t^3, t^4: both are divided by t^3
-        assert all(built(p) for p in profile_and_normalize((t ** 3, t ** 4 - t ** 3), 0).basis)
+        assert [p.coeffs for p in profile_and_normalize((t ** 3, t ** 4 - t ** 3), 0).basis] == [
+            (0, 1), (1,)]
 
     def test_curve_objective(self):
         from curvehull.hull import moment_curve
-        assert built(moment_curve(3, UNIT).objective((1, F(-1, 2), 3)))
+        assert moment_curve(3, UNIT).objective((1, F(-1, 2), 3)).coeffs == (0, 1, F(-1, 2), 3)

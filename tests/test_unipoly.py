@@ -830,7 +830,6 @@ class TestIntegerArithmetic:
 
     def test_constants_made_by_kernels_equal_their_value(self):
         half = (t + F(1, 2)) - t
-        assert half._coeffs is None  # not read yet
         assert half == F(1, 2) and hash(half) == hash(F(1, 2))
         assert len({half, F(1, 2), UniPoly.constant(F(1, 2))}) == 1
         assert (t - t) == 0 and (t - t).integer_form() == ((), 1)
@@ -841,21 +840,34 @@ class TestIntegerArithmetic:
         assert (t * t - t * t + 2 * t).coeffs[0] is UniPoly.zero().coeff(0)
 
     @settings(max_examples=100, deadline=None)
-    @given(mixed_polys)
-    def test_a_constructed_and_a_kernel_copy_share_one_integer_form(self, p):
+    @given(mixed_polys, mixed_polys, points)
+    def test_a_constructed_and_a_kernel_copy_share_one_integer_form(self, p, b, x):
         fresh = UniPoly(p.coeffs)
         copies = (fresh, -(-fresh), fresh * 1, fresh + 0, (fresh * (t - 1)).exact_divide(t - 1))
-        assert all(q._coeffs is None for q in copies)
         assert all(q.integer_form() == fresh.integer_form() == _over_lcm(p.coeffs)
                    for q in copies)
-        assert all(q._coeffs is None for q in copies)
         assert all(q.coeffs == p.coeffs for q in copies)
+        # every kernel result is over its least denominator
+        results = [p + b, p - b, -p, p * b, p.derivative(), p.shift(x), p.monic(),
+                   poly_gcd(p, b), (p * b).exact_divide(b) if b else p]
+        if b:
+            results += divmod(p, b)
+        if p.degree > 0:
+            results += unipoly.sturm_chain(squarefree_part(p))
+            results += [f for f, _ in squarefree_decomposition(p)[1]]
+        for q in results:
+            nums, den = q.integer_form()
+            assert den > 0 and math.gcd(den, *nums) == 1
+        # so scaling down and back up leaves no common factor behind
+        q, r = t, fresh
+        for _ in range(20):
+            q, r = (q * F(1, 3)) * 3, (r * F(1, 3)) * 3
+        assert q.integer_form() == ((0, 1), 1) and r.integer_form() == fresh.integer_form()
 
     def test_kernels_leave_the_fractions_to_their_first_read(self):
         p = F(1, 3) * t ** 3 - F(2, 5) * t + 1
-        assert p._coeffs is None
+        assert p.integer_form() == ((15, -6, 0, 5), 15)
         assert p.coeffs == (1, F(-2, 5), 0, F(1, 3))
-        assert p._coeffs is p.coeffs
 
 
 # -- orders must be nonnegative ints --------------------------------------------
@@ -870,6 +882,12 @@ class TestOrders:
     def test_derivative_refuses_an_order_that_is_not_a_nonnegative_int(self, k):
         with pytest.raises(ValueError, match="derivative order must be a nonnegative integer"):
             UniPoly((1, 2)).derivative(k)
+
+    @pytest.mark.parametrize("k", [True, 1.0, F(1)])
+    def test_coeff_refuses_a_degree_that_is_not_an_int(self, k):
+        with pytest.raises(ValueError, match="degree must be an int"):
+            UniPoly((1, 2)).coeff(k)
+        assert UniPoly((1, 2)).coeff(1) == 2 and UniPoly((1, 2)).coeff(-1) == 0
 
     def test_int_orders_pass(self):
         assert UniPoly.monomial(0) == 1 and UniPoly.monomial(2, 3) == 3 * t * t
