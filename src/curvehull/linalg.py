@@ -115,20 +115,24 @@ def _bareiss_pivot(tab, den, leave, enter, first=0):
 def _eliminate(rows, forward=False):
     """Fraction-free row reduction of a rational matrix.
 
-    Each row is scaled to integers by the lcm of its denominators, and
-    row_scale is the product of the scales.  In each column the first row
-    with a nonzero entry is swapped up (flipping sign) and pivoted by
-    `_bareiss_pivot`, Gauss-Jordan or, with forward set, forward only.
-    Returns (tab, den, pivots, sign, row_scale): tab[r][c] / den is the
-    reduced row echelon form after Gauss-Jordan; a forward pass over a
-    nonsingular matrix leaves its determinant sign * den / row_scale.
+    A row of ints is kept; any other row is scaled to integers by the lcm
+    of its denominators, and row_scale is the product of the scales.  In
+    each column the first row with a nonzero entry is swapped up (flipping
+    sign) and pivoted by `_bareiss_pivot`, Gauss-Jordan or, with forward
+    set, forward only.  Returns (tab, den, pivots, sign, row_scale):
+    tab[r][c] / den is the reduced row echelon form after Gauss-Jordan; a
+    forward pass over a nonsingular matrix leaves its determinant
+    sign * den / row_scale.  Ragged rows are refused.
     """
     tab = []
     row_scale = 1
     for r in rows:
-        ints, scale = _over_lcm([_q(x) for x in r])
-        tab.append(ints)
-        row_scale *= scale
+        if len(r) != len(rows[0]):
+            raise ValueError("rows of unequal length")
+        if not all(type(x) is int for x in r):
+            r, scale = _over_lcm([_q(x) for x in r])
+            row_scale *= scale
+        tab.append(r)
     den, sign, pivots = 1, 1, []
     for c in range(len(tab[0]) if tab else 0):
         top = len(pivots)
@@ -174,6 +178,8 @@ def nullspace_frac(rows):
 
 def solve_frac(rows, rhs):
     """One solution x of rows * x = rhs, or None if inconsistent."""
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side and rows differ in length")
     if not rows:
         return () if not any(_q(b) != 0 for b in rhs) else None
     ncols = len(rows[0])

@@ -14,7 +14,8 @@ identities:
   divisor is refused.
 * `poly_det` expands det(D * C) for a wide polynomial D and a rational C by
   Cauchy-Binet, reading every maximal minor of D off one column-subset
-  recursion; a square determinant is det(D * I).
+  recursion and each one of C off its int rows, the columns of C cleared by
+  their lcms once; a square determinant is det(D * I).
 """
 
 from __future__ import annotations
@@ -303,7 +304,9 @@ def poly_det(rows, right=None) -> MultiPoly:
     * right a K x N matrix of rationals: rows is N x K of MultiPoly entries
       (K >= N), the final states are every maximal minor det(rows[:, S]), and
       Cauchy-Binet gives det(rows * right) = sum over S of
-      det(rows[:, S]) * det(right[S, :]), the rational minors by det_frac.
+      det(rows[:, S]) * det(right[S, :]).  Each column of right is cleared
+      to ints once, so every minor det(right[S, :]) is one det_frac of int
+      rows, an int over the product of the column denominators.
       Columns whose row of right is zero take part in no nonzero term and
       are skipped.
     """
@@ -354,14 +357,13 @@ def poly_det(rows, right=None) -> MultiPoly:
                 states[mask] = clean
         if not states:  # det is zero
             break
-    masks = list(states)
-    ints, right_den = _over_lcm([det_frac([r for s, r in enumerate(right) if mask >> s & 1])
-                                 for mask in masks])
-    scales = dict(zip(masks, ints))
+    cols = [_over_lcm([_q(r[c]) for r in right]) for c in range(n)]
+    right_den = prod(d for _, d in cols)
+    right = list(zip(*(ints for ints, _ in cols)))
     out = {}
     while states:  # popped, so the minors are freed as the sum grows
         mask, minor = states.popitem()
-        scale = scales[mask]
+        scale = det_frac([r for s, r in enumerate(right) if mask >> s & 1]).numerator
         if scale:
             for e, c in minor.items():
                 out[e] = out.get(e, 0) + scale * c

@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 
 from .diagonal import (BlockPartition, evaluation_matrix, normalize_basis_orders,
                        vandermonde_cofactor)
 from .linalg import _eliminate, det_frac, nullspace_frac, solve_frac
 from .multipoly import MultiPoly
 from .schur import _scan, schur_via_tableaux
-from .unipoly import (Interval, UniPoly, _layer_roots, _monic, _positive_int, _q,
-                      count_roots_interior, count_roots_with_multiplicity,
+from .unipoly import (Interval, UniPoly, _derivative, _horner, _layer_roots, _monic,
+                      _positive_int, _q, count_roots_interior, count_roots_with_multiplicity,
                       is_nonnegative_on, _set_squarefree_decomposition, poly_gcd,
                       squarefree_decomposition)
 
@@ -50,10 +51,10 @@ class LinearSystem:
         return len(self.basis)
 
     def member_coefficients(self, f: UniPoly):
-        """Coordinates of f in the basis, or None if f is outside the span."""
-        deg = max([p.degree for p in self.basis] + [f.degree])
-        rows = [[p.coeff(k) for p in self.basis] for k in range(deg + 1)]
-        return solve_frac(rows, [f.coeff(k) for k in range(deg + 1)])
+        """Coordinates of f in the basis, or None if f is outside the span:
+        one solve of the coefficient rows, basis and f over one lcm."""
+        (*cols, rhs), _ = _common_columns([*self.basis, f])
+        return solve_frac(list(zip(*cols)), rhs)
 
 
 def profile_and_normalize(basis, xi) -> LinearSystem:
@@ -104,13 +105,34 @@ class ZeroPattern:
         return all(s.strictly_contains(x) for x in self.points)
 
 
+def _common_columns(polys, width=None):
+    """(columns, L): the coefficients of each poly by degree, as ints over L,
+    the lcm of their denominators, padded with zeros to width entries
+    (default: one past the top degree)."""
+    forms = [p.integer_form() for p in polys]
+    big = lcm(*(d for _, d in forms))
+    width = max(len(nums) for nums, _ in forms) if width is None else width
+    return [tuple(c * (big // d) for c in nums) + (0,) * (width - len(nums))
+            for nums, d in forms], big
+
+
 def _derivative_rows(basis, points, mults):
-    """Rows p^(k)(x) over the basis, k < b, for each point x with multiplicity b.
-    The derivative chain is built once and shared by every point."""
-    chain = [tuple(basis)]
+    """(rows, scales): int rows, rows[i][j] / scales[i] = p_j^(k)(x) with k < b,
+    for each point x of multiplicity b.  One derivative chain of the basis
+    numerators over their lcm L is shared by every point; each entry at
+    x = p/q is one `_horner` at d = max(top degree - k, 0), so the row's
+    scale is L * q^d > 0."""
+    cols, big = _common_columns(basis)
+    chain = [cols]
     for _ in range(max(mults, default=0) - 1):
-        chain.append(tuple(p.derivative() for p in chain[-1]))
-    return [tuple(p(x) for p in chain[k]) for x, b in zip(points, mults) for k in range(b)]
+        chain.append([_derivative(nums) for nums in chain[-1]])
+    rows, scales = [], []
+    for x, b in zip(points, mults):
+        for k in range(b):
+            d = max(len(cols[0]) - 1 - k, 0)
+            rows.append([_horner(nums, x.numerator, x.denominator, d) for nums in chain[k]])
+            scales.append(big * x.denominator ** d)
+    return rows, scales
 
 
 def _top_row_cofactors(rows, ncols: int):
@@ -147,9 +169,10 @@ def extreme_candidate(system: LinearSystem, pattern: ZeroPattern) -> UniPoly:
     if pattern.total != system.n:
         raise ValueError(
             f"pattern prescribes {pattern.total} conditions, need n = {system.n}")
-    rows = _derivative_rows(system.basis, pattern.points, pattern.mults)
+    rows, scales = _derivative_rows(system.basis, pattern.points, pattern.mults)
     cof = _top_row_cofactors(rows, system.dim)
     det = sum((c * p for c, p in zip(cof, system.basis) if c), UniPoly.zero())
+    det = det * Fraction(1, prod(scales))
     lowest = next((c for c in det.integer_form()[0] if c), 0)
     return -det if lowest < 0 else det
 
@@ -158,7 +181,7 @@ def zero_conditions_dim(system: LinearSystem, pattern: ZeroPattern) -> int:
     """Dimension of {f in span : ord_{xi_i}(f) >= b_i for every i}: dim
     minus the rank of the derivative-evaluation condition matrix, read off a
     forward elimination."""
-    rows = _derivative_rows(system.basis, pattern.points, pattern.mults)
+    rows, _ = _derivative_rows(system.basis, pattern.points, pattern.mults)
     return system.dim - len(_eliminate(rows, forward=True)[2])
 
 
@@ -221,10 +244,9 @@ def supporting_face_basis(system: LinearSystem, f: UniPoly, s: Interval):
     d = interval_supported_divisor(f, s)
     if d.degree <= 0:
         return list(system.basis)
-    remainders = [p % d for p in system.basis]
-    rows = [[r.coeff(k) for r in remainders] for k in range(d.degree)]
+    cols, _ = _common_columns([p % d for p in system.basis], d.degree)
     return [sum((c * p for c, p in zip(v, system.basis)), UniPoly.zero()).monic()
-            for v in nullspace_frac(rows)]
+            for v in nullspace_frac(list(zip(*cols)))]
 
 
 @dataclass(frozen=True)
@@ -284,7 +306,7 @@ def chebyshev_det_sign(system: LinearSystem, points, mults, s: Interval) -> int:
         raise ValueError("points must differ from the base point")
     if sum(mults) != system.dim:
         raise ValueError(f"multiplicities must sum to {system.dim}")
-    det = det_frac(_derivative_rows(system.basis, points, mults))
+    det = det_frac(_derivative_rows(system.basis, points, mults)[0])  # scales are positive
     return (det > 0) - (det < 0)
 
 

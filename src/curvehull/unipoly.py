@@ -221,6 +221,19 @@ def _derivative(nums, k: int = 1) -> tuple:
     return nums
 
 
+def _horner(nums, p: int, q: int, d: int) -> int:
+    """q^d times the value of sum nums_k t^k at t = p/q, for any d >= the
+    degree: integer Horner, acc <- acc*p + nums_k*q^(d-k)."""
+    if not nums:
+        return 0
+    qk = q ** (d - len(nums) + 1)
+    acc = nums[-1] * qk
+    for c in reversed(nums[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
+
+
 def _pdivmod(a, b):
     """(q, r, s), s*a == q*b + r with deg r < deg b and s > 0, for int lists a
     and b != (): pseudo-division that scales by |lc(b)|/gcd only at a step
@@ -393,19 +406,12 @@ class UniPoly(_Poly):
         return UniPoly._trusted(tuple(out), da * db)
 
     def __call__(self, x) -> Fraction:
-        """Integer Horner at x = p/q: acc <- acc*p + c_k*q^(d-k), one
-        normalisation of acc / (den*q^d) at the end."""
+        """Integer Horner at x = p/q (`_horner`), one normalisation of
+        acc / (den*q^d) at the end."""
         x = _q(x)
-        nums, den = self.integer_form()
-        if not nums:
-            return Fraction(0)
-        p, q = x.numerator, x.denominator
-        acc = nums[-1]
-        qk = 1
-        for c in reversed(nums[:-1]):
-            qk *= q
-            acc = acc * p + c * qk
-        return Fraction(acc, den * qk)
+        nums, den = self._ints
+        q, d = x.denominator, len(nums) - 1 if nums else 0
+        return Fraction(_horner(nums, x.numerator, q, d), den * q ** d)
 
     def __divmod__(self, other):
         """Pseudo-division of the numerators: s*a = q*b + r gives
@@ -548,8 +554,12 @@ def _sturm_chain_of(q: UniPoly):
 
 
 def _variations(chain, x) -> int:
-    vals = [p(x) for p in chain]
-    signs = [1 if v > 0 else -1 for v in vals if v != 0]
+    """Sign variations of the chain at x, each sign read off `_horner`: the
+    value times den * q^d > 0."""
+    x = _q(x)
+    p, q = x.numerator, x.denominator
+    vals = [_horner(c._ints[0], p, q, len(c._ints[0]) - 1) for c in chain]
+    signs = [1 if v > 0 else -1 for v in vals if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 

@@ -30,6 +30,14 @@ def vandermonde_poly(arity: int) -> MultiPoly:
     return out
 
 
+def criterion_05_basis():
+    """n = 4, orders (7, 6, 5, 3, 1), every perturbation slot up to t^9
+    filled with a rational coefficient."""
+    rng = random.Random(5)
+    return tuple(sum((mono(k, F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+                      for k in range(m + 1, 10)), mono(m)) for m in (7, 6, 5, 3, 1))
+
+
 def random_normalized_basis(rng, orders, extra_terms=2, cap=None):
     """p_i = t^{m_i} + random higher-order terms, unit leading coefficient."""
     cap = cap if cap is not None else orders[0] + 2
@@ -455,10 +463,7 @@ class TestDivideDiagonals:
         """n = 4, orders (7, 6, 5, 3, 1), every perturbation slot filled: the
         10 binomial divisions run on integer forms, the determinant's from
         poly_det, and read no Fraction terms."""
-        rng = random.Random(5)
-        basis = tuple(sum((mono(k, F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
-                           for k in range(m + 1, 10)), mono(m)) for m in (7, 6, 5, 3, 1))
-        det = evaluation_matrix(basis).det()
+        det = evaluation_matrix(criterion_05_basis()).det()
         assert len(det.terms) > 7000
         quotients, reads, lcms = [], [], []
         divide, read, over_lcm = MultiPoly.exact_divide, MultiPoly.terms.fget, multipoly._over_lcm
@@ -474,6 +479,20 @@ class TestDivideDiagonals:
         assert len(quotients) == 10 and quotients[-1] is cof
         assert reads == [] and lcms == []
         assert SchurMonomialIdeal.from_sequence((7, 6, 5, 3, 1)).contains(cof).ok
+
+    def test_the_criterion_05_minors_take_integer_rows(self, monkeypatch):
+        """The same n = 4 case: every Cauchy-Binet minor of the rational
+        coefficient matrix is one det_frac of int rows, its columns cleared
+        once, and the determinant is still the square route's."""
+        basis = criterion_05_basis()
+        minors, det_frac_ = [], multipoly.det_frac
+        monkeypatch.setattr(multipoly, "det_frac", lambda rows: minors.append(rows)
+                            or det_frac_(rows))
+        det = evaluation_matrix(basis).det()
+        assert minors and all(type(x) is int for rows in minors for r in rows for x in r)
+        assert all(len(rows) == 5 for rows in minors)
+        monkeypatch.undo()
+        assert det == poly_det(evaluation_matrix(basis).entries)
 
     def test_outputs_carry_their_fraction_terms(self):
         basis = (mono(3) + mono(4, F(1, 2)), mono(1) - mono(2, F(2, 3)), mono(0) + mono(1, F(1, 3)))

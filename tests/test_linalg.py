@@ -375,26 +375,32 @@ def solve_oracle(rows, rhs):
 
 
 small_rationals = st.integers(-3, 3).map(F)
+# plain ints, the rows elimination takes as they are: small ones, ones beyond
+# the shared small Fractions (+-16) and ones beyond 2^64
+plain_ints = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(-2 ** 80, 2 ** 80))
 
 
 @st.composite
 def dense_matrices(draw, square=False):
     """Matrices from 0 x 0 to 8 x 9 of small integers (many zeros, so many
-    row swaps) or wide rationals (denominators up to 10^6); some rows are
-    then zeroed, duplicated or replaced by a combination of earlier rows."""
+    row swaps), wide rationals (denominators up to 10^6) or plain ints; some
+    rows are then zeroed, duplicated or replaced by a combination of earlier
+    rows, with int coefficients in an int matrix."""
     m = draw(st.integers(0, 8))
     n = m if square else draw(st.integers(0, 9))
-    entries = draw(st.sampled_from((small_rationals, wide_rationals)))
+    entries = draw(st.sampled_from((small_rationals, wide_rationals, plain_ints)))
+    ints = entries is plain_ints
     rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
     for i in range(1, m):
         kind = draw(st.sampled_from(("keep", "keep", "zero", "duplicate", "combination")))
         a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
         if kind == "zero":
-            rows[i] = [F(0)] * n
+            rows[i] = [0 if ints else F(0)] * n
         elif kind == "duplicate":
             rows[i] = list(rows[a])
         elif kind == "combination":
-            c = draw(wide_rationals)
+            c = draw(plain_ints if ints else wide_rationals)
             rows[i] = [c * x + y for x, y in zip(rows[a], rows[b])]
     return rows
 
@@ -402,13 +408,17 @@ def dense_matrices(draw, square=False):
 @st.composite
 def dense_systems(draw):
     """(rows, rhs): rhs is random (often inconsistent when rows are rank
-    deficient) or rows times a random x (always consistent)."""
+    deficient) or rows times a random x (always consistent); ints when the
+    rows are."""
     rows = draw(dense_matrices())
-    entries = st.one_of(small_rationals, wide_rationals)
+    if all(type(x) is int for r in rows for x in r):
+        entries = plain_ints
+    else:
+        entries = st.one_of(small_rationals, wide_rationals)
     if draw(st.booleans()):
         return rows, [draw(entries) for _ in rows]
     x = [draw(entries) for _ in range(len(rows[0]) if rows else 0)]
-    return rows, [sum((a * b for a, b in zip(r, x)), F(0)) for r in rows]
+    return rows, [sum((a * b for a, b in zip(r, x)), 0) for r in rows]
 
 
 class TestEliminationKernel:
@@ -443,6 +453,16 @@ class TestEliminationKernel:
         for rows in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
             with pytest.raises(ValueError, match="not square"):
                 det_frac(rows)
+        # ragged rows and a right-hand side of another length are refused,
+        # not truncated or read past
+        for rows in ([[1, 2], [3]], [[1], [F(1, 2), 3]], [[], [1]]):
+            with pytest.raises(ValueError, match="unequal length"):
+                nullspace_frac(rows)
+            with pytest.raises(ValueError, match="unequal length"):
+                solve_frac(rows, [1, 2])
+        for rows, rhs in (([[1], [1]], [1]), ([[1, 2]], [1, 2]), ([], [0])):
+            with pytest.raises(ValueError, match="differ in length"):
+                solve_frac(rows, rhs)
 
     def test_forward_pivot_leaves_the_rows_above(self):
         tab = [[2, 1, 0], [1, 3, 1], [0, 1, 2]]

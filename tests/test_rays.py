@@ -94,7 +94,7 @@ class TestCandidates:
     def test_matrix_rows(self):
         v = moment_system(2)
         zp = ZeroPattern((F(1, 2),), (2,))
-        rows = _derivative_rows(v.basis, zp.points, zp.mults)
+        rows = derivative_fractions(v.basis, zp.points, zp.mults)
         assert rows == [(F(1, 4), F(1, 2), F(1)), (F(1), F(1), F(0))]
 
     def test_double_zero_candidate(self):
@@ -519,6 +519,14 @@ class TestDivisorBranches:
         assert len(factor_args) == 1
 
 
+def derivative_fractions(basis, points, mults):
+    """The int rows of _derivative_rows read as Fractions, rows[i][j] / scales[i]."""
+    rows, scales = _derivative_rows(basis, points, mults)
+    assert all(type(x) is int for r in rows for x in r)
+    assert all(type(s) is int and s > 0 for s in scales) and len(scales) == len(rows)
+    return [tuple(F(x, s) for x in r) for r, s in zip(rows, scales)]
+
+
 def per_point_derivative_rows(basis, points, mults):
     """Oracle: the derivative chain rebuilt at every point (_derivative_rows
     before it shared one chain)."""
@@ -540,7 +548,7 @@ class TestDerivativeRows:
     def test_matches_the_per_point_chain(self, basis, pattern):
         points = [x for x, _ in pattern]
         mults = [b for _, b in pattern]
-        assert _derivative_rows(basis, points, mults) == per_point_derivative_rows(
+        assert derivative_fractions(basis, points, mults) == per_point_derivative_rows(
             basis, points, mults)
 
 
@@ -556,7 +564,7 @@ def minor_loop_candidate(system: LinearSystem, pattern: ZeroPattern) -> UniPoly:
     """Oracle: cofactor expansion along the symbolic top row with one det_frac
     per column, sign-normalized by the lowest Taylor coefficient
     (extreme_candidate before it ran one elimination)."""
-    rows = _derivative_rows(system.basis, pattern.points, pattern.mults)
+    rows = derivative_fractions(system.basis, pattern.points, pattern.mults)
     det = UniPoly.zero()
     for c, p in zip(minor_loop_cofactors(rows, system.dim), system.basis):
         det = det + p * c

@@ -330,10 +330,15 @@ polys = st.lists(st.one_of(rationals, st.integers(-9, 9).map(F)),
 
 class TestIntegerKernels:
     @settings(max_examples=400, deadline=None)
-    @given(polys, points)
-    def test_call_matches_fraction_horner(self, p, x):
+    @given(polys, points, st.integers(0, 3))
+    def test_call_matches_fraction_horner(self, p, x, extra):
         assert p(x) == fraction_horner(p, x)
         assert type(p(x)) is F
+        # the integer Horner is q^d times the value for any d >= the degree
+        nums, den = p.integer_form()
+        d = max(p.degree, 0) + extra
+        acc = unipoly._horner(nums, x.numerator, x.denominator, d)
+        assert type(acc) is int and acc == fraction_horner(p, x) * den * x.denominator ** d
 
     @settings(max_examples=400, deadline=None)
     @given(polys, points, st.one_of(st.just(F(0)), rationals))
