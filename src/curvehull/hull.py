@@ -118,32 +118,26 @@ def _leaving_row(tab, basis, enter):
 def _phase1_feasible(matrix, rhs) -> bool:
     """Exact phase-1 simplex with Bland's rule for {x >= 0 : matrix x = rhs}.
 
-    Each row is scaled by the lcm of its denominators (and by -1 where rhs is
-    negative), a positive scaling that keeps the feasible set, and the
-    tableau is pivoted in integers by `linalg._bareiss_pivot`; its
-    denominator is the last pivot, which stays positive.
+    The rows [A | b] are scaled by the lcm of their denominators (by minus
+    that where b is negative) and pivoted in integers by
+    `linalg._bareiss_pivot`; the denominator is the last pivot, positive.
+    The artificial basis is implicit: the reduced-cost row is the column
+    sums, the artificials' labels n..n+m-1 only break `_leaving_row` ties,
+    and only real columns enter.  This restricted phase 1 still ends at 0
+    exactly when the system is feasible, as a feasible x gives it (x, 0).
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    total = n + m
     tab = []
-    for i, (row, b) in enumerate(zip(matrix, rhs)):
+    for row, b in zip(matrix, rhs):
         ints, _ = _over_lcm([_q(x) for x in row] + [_q(b)])
-        if ints[-1] < 0:
-            ints = [-x for x in ints]
-        art = [0] * m  # artificial identity
-        art[i] = 1
-        tab.append([*ints[:-1], *art, ints[-1]])
-    basis = list(range(n, total))
-    # reduced-cost row for min(sum of artificials): z_j - c_j = sum_i tab[i][j] - c_j
-    obj = [sum(col) for col in zip(*tab)]
-    for j in range(n, total):
-        obj[j] -= 1
-    tab.append(obj)
+        tab.append([-x for x in ints] if ints[-1] < 0 else ints)
+    basis = list(range(n, n + m))
+    tab.append([sum(col) for col in zip(*tab)])  # reduced costs of min(sum of artificials)
     den = 1
     while True:
         obj = tab[m]
-        enter = next((j for j in range(total) if obj[j] > 0), None)  # Bland: lowest index
+        enter = next((j for j in range(n) if obj[j] > 0), None)  # Bland: lowest index
         if enter is None:
             break
         leave = _leaving_row(tab[:m], basis, enter)

@@ -181,7 +181,7 @@ def solve_frac(rows, rhs):
     if len(rhs) != len(rows):
         raise ValueError("right-hand side and rows differ in length")
     if not rows:
-        return () if not any(_q(b) != 0 for b in rhs) else None
+        return ()
     ncols = len(rows[0])
     tab, den, pivots, _, _ = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)])
     if pivots and pivots[-1] == ncols:  # a pivot in the right-hand side

@@ -24,8 +24,7 @@ from .multipoly import MultiPoly
 from .schur import _scan, schur_via_tableaux
 from .unipoly import (Interval, UniPoly, _derivative, _horner, _layer_roots, _monic,
                       _positive_int, _q, count_roots_interior, count_roots_with_multiplicity,
-                      is_nonnegative_on, _set_squarefree_decomposition, poly_gcd,
-                      squarefree_decomposition)
+                      is_nonnegative_on, poly_gcd, squarefree_decomposition)
 
 
 @dataclass(frozen=True)
@@ -186,20 +185,14 @@ def zero_conditions_dim(system: LinearSystem, pattern: ZeroPattern) -> int:
 
 
 def _sympy_irreducible_factors(p: UniPoly):
-    """Irreducible monic factors of squarefree p over Q, from sympy's
-    factoring of the integer coefficient list.  Each factor carries its
-    squarefree decomposition, so counting its roots runs no Yun."""
+    """Irreducible monic factors of squarefree p over Q, each once, from
+    sympy's factoring of the integer coefficient list."""
     import sympy  # imported on first use: it dominates the package's import time
 
     nums, _ = p.integer_form()
     x = sympy.Symbol("x")
     _, factors = sympy.factor_list(sympy.Poly.from_list(nums[::-1], x, domain="ZZ"))
-    out = []
-    for fac, mult in factors:
-        h = _monic(tuple(int(c) for c in reversed(fac.all_coeffs())))
-        _set_squarefree_decomposition(h, Fraction(1), [(h, 1)])
-        out.extend([h] * mult)
-    return out
+    return [_monic(tuple(int(c) for c in reversed(fac.all_coeffs()))) for fac, _ in factors]
 
 
 def interval_supported_divisor(f: UniPoly, s: Interval) -> UniPoly:
@@ -223,7 +216,7 @@ def interval_supported_divisor(f: UniPoly, s: Interval) -> UniPoly:
             d = d * q ** mult
         elif inside:
             for h in _sympy_irreducible_factors(q):
-                if count_roots_with_multiplicity(h, s) >= 1:
+                if sum(_layer_roots(h, s.lo, s.hi)):
                     d = d * h ** mult
     return d
 
@@ -252,39 +245,50 @@ def supporting_face_basis(system: LinearSystem, f: UniPoly, s: Interval):
 @dataclass(frozen=True)
 class ExtremeReport:
     """verify_extreme outcome: exact nonnegativity, interior zero count with
-    multiplicity, supporting-face dimension, and the extremality verdict."""
+    multiplicity, supporting-face dimension, and the extremality verdict
+    (None where the rational face cannot decide it)."""
 
     nonneg: bool
     zero_count: int
     face_dim: int
-    extreme: bool
+    extreme: bool | None
+
+
+def _partly_inside(q: UniPoly, s: Interval) -> bool:
+    """Whether squarefree q has some but not all of its distinct roots in s
+    (never so for degree 1, which is not counted)."""
+    return q.degree > 1 and 0 < sum(_layer_roots(q, s.lo, s.hi)) < q.degree
 
 
 def verify_extreme(system: LinearSystem, f: UniPoly, s: Interval) -> ExtremeReport:
     """Exact extremality report for a member f of the system on s.
 
     extreme means nonnegative with one-dimensional supporting face; an
-    extreme member must have at least n interior zeros, and on validated
-    intervals with positive endpoint values exactly n of them.
+    extreme member must have at least n zeros in s, endpoints included,
+    counted with multiplicity, and on validated intervals with positive
+    endpoint values exactly n of them.
 
     All arithmetic is rational, so face_dim is the dimension of the face
-    span inside the space of rational members.  When every zero of f in s is
-    rational (in particular for candidates built from rational zero
-    patterns) this agrees with the real face dimension; for f with
-    irrational zeros whose conjugates leave s, the real face can be larger
-    and the verdict speaks about the cone of rational members only.
+    span inside the space of rational members.  When no irreducible factor
+    of f has some but not all of its roots in s (in particular when every
+    zero of f in s is rational) this is the real face dimension.  Otherwise
+    the real face can be larger, and a one-dimensional rational face is
+    checked by the count alone: with fewer than n zeros in s the real face
+    has dimension at least n + 1 minus that count, so f is not extreme;
+    else Q cannot decide, and extreme is None.
     """
     if f.is_zero:
         raise ValueError("cannot report on the zero polynomial")
     nonneg = is_nonnegative_on(f, s)
     zero_count = count_roots_interior(f, s)
     face_dim = len(supporting_face_basis(system, f, s))
-    return ExtremeReport(
-        nonneg=nonneg,
-        zero_count=zero_count,
-        face_dim=face_dim,
-        extreme=nonneg and face_dim == 1,
-    )
+    extreme = nonneg and face_dim == 1
+    if extreme and any(_partly_inside(h, s)
+                       for q, _ in squarefree_decomposition(f)[1] if _partly_inside(q, s)
+                       for h in _sympy_irreducible_factors(q)):
+        extreme = False if count_roots_with_multiplicity(f, s) < system.n else None
+    return ExtremeReport(nonneg=nonneg, zero_count=zero_count, face_dim=face_dim,
+                         extreme=extreme)
 
 
 def chebyshev_det_sign(system: LinearSystem, points, mults, s: Interval) -> int:

@@ -9,10 +9,10 @@ closed intervals are decided symbolically.  No floating point anywhere.
 Each polynomial caches its Yun squarefree decomposition, so the root
 counts, the nonnegativity test and the factoring of one polynomial share
 one run, and its Sturm chain, so isolation and every refinement share one
-chain.  The counts and the test take one Sturm count per layer, after
-dividing out the layer's endpoint roots.  Domains are `Interval`s
-(lo < hi); root isolation returns `RationalEnclosure`s (lo <= hi), where an
-exact root is an enclosure of width 0.
+chain.  The counts and the test read a layer's endpoint roots by sign and
+its interior roots by one Sturm count on its cached chain.  Domains are
+`Interval`s (lo < hi); root isolation returns `RationalEnclosure`s
+(lo <= hi), where an exact root is an enclosure of width 0.
 """
 
 from __future__ import annotations
@@ -491,14 +491,8 @@ def squarefree_decomposition(p: UniPoly):
         unit, layers = p._sqf
     except AttributeError:
         unit, layers = _yun(p)
-        _set_squarefree_decomposition(p, unit, layers)
+        object.__setattr__(p, "_sqf", (unit, tuple(layers)))
     return unit, list(layers)
-
-
-def _set_squarefree_decomposition(p: UniPoly, unit, layers) -> None:
-    """Store (unit, layers) as the decomposition of p; callers that already
-    know it (an irreducible monic factor is (1, [(h, 1)])) skip Yun."""
-    object.__setattr__(p, "_sqf", (unit, tuple(layers)))
 
 
 def _yun(p: UniPoly):
@@ -575,13 +569,13 @@ def _deflate_ends(q: UniPoly, lo: Fraction, hi: Fraction):
 
 
 def _layer_roots(q: UniPoly, lo: Fraction, hi: Fraction):
-    """(ends, inner) for squarefree q: how many of lo, hi are roots, and how
-    many distinct roots lie in (lo, hi), by one Sturm chain on the deflated q."""
-    ends, q = _deflate_ends(q, lo, hi)
-    if q.degree <= 0:
-        return len(ends), 0
+    """(ends, inner) for squarefree q: how many of lo, hi are roots (by the
+    sign of `_horner`) and how many distinct roots lie in (lo, hi).  V(lo) -
+    V(hi) on q's cached chain counts the roots in (lo, hi], root ends or not."""
+    nums = q.integer_form()[0]
+    at_lo, at_hi = (not _horner(nums, x.numerator, x.denominator, len(nums)) for x in (lo, hi))
     chain = _sturm_chain_of(q)
-    return len(ends), _variations(chain, lo) - _variations(chain, hi)
+    return at_lo + at_hi, _variations(chain, lo) - _variations(chain, hi) - at_hi
 
 
 def count_roots_with_multiplicity(p: UniPoly, s: Interval) -> int:

@@ -405,6 +405,22 @@ class TestOutputBytes:
         assert self.output(capsys, argv, 0) == (
             '{"poly": "1", "nonneg": true, "zero_count": 0, "face_dim": 3, "extreme": false}\n')
 
+    @pytest.mark.parametrize("basis, poly, report", [
+        # +sqrt(1/2) is in [0, 1], its conjugate is not: 2 < n = 4 zeros in s
+        ("t^4,t^3,t^2,t,1", "t^4 - t^2 + 1/4",
+         '"zero_count": 2, "face_dim": 1, "extreme": false'),
+        # the same pair with n = 2: the rational face cannot decide
+        ("t^4,t^2,1", "t^4 - t^2 + 1/4", '"zero_count": 2, "face_dim": 1, "extreme": null'),
+        # (t^2 + t/2 - 1/2)^2 has the rational roots -1 and 1/2
+        ("t^4,t^3,t^2,t,1", "t^4 + t^3 - 3/4*t^2 - 1/2*t + 1/4",
+         '"zero_count": 2, "face_dim": 3, "extreme": false'),
+        ("t^2,t,1", "t - t^2", '"zero_count": 0, "face_dim": 1, "extreme": true'),
+    ], ids=["too-few-zeros", "undecided", "rational-zeros", "endpoint-zeros"])
+    def test_verify_extreme_verdicts(self, capsys, basis, poly, report):
+        argv = ["verify-extreme", "--basis", basis, "--interval", "0,1", "--poly", poly]
+        assert self.output(capsys, argv, 0) == (
+            f'{{"poly": "{poly}", "nonneg": true, {report}}}\n')
+
     def test_text_success(self, capsys):
         argv = ["--format", "text", "extreme", "--basis", "t^2,t,1", "--interval", "0,1",
                 "--zeros", "1/2:2"]

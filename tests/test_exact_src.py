@@ -16,8 +16,10 @@ tests of each module cover that route.
 A second lint keeps the polynomial representation behind its two modules:
 only unipoly and multipoly may name the slot `_ints` or the unchecked
 constructor `_trusted`; every other module reads `integer_form()`, `coeffs`
-and `terms`.  The slots of both types are pinned, so the integer form stays
-the only stored state of a polynomial.
+and `terms`.  Only unipoly may name the cache slots `_sqf` and `_sturm` of a
+`UniPoly`: every other module goes through `squarefree_decomposition` and
+the Sturm routines.  The slots of both types are pinned, so the integer
+form stays the only stored state of a polynomial besides those caches.
 """
 
 import ast
@@ -131,28 +133,30 @@ def test_every_public_annotation_resolves():
     assert unresolved == []
 
 
-REPRESENTATION = {"_ints", "_trusted"}
-OWNERS = {"unipoly", "multipoly"}
+# each private name and the modules that may name it
+OWNERS = {"_ints": {"unipoly", "multipoly"}, "_trusted": {"unipoly", "multipoly"},
+          "_sqf": {"unipoly"}, "_sturm": {"unipoly"}}
 
 
-def representation_uses(tree: ast.AST) -> list:
+def representation_uses(tree: ast.AST, module: str = "") -> list:
     """(line, name) of every attribute, name, imported name or string
-    constant in the tree that is one of REPRESENTATION."""
+    constant in the tree that is one of the OWNERS names and that the
+    named module may not use."""
     found = []
     for node in ast.walk(tree):
         name = (node.attr if isinstance(node, ast.Attribute)
                 else node.id if isinstance(node, ast.Name)
                 else node.name if isinstance(node, ast.alias)
                 else node.value if isinstance(node, ast.Constant) else None)
-        if isinstance(name, str) and name in REPRESENTATION:
+        if isinstance(name, str) and name in OWNERS and module not in OWNERS[name]:
             found.append((node.lineno, name))
     return sorted(found)
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.stem not in OWNERS],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_the_representation_stays_in_its_two_modules(path):
-    assert representation_uses(ast.parse(path.read_text(), filename=str(path))) == []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert representation_uses(tree, path.stem) == []
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -162,9 +166,15 @@ def test_the_representation_stays_in_its_two_modules(path):
     ("q = MultiPoly._trusted(2, {}, 1)", [(1, "_trusted")]),
     ("built = hasattr(p, '_ints')", [(1, "_ints")]),
     ("_ints = 1", [(1, "_ints")]),
+    ("unit, layers = p._sqf", [(1, "_sqf")]),
 ])
 def test_each_representation_use_is_caught(source, expected):
     assert representation_uses(ast.parse(source)) == expected
+
+
+def test_a_cache_slot_is_caught_in_multipoly():
+    tree = ast.parse("tail = q._sturm\nnums, den = q._ints")
+    assert representation_uses(tree, "multipoly") == [(1, "_sturm")]
 
 
 def test_the_integer_form_is_the_only_stored_state():
@@ -181,6 +191,7 @@ def test_the_integer_form_is_the_only_stored_state():
     "c = p.coeffs[0] + q.terms[e]",
     "from .unipoly import _over_lcm, _built",
     "x = '_ints are private'",
+    "chain = _sturm_chain_of(q)",
 ])
 def test_public_reads_pass(source):
     assert representation_uses(ast.parse(source)) == []

@@ -140,6 +140,10 @@ class TestFiniteHull:
         with pytest.raises(ValueError):
             finite_hull_membership([(0, 0)], (0, 0, 0))
 
+    def test_no_points_refused(self):
+        with pytest.raises(ValueError, match="need at least one point"):
+            finite_hull_membership([], (0, 0))
+
     def test_monotone_in_samples(self):
         curve = moment_curve(3, UNIT)
         rng = random.Random(11)
@@ -208,6 +212,12 @@ class TestLmiSupport:
         with pytest.raises(ValueError):
             lmi_support_enclosure(interval_moment_lmi(2, UNIT),
                                   moment_curve(2, UNIT), (1,), WIDTH)
+
+    def test_pencil_of_another_dimension_refused(self):
+        # anchored: the functional's own check says "functional dimension mismatch"
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            lmi_support_enclosure(interval_moment_lmi(3, UNIT),
+                                  moment_curve(2, UNIT), (1, 1), WIDTH)
 
     @pytest.mark.parametrize("tol", [0, F(-1, 10)])
     def test_tolerance_must_be_positive(self, tol):
@@ -298,7 +308,7 @@ class TestCrossValidate:
         assert report.lmi_nonmembers_checked > 0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pencil and curve dimensions differ"):
             cross_validate(moment_curve(2, UNIT), interval_moment_lmi(3, UNIT), 5)
 
     @pytest.mark.parametrize("trials", [0, -3, True, 2.5])

@@ -233,16 +233,22 @@ class TestCertificates:
 
     def test_odd_multiplicity_rejected(self):
         f = (t - F(1, 2)) ** 3 * (t - F(1, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must all be even"):
             sosx_certificate(f, ZeroPattern((F(1, 4), F(1, 2)), (1, 3)), 1)
+        # g = prod (t - xi)^(b // 2) is 1 here, so the constant 1 would reconstruct
+        with pytest.raises(ValueError, match="must all be even"):
+            sosx_certificate(UniPoly.one(), ZeroPattern((F(1, 2),), (1,)), 1)
 
     def test_wrong_reconstruction_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="reconstruction failed"):
             sosx_certificate((t - F(1, 2)) ** 2, ZeroPattern((F(1, 3),), (2,)), 1)
 
     def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="scale must be positive"):
             sosx_certificate((t - F(1, 2)) ** 2, ZeroPattern((F(1, 2),), (2,)), 0)
+        # -(t - 1/2)^2 is -1 * (t - 1/2)^2, so scale -1 would reconstruct
+        with pytest.raises(ValueError, match="scale must be positive"):
+            sosx_certificate(-(t - F(1, 2)) ** 2, ZeroPattern((F(1, 2),), (2,)), -1)
 
 
 class TestSdpa:

@@ -218,6 +218,33 @@ class TestVerifyExtreme:
             assert rep.nonneg and rep.zero_count == 2 < 4 and rep.face_dim >= 2
 
 
+class TestUndecidedOverQ:
+    """A one-dimensional rational face is checked against the real one when
+    an irreducible factor of f has some but not all of its roots in s."""
+
+    EVEN = profile_and_normalize((mono(4), mono(2), UniPoly.one()), 0)
+
+    def test_too_few_zeros_in_s_is_not_extreme(self, counters):
+        # (t^2 - 1/2)^2: only +sqrt(1/2) lies in [0, 1], a double zero, and
+        # 2 < n = 4 leaves a real face of dimension at least 3
+        _, factor_args = counters
+        rep = verify_extreme(moment_system(4), (t * t - F(1, 2)) ** 2, UNIT)
+        assert rep == type(rep)(nonneg=True, zero_count=2, face_dim=1, extreme=False)
+        assert len(factor_args) == 2  # the divisor's and the verdict's
+
+    def test_rational_factors_keep_the_verdict(self):
+        # the layer t^2 - 1/4 straddles [0, 1], but each of its factors
+        # t -+ 1/2 has all or none of its roots there
+        rep = verify_extreme(self.EVEN, (t * t - F(1, 4)) ** 2, UNIT)
+        assert rep == type(rep)(nonneg=True, zero_count=2, face_dim=1, extreme=True)
+
+    def test_a_larger_face_factors_nothing_more(self, counters):
+        _, factor_args = counters
+        rep = verify_extreme(moment_system(6), (t * t - F(1, 2)) ** 2, UNIT)
+        assert rep.nonneg and rep.face_dim == 3 and rep.extreme is False
+        assert len(factor_args) == 1  # the divisor's only
+
+
 class TestChebyshevSign:
     def test_distinct_points(self):
         v = moment_system(2)
@@ -431,7 +458,7 @@ class TestIntegerFactoring:
 
     @settings(max_examples=100, deadline=None)
     @given(factored_polys())
-    def test_seeded_decomposition_of_each_factor_is_its_own(self, p):
+    def test_each_factor_is_its_own_decomposition(self, p):
         for q, _ in squarefree_decomposition(p)[1]:
             for h in _sympy_irreducible_factors(q):
                 assert h.leading_coeff == 1 and poly_gcd(h, h.derivative()).degree == 0

@@ -528,6 +528,63 @@ class TestSturmCounts:
                 assert count_roots_with_multiplicity(q, Interval(enc.lo, enc.hi)) == 1
 
 
+# -- the layer census against the deflating routine ---------------------------
+
+def deflated_layer_roots(q: UniPoly, lo: F, hi: F):
+    """Oracle: _layer_roots before it read endpoint roots by sign.  Each end
+    that is a root is divided out, then one Sturm count runs on a fresh chain
+    of the quotient."""
+    ends = 0
+    for x in (lo, hi):
+        if q.degree > 0 and q(x) == 0:
+            ends += 1
+            q = q.exact_divide(UniPoly((-x, 1)))
+    if q.degree <= 0:
+        return ends, 0
+    chain = unipoly.sturm_chain(q)
+    return ends, unipoly._variations(chain, lo) - unipoly._variations(chain, hi)
+
+
+@st.composite
+def census_cases(draw):
+    """(q, lo, hi): q a squarefree product of distinct rational linear factors
+    and distinct irrational quadratics; lo and hi are each drawn from q's
+    rational roots half the time, with lo < hi."""
+    rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+    roots = draw(st.lists(rationals, max_size=4, unique=True))
+    quadratics = draw(st.lists(irrational_quadratics, min_size=0 if roots else 1,
+                               max_size=2, unique=True))
+    q = UniPoly.constant(draw(st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))))
+    for h in [t - r for r in roots] + quadratics:
+        q = q * h
+    lo = draw(st.sampled_from(roots) if roots and draw(st.booleans()) else rationals)
+    above = [r for r in roots if r > lo]
+    if above and draw(st.booleans()):
+        hi = draw(st.sampled_from(above))
+    else:
+        hi = lo + draw(st.builds(F, st.integers(1, 24), st.integers(1, 6)))
+    return q, lo, hi
+
+
+class TestLayerCensus:
+    @settings(max_examples=300, deadline=None)
+    @given(census_cases())
+    def test_matches_the_deflating_count(self, case):
+        q, lo, hi = case
+        assert unipoly._layer_roots(q, lo, hi) == deflated_layer_roots(q, lo, hi)
+
+    def test_divides_nothing_out(self, monkeypatch):
+        divisions = []
+        divide = UniPoly.exact_divide
+        monkeypatch.setattr(UniPoly, "exact_divide",
+                            lambda p, d: divisions.append(d) or divide(p, d))
+        q = (t - F(1, 3)) * (t - 1) * (t * t - 2)
+        assert unipoly._layer_roots(q, F(1, 3), F(1)) == (2, 0)
+        assert unipoly._layer_roots(q, F(1, 3), F(3, 2)) == (1, 2)
+        assert unipoly._layer_roots(q, F(-2), F(1, 3)) == (1, 1)
+        assert divisions == []
+
+
 # -- the cached Yun decomposition against the uncached routine ----------------
 
 def uncached_yun(p: UniPoly):
