@@ -21,8 +21,7 @@ from .rays import (ExtremeReport, IntervalValidation, LinearSystem,
                    interval_supported_divisor, profile_and_normalize,
                    supporting_face_basis, validate_interval, verify_extreme,
                    zero_conditions_dim)
-from .schur import (DecreasingSeq, DivisibilityReport, Tableau,
-                    admissible_fillings, proper_dominance_check,
+from .schur import (DecreasingSeq, DivisibilityReport, proper_dominance_check,
                     schur_via_bialternant, schur_via_tableaux,
                     subsequence_divisibility_check)
 from .unipoly import (Interval, RationalEnclosure, UniPoly, count_roots_interior,

@@ -26,8 +26,17 @@ from .unipoly import Interval, UniPoly
 
 
 class UsageError(Exception):
-    """Malformed arguments (bad rationals, bad option payloads): exit code 2.
-    A ValueError from a handler is a domain error: exit code 1."""
+    """Malformed arguments (bad rationals, bad option payloads, argparse
+    errors): exit code 2.  A ValueError from a handler is a domain error:
+    exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit, so parse
+    errors print like any other; subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 MAX_N = 64
@@ -239,7 +248,7 @@ def _cmd_lmi(args) -> dict:
         pencil = lmi.hankel_lmi(args.n)
     else:
         if not args.interval:
-            raise ValueError("--interval is required for the interval kind")
+            raise UsageError("--interval is required for the interval kind")
         pencil = lmi.interval_moment_lmi(args.n, parse_interval(args.interval))
     payload = lmi.lmi_to_json(pencil)
     if args.json:
@@ -296,7 +305,7 @@ BASIS_HELP = f"comma-separated polynomials in t, exponents 0..{MAX_EXPONENT}"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvehull",
         description="Exact toolkit for semidefinite representations of curve hulls")
     parser.add_argument("--format", choices=("json", "text"), default="json")
@@ -381,9 +390,9 @@ def _render_text(data, indent=0) -> str:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = argparse.Namespace()  # argparse fills in --format before it can fail
     try:
+        build_parser().parse_args(argv, args)
         result, code = args.handler(args), 0
     except UsageError as exc:
         result, code = {"error": str(exc), "usage": True}, 2

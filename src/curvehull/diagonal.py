@@ -152,7 +152,7 @@ class SchurMonomialIdeal:
 
     @classmethod
     def from_sequence(cls, m) -> "SchurMonomialIdeal":
-        return cls.collapsed(m, (1,) * _seq(m).nvars)
+        return cls.collapsed(m, (1,) * len(_seq(m)))
 
     @classmethod
     def collapsed(cls, m, partition) -> "SchurMonomialIdeal":
@@ -160,7 +160,7 @@ class SchurMonomialIdeal:
         variables inside each block are added."""
         m = _seq(m)
         partition = _partition(partition)
-        if partition.total != m.nvars:
+        if partition.total != len(m):
             raise ValueError("block sizes must sum to the number of variables")
         r1 = partition.nblocks
         merged = schur_via_tableaux(m).merge_variables(partition.slot_of_row(), r1)

@@ -195,6 +195,24 @@ def _sympy_irreducible_factors(p: UniPoly):
     return [_monic(tuple(int(c) for c in reversed(fac.all_coeffs()))) for fac, _ in factors]
 
 
+def _supported_factors(f: UniPoly, s: Interval):
+    """Yield (h, mult, whole) for each factor h of f with a root in the
+    closed interval s: h is a squarefree layer of f (multiplicity mult) with
+    all of its distinct roots in s, or a sympy-irreducible factor of a layer
+    with only some of them there; whole is true when all of h's roots lie in
+    s.  A Sturm count skips a layer with no roots in s, so only a layer
+    partly inside is factored."""
+    for q, mult in squarefree_decomposition(f)[1]:
+        inside = sum(_layer_roots(q, s.lo, s.hi))
+        if inside == q.degree:
+            yield q, mult, True
+        elif inside:
+            for h in _sympy_irreducible_factors(q):
+                roots = sum(_layer_roots(h, s.lo, s.hi))
+                if roots:
+                    yield h, mult, roots == h.degree
+
+
 def interval_supported_divisor(f: UniPoly, s: Interval) -> UniPoly:
     """The conjugate closure of the part of f whose roots lie in s.
 
@@ -203,22 +221,8 @@ def interval_supported_divisor(f: UniPoly, s: Interval) -> UniPoly:
     power i.  Over Q, a vanishing-order condition at one root propagates to
     all of its conjugates, so divisibility by this polynomial captures the
     conditions "at least f's zeros in s" exactly on rational spaces.
-
-    A Sturm count of each layer's distinct roots in s skips a layer with
-    none there and keeps whole one with all of them there; only a layer with
-    some but not all of its roots in s is factored by sympy.
     """
-    _, layers = squarefree_decomposition(f)
-    d = UniPoly.one()
-    for q, mult in layers:
-        inside = sum(_layer_roots(q, s.lo, s.hi))
-        if inside == q.degree:
-            d = d * q ** mult
-        elif inside:
-            for h in _sympy_irreducible_factors(q):
-                if sum(_layer_roots(h, s.lo, s.hi)):
-                    d = d * h ** mult
-    return d
+    return prod((h ** mult for h, mult, _ in _supported_factors(f, s)), start=UniPoly.one())
 
 
 def supporting_face_basis(system: LinearSystem, f: UniPoly, s: Interval):
@@ -254,12 +258,6 @@ class ExtremeReport:
     extreme: bool | None
 
 
-def _partly_inside(q: UniPoly, s: Interval) -> bool:
-    """Whether squarefree q has some but not all of its distinct roots in s
-    (never so for degree 1, which is not counted)."""
-    return q.degree > 1 and 0 < sum(_layer_roots(q, s.lo, s.hi)) < q.degree
-
-
 def verify_extreme(system: LinearSystem, f: UniPoly, s: Interval) -> ExtremeReport:
     """Exact extremality report for a member f of the system on s.
 
@@ -283,9 +281,7 @@ def verify_extreme(system: LinearSystem, f: UniPoly, s: Interval) -> ExtremeRepo
     zero_count = count_roots_interior(f, s)
     face_dim = len(supporting_face_basis(system, f, s))
     extreme = nonneg and face_dim == 1
-    if extreme and any(_partly_inside(h, s)
-                       for q, _ in squarefree_decomposition(f)[1] if _partly_inside(q, s)
-                       for h in _sympy_irreducible_factors(q)):
+    if extreme and not all(whole for _, _, whole in _supported_factors(f, s)):
         extreme = False if count_roots_with_multiplicity(f, s) < system.n else None
     return ExtremeReport(nonneg=nonneg, zero_count=zero_count, face_dim=face_dim,
                          extreme=extreme)

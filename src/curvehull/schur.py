@@ -1,7 +1,7 @@
 """Schur polynomials of strictly decreasing exponent sequences.
 
-Two independent constructions are provided: exhaustive enumeration of
-admissible Young-diagram fillings, and the bialternant quotient
+Two independent constructions are provided: a count of the weights of
+the admissible Young-diagram fillings, and the bialternant quotient
 det((x_i^{m_j})) / prod_{i<j}(x_i - x_j).  They must agree term for term;
 the divisibility comparisons between the monomial sets of two such
 polynomials (with witnesses) live here as well.
@@ -38,10 +38,6 @@ class DecreasingSeq:
     def __getitem__(self, i):
         return self.entries[i]
 
-    @property
-    def nvars(self) -> int:
-        return len(self.entries)
-
     def shape(self) -> tuple:
         """Row lengths of the associated Young diagram: m_i - (n - i)."""
         n = len(self.entries) - 1
@@ -52,68 +48,6 @@ def _seq(m) -> DecreasingSeq:
     return m if isinstance(m, DecreasingSeq) else DecreasingSeq(tuple(m))
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """An admissible filling: rows weakly increase, columns strictly increase."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for r in rows:
-            if any(a > b for a, b in zip(r, r[1:])):
-                raise ValueError("row not weakly increasing")
-        for i in range(1, len(rows)):
-            for j in range(len(rows[i])):
-                if j < len(rows[i - 1]) and rows[i][j] <= rows[i - 1][j]:
-                    raise ValueError("column not strictly increasing")
-
-    def weight(self, nvars: int) -> tuple:
-        counts = [0] * nvars
-        for r in self.rows:
-            for v in r:
-                counts[v] += 1
-        return tuple(counts)
-
-
-def admissible_fillings(m):
-    """Yield every admissible filling of the diagram of m, entries in {0..n}.
-
-    Depth-first, column by column (top to bottom within a column); pruning is
-    by column strictness against the cell above and row monotonicity against
-    the cell to the left.
-    """
-    m = _seq(m)
-    shape = m.shape()
-    nrows = len(shape)
-    n = nrows - 1
-    cells = []
-    width = max(shape) if shape else 0
-    for col in range(width):
-        for row in range(nrows):
-            if shape[row] > col:
-                cells.append((row, col))
-    grid = [[None] * shape[i] for i in range(nrows)]
-
-    def fill(idx):
-        if idx == len(cells):
-            yield Tableau(tuple(tuple(r) for r in grid))
-            return
-        row, col = cells[idx]
-        low = row  # column-strict from the top forces entry >= row index
-        if col > 0:
-            low = max(low, grid[row][col - 1])
-        if row > 0:
-            low = max(low, grid[row - 1][col] + 1)
-        for v in range(low, n + 1):
-            grid[row][col] = v
-            yield from fill(idx + 1)
-        grid[row][col] = None
-
-    yield from fill(0)
-
-
 def schur_via_tableaux(m) -> MultiPoly:
     """sigma_m(x_0, ..., x_n) as the generating sum over admissible fillings."""
     return _tableaux_sum(_seq(m).entries)
@@ -122,13 +56,39 @@ def schur_via_tableaux(m) -> MultiPoly:
 @cache
 def _tableaux_sum(entries: tuple) -> MultiPoly:
     """schur_via_tableaux, computed once per sequence.  The cache is unbounded,
-    but sequences with top entry k number 2^k, so it stays small."""
-    nvars = len(entries)
+    but sequences with top entry k number 2^k, so it stays small.
+
+    Depth-first over the cells, column by column (top to bottom within a
+    column).  Each cell takes a value at least the cell to its left and
+    greater than the cell above it (so at least its row index), so every
+    complete filling is admissible; counts[v] is the number of cells
+    holding v, and its tuple is the filling's weight.
+    """
+    shape = _seq(entries).shape()
+    n = len(shape) - 1
+    cells = [(row, col) for col in range(max(shape)) for row in range(n + 1)
+             if shape[row] > col]
+    grid = [[0] * k for k in shape]
+    counts = [0] * (n + 1)
     terms: dict = {}
-    for tab in admissible_fillings(entries):
-        w = tab.weight(nvars)
-        terms[w] = terms.get(w, 0) + 1
-    return MultiPoly(nvars, terms)
+
+    def fill(idx):
+        if idx == len(cells):
+            w = tuple(counts)
+            terms[w] = terms.get(w, 0) + 1
+            return
+        row, col = cells[idx]
+        low = grid[row - 1][col] + 1 if row else 0
+        if col:
+            low = max(low, grid[row][col - 1])
+        for v in range(low, n + 1):
+            grid[row][col] = v
+            counts[v] += 1
+            fill(idx + 1)
+            counts[v] -= 1
+
+    fill(0)
+    return MultiPoly(n + 1, terms)
 
 
 def schur_via_bialternant(m) -> MultiPoly:

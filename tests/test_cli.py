@@ -211,10 +211,12 @@ class TestVerbs:
         assert self.run_json(capsys, argv, expect=1) == {"error": message}
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_unknown_verb_exits_2(self):
-        with pytest.raises(SystemExit) as err:
-            run(["frobnicate"])
-        assert err.value.code == 2
+    def test_unknown_verb_exits_2(self, capsys):
+        assert run(["frobnicate"]) == 2
+        assert capsys.readouterr().out == (
+            '{"error": "argument verb: invalid choice: \'frobnicate\' (choose from '
+            "'schur', 'verify-schur', 'verify-diagonal', 'extreme', 'verify-extreme', "
+            "'lmi', 'member', 'support', 'cross-validate')\", \"usage\": true}\n")
 
     def test_text_format(self, capsys):
         assert run(["--format", "text", "schur", "--seq", "2,1,0"]) == 0
@@ -386,6 +388,24 @@ class TestOutputBytes:
         argv = ["member", "--lmi", str(tmp_path / "x.json"), "--point", "1/0"]
         assert self.output(capsys, argv, 2) == (
             '{"error": "zero denominator in rational: \'1/0\'", "usage": true}\n')
+
+    def test_json_argparse_error(self, capsys):
+        argv = ["lmi", "--kind", "hankel", "--n", "abc"]
+        assert self.output(capsys, argv, 2) == (
+            '{"error": "argument --n: invalid int value: \'abc\'", "usage": true}\n')
+
+    def test_text_argparse_error(self, capsys):
+        argv = ["--format", "text", "lmi", "--kind", "hankel", "--n", "abc"]
+        assert self.output(capsys, argv, 2) == (
+            "usage error: argument --n: invalid int value: 'abc'\n")
+
+    def test_missing_required_option(self, capsys):
+        assert self.output(capsys, ["member", "--point", "1"], 2) == (
+            '{"error": "the following arguments are required: --lmi", "usage": true}\n')
+
+    def test_interval_kind_without_interval(self, capsys):
+        assert self.output(capsys, ["lmi", "--kind", "interval", "--n", "2"], 2) == (
+            '{"error": "--interval is required for the interval kind", "usage": true}\n')
 
     def test_json_domain_error(self, capsys):
         argv = ["lmi", "--kind", "hankel", "--n", "3"]

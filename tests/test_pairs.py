@@ -9,8 +9,8 @@ spec = importlib.util.spec_from_file_location("pairs", TOOL)
 pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(pairs)
 
-END_TO_END = [{"name": "cases_per_ref", "unit": "1/ref", "better": "higher"},
-              {"name": "case_p50_ref", "unit": "ref", "better": "lower"}]
+END_TO_END = [{"name": "cases_per_ref", "unit": "1/ref", "better": "higher", "bound": 0.2},
+              {"name": "case_p50_ref", "unit": "ref", "better": "lower", "bound": 0.2}]
 
 
 def record(cases_per_ref, p50, correct=True, failed=0):
@@ -38,9 +38,29 @@ def test_nine_of_ten_and_a_median_shift_beyond_the_parents_iqr():
     assert pairs.summarize(nine + lost, END_TO_END)[0].endswith("9/10: gain")
     eight = nine[:8] + lost * 2
     assert pairs.summarize(eight, END_TO_END)[0].endswith("8/10: no claim")
-    # wins in every pair, but within the parent's spread: no claim
+    # wins in every pair, but within the parent's spread, which is wider than
+    # the bound (IQR 0.15 > 0.2 * 0.65): unresolved
     spread = [(record(0.5 + k / 10, 1.0), record(0.51 + k / 10, 1.0)) for k in range(4)]
-    assert pairs.summarize(spread, END_TO_END)[0].endswith("4/4: no claim")
+    assert pairs.summarize(spread, END_TO_END)[0].endswith("4/4: unresolved")
+
+
+def test_a_median_worse_beyond_the_bound_is_a_regression():
+    # 0.60 -> 0.47 is worse by 0.13 > 0.2 * 0.60; 1.0 -> 1.21 by 0.21 > 0.2 * 1.0
+    worse = [(record(0.60, 1.0), record(0.47, 1.21)) for _ in range(4)]
+    assert [line.split(": ")[-1] for line in pairs.summarize(worse, END_TO_END)] == [
+        "regression", "regression"]
+    # 0.60 -> 0.49 and 1.0 -> 1.19 stay within the bound
+    within = [(record(0.60, 1.0), record(0.49, 1.19)) for _ in range(4)]
+    assert [line.split(": ")[-1] for line in pairs.summarize(within, END_TO_END)] == [
+        "no claim", "no claim"]
+
+
+def test_a_wide_parent_spread_is_resolved_when_every_change_run_wins():
+    # parent IQR 0.3 > 0.2 * 0.65, and the median shift 0.16 is inside it
+    wide = [(record(0.5 + 0.3 * (k // 2), 1.0), record(0.81, 1.0)) for k in range(4)]
+    assert pairs.summarize(wide, END_TO_END)[0].endswith("4/4: no claim")
+    slower = wide[:3] + [(record(0.8, 1.0), record(0.79, 1.0))]
+    assert pairs.summarize(slower, END_TO_END)[0].endswith("3/4: unresolved")
 
 
 def test_failed_runs_leave_their_pair_out_and_fail_the_tool(tmp_path, monkeypatch):

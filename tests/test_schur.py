@@ -1,12 +1,13 @@
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
 from curvehull.multipoly import MultiPoly
-from curvehull.schur import (DecreasingSeq, Tableau, admissible_fillings,
-                             proper_dominance_check, schur_via_bialternant,
-                             schur_via_tableaux, subsequence_divisibility_check)
+from curvehull.schur import (DecreasingSeq, proper_dominance_check,
+                             schur_via_bialternant, schur_via_tableaux,
+                             subsequence_divisibility_check)
 
 
 def vandermonde_poly(arity: int) -> MultiPoly:
@@ -16,6 +17,22 @@ def vandermonde_poly(arity: int) -> MultiPoly:
         for j in range(i + 1, arity):
             out = out * (MultiPoly.variable(arity, i) - MultiPoly.variable(arity, j))
     return out
+
+
+def brute_force_tableaux_sum(m) -> MultiPoly:
+    """Oracle: every filling of the diagram of m with values 0..n, kept when
+    its rows weakly increase and its columns strictly increase, summed by
+    weight."""
+    shape = DecreasingSeq(m).shape()
+    cells = [(i, j) for i, k in enumerate(shape) for j in range(k)]
+    terms = {}
+    for values in product(range(len(m)), repeat=len(cells)):
+        cell = dict(zip(cells, values))
+        if all(cell.get((i, j - 1), -1) <= v and cell.get((i - 1, j), -1) < v
+               for (i, j), v in cell.items()):
+            w = tuple(values.count(x) for x in range(len(m)))
+            terms[w] = terms.get(w, 0) + 1
+    return MultiPoly(len(m), terms)
 
 
 def decreasing_sequences(max_len, max_entry):
@@ -48,26 +65,6 @@ class TestDecreasingSeq:
         assert DecreasingSeq((2, 1, 0)).shape() == (0, 0, 0)
 
 
-class TestTableau:
-    def test_admissibility_enforced(self):
-        Tableau(((0, 0), (1,)))
-        with pytest.raises(ValueError):
-            Tableau(((1, 0),))  # row decreases
-        with pytest.raises(ValueError):
-            Tableau(((0,), (0,)))  # column not strict
-
-    def test_weight(self):
-        assert Tableau(((0, 1), (1,))).weight(3) == (1, 2, 0)
-
-    def test_enumeration_of_single_column(self):
-        # shape of (5,4,3,2,0) is one column of height 4: choose 4 of 5 entries
-        fillings = list(admissible_fillings((5, 4, 3, 2, 0)))
-        assert len(fillings) == 5
-        columns = sorted(tuple(r[0] for r in f.rows if r) for f in fillings)
-        from itertools import combinations as combos
-        assert columns == sorted(combos(range(5), 4))
-
-
 class TestConstructions:
     def test_staircase_is_one(self):
         for m in ((0,), (1, 0), (2, 1, 0), (4, 3, 2, 1, 0)):
@@ -91,6 +88,12 @@ class TestConstructions:
     def test_first_power_sum_case(self):
         x = [MultiPoly.variable(3, i) for i in range(3)]
         assert schur_via_bialternant((3, 1, 0)) == x[0] + x[1] + x[2]
+
+    def test_matches_a_brute_force_filling_sum(self):
+        seqs = list(decreasing_sequences(6, 5))
+        assert len(seqs) == 63
+        for m in seqs:
+            assert schur_via_tableaux(m) == brute_force_tableaux_sum(m), m
 
     def test_constructions_agree_exhaustively(self):
         for m in decreasing_sequences(4, 6):
@@ -120,9 +123,12 @@ class TestSymmetry:
                     assert sigma.merge_variables(perm, n) == sigma
 
     def test_specialization_counts_fillings(self):
+        # sigma_m(1, ..., 1) is Weyl's dimension prod_{i<j} (m_i - m_j) / (j - i)
         for m in decreasing_sequences(3, 5):
             sigma = schur_via_tableaux(m)
-            assert sigma.evaluate((1,) * len(m)) == sum(1 for _ in admissible_fillings(m))
+            dim = F(prod(m[i] - m[j] for i, j in combinations(range(len(m)), 2)),
+                    prod(j - i for i, j in combinations(range(len(m)), 2)))
+            assert sigma.evaluate((1,) * len(m)) == dim
 
 
 class TestVandermonde:

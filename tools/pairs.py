@@ -12,7 +12,12 @@ quartiles, the parent's interquartile range, and the pairs the change wins
 out of N in the metric's "better" direction; ties count for neither side.
 A gain may be claimed when the change wins at least nine tenths of the
 pairs and the medians differ, in its favour, by more than the parent's
-interquartile range: such a metric is marked "gain".  Exits 1 if any run
+interquartile range: such a metric is marked "gain".  With the metric's
+relative `bound`, a change median worse than the parent's by more than
+bound * |parent median| is marked "regression"; a parent interquartile
+range wider than that amount, unless every change run beats every parent
+run, is marked "unresolved": the runs spread too widely to tell a
+regression from noise.  Other metrics read "no claim".  Exits 1 if any run
 was not `correct`, had a failed case or printed no result.  Standard
 library only.
 """
@@ -68,11 +73,20 @@ def summarize(pairs, end_to_end) -> list:
         if not both:
             out.append(f"{name}: no pair")
             continue
-        parent = quartiles(sorted(p for p, _ in both))
-        change = quartiles(sorted(c for _, c in both))
+        ps, cs = sorted(p for p, _ in both), sorted(c for _, c in both)
+        parent, change = quartiles(ps), quartiles(cs)
         wins = sum((c < p) if lower else (c > p) for p, c in both)
-        gain = (parent[1] - change[1] if lower else change[1] - parent[1]) > parent[2] - parent[0]
-        verdict = "gain" if gain and 10 * wins >= 9 * len(both) else "no claim"
+        better = parent[1] - change[1] if lower else change[1] - parent[1]
+        tolerance = spec["bound"] * abs(parent[1])
+        beats_all = cs[-1] < ps[0] if lower else cs[0] > ps[-1]
+        if -better > tolerance:
+            verdict = "regression"
+        elif better > parent[2] - parent[0] and 10 * wins >= 9 * len(both):
+            verdict = "gain"
+        elif parent[2] - parent[0] > tolerance and not beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "no claim"
         out.append(f"{name} ({spec['unit']}, {spec['better']} is better): "
                    f"parent {parent[1]:.6g} [{parent[0]:.6g}, {parent[2]:.6g}], "
                    f"change {change[1]:.6g} [{change[0]:.6g}, {change[2]:.6g}], "
