@@ -6,8 +6,7 @@ block moment pencils with independent hull oracles, and a CLI."""
 from .diagonal import (BlockPartition, DivisibilityError, SchurMonomialIdeal,
                        TaylorFactorization, TensorMatrix, evaluation_matrix,
                        factor_taylor_determinant, normalize_basis_orders,
-                       taylor_process, taylor_remainder_check,
-                       vandermonde_cofactor)
+                       taylor_remainder_check, vandermonde_cofactor)
 from .hull import (CrossValidationReport, CurvePointRejected, CurveSegment,
                    cross_validate, finite_hull_membership, lmi_support_enclosure,
                    moment_curve, sample_curve, support_min_exact)

@@ -7,8 +7,10 @@ terminating decimals.  Exit codes: 0 success, 1 domain error, 2 usage error.
 Input limits: --n of lmi, support and cross-validate is in 1..64,
 --trials of cross-validate in 1..10000, --max-n of verify-schur in 0..4 and
 its --max-entry in 0..8, the --seq of schur has 1..5 entries, each in 0..8,
-and every exponent of t in a polynomial argument is in 0..1000; a value
-outside them is a domain error, reported before any work is done.
+the --basis of verify-diagonal has 1..5 polynomials, each of degree at most
+10, the --width of support is at least 1/10^100, and every exponent of t in
+a polynomial argument is in 0..1000; a value outside them is a domain error,
+reported before any work is done.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ MAX_TRIALS = 10000
 MAX_EXPONENT = 1000
 MAX_SCHUR_N = 4
 MAX_SCHUR_ENTRY = 8
+_MAX_DIAGONAL_DEGREE = 10
+_MIN_WIDTH_EXPONENT = 100
 
 
 def _check_n(n: int) -> None:
@@ -192,6 +196,9 @@ def _cmd_verify_schur(args) -> dict:
 
 def _cmd_verify_diagonal(args) -> dict:
     basis = parse_basis(args.basis)
+    _check_range("--basis length", len(basis), 1, MAX_SCHUR_N + 1)
+    degree = max(0, *(p.degree for p in basis))  # the zero polynomial's is -1
+    _check_range("--basis degrees", degree, 0, _MAX_DIAGONAL_DEGREE)
     blocks = parse_seq(args.blocks)
     try:
         result = diagonal.factor_taylor_determinant(basis, blocks)
@@ -286,6 +293,8 @@ def _cmd_support(args) -> dict:
     curve = hull.moment_curve(args.n, s)
     l = parse_point(args.l)
     width = parse_rational(args.width)
+    if 0 < width < Fraction(1, 10 ** _MIN_WIDTH_EXPONENT):  # support_min_exact refuses <= 0
+        raise ValueError(f"--width must be at least 1/10^{_MIN_WIDTH_EXPONENT}, got {args.width}")
     enc = hull.support_min_exact(l, curve, width)
     return {"l": [str(c) for c in l], "enclosure": [str(enc.lo), str(enc.hi)],
             "width": str(enc.width)}
@@ -327,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-diagonal",
                        help="factor a Taylor-process determinant and test the cofactor")
-    p.add_argument("--basis", required=True, help=BASIS_HELP)
+    p.add_argument("--basis", required=True, help=f"{BASIS_HELP}; 1..{MAX_SCHUR_N + 1} "
+                   f"of them, each of degree at most {_MAX_DIAGONAL_DEGREE}")
     p.add_argument("--blocks", required=True)
     p.set_defaults(handler=_cmd_verify_diagonal)
 
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help=f"ambient dimension, 1..{MAX_N}")
     p.add_argument("--interval", required=True)
     p.add_argument("--l", required=True)
-    p.add_argument("--width", default="1/1000000")
+    p.add_argument("--width", default="1/1000000", help=f"at least 1/10^{_MIN_WIDTH_EXPONENT}")
     p.set_defaults(handler=_cmd_support)
 
     p = sub.add_parser("cross-validate", help="hull oracles against the interval pencil")

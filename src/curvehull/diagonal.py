@@ -5,8 +5,8 @@ polynomial ring Q[t_0, ..., t_n], and the vanishing ideal of every pairwise
 diagonal t_i = t_j is principal.  This module builds the evaluation matrix
 of a basis across slots, extracts Vandermonde cofactors, tests membership in
 the monomial ideal spanned by Schur monomials, checks the Taylor congruence,
-and runs the Taylor process that replaces grouped evaluation rows with
-derivative rows while pulling powers of (t_i - t_j) out of the determinant.
+and factors the Taylor-process determinant, whose blocks of derivative rows
+pull powers of (t_i - t_j) out of the determinant.
 """
 
 from __future__ import annotations
@@ -71,6 +71,12 @@ class TensorMatrix:
     basis: tuple
     partition: BlockPartition
 
+    def __post_init__(self):
+        object.__setattr__(self, "basis", tuple(self.basis))
+        object.__setattr__(self, "partition", _partition(self.partition))
+        if self.partition.total != len(self.basis):
+            raise ValueError("block sizes must sum to the basis size")
+
     @property
     def arity(self) -> int:
         return self.partition.nblocks
@@ -114,7 +120,7 @@ class TensorMatrix:
 def evaluation_matrix(basis) -> TensorMatrix:
     """Matrix with entry (i, j) = p_j(t_i) over Q[t_0, ..., t_n]."""
     basis = tuple(basis)
-    return TensorMatrix(basis, BlockPartition((1,) * len(basis)))
+    return TensorMatrix(basis, (1,) * len(basis))
 
 
 def divide_diagonals(f: MultiPoly, sizes=None):
@@ -211,23 +217,6 @@ def normalize_basis_orders(basis):
     return tuple(normalized[::-1]), tuple(pivots[::-1])
 
 
-def taylor_process(matrix: TensorMatrix, partition) -> TensorMatrix:
-    """Replace each block of evaluation rows by raw derivative rows at the
-    block's anchor slot, re-expressed with one variable per block.
-
-    Block nu anchored at slot nu contributes the rows (p_j^(k)(t_nu))_j for
-    k = 0, ..., b_nu - 1.  Raw derivatives carry no (-1)^k/k! factors; each
-    row's order fixes the scalar relating it to the reference normalization,
-    so the determinant is tracked up to an explicit constant.
-    """
-    partition = _partition(partition)
-    if matrix.arity != matrix.size:  # some block holds derivative rows
-        raise ValueError("Taylor process needs a freshly built evaluation matrix")
-    if partition.total != matrix.size:
-        raise ValueError("block sizes must sum to the matrix size")
-    return TensorMatrix(matrix.basis, partition)
-
-
 @dataclass(frozen=True)
 class TaylorFactorization:
     """Result of factoring a Taylor-process determinant."""
@@ -250,11 +239,9 @@ def factor_taylor_determinant(basis, partition) -> TaylorFactorization:
     determinant).  A failed division raises DivisibilityError: the theory
     guarantees exactness, so failure means a bug.
     """
-    partition = _partition(partition)
     basis, orders = normalize_basis_orders(basis)
-    if partition.total != len(basis):
-        raise ValueError("block sizes must sum to the basis size")
-    matrix = taylor_process(evaluation_matrix(basis), partition)
+    matrix = TensorMatrix(basis, partition)
+    partition = matrix.partition
     det = matrix.det()
     cof = divide_diagonals(det, partition.sizes)
     if cof is None:

@@ -225,6 +225,8 @@ def lmi_support_enclosure(lmi: BlockLMI, curve: CurveSegment, l, tol) -> Rationa
 
 # -- cross validation -------------------------------------------------------------
 
+_SUPPORT_WIDTH = Fraction(1, 10 ** 6)
+
 
 @dataclass
 class CrossValidationReport:
@@ -280,8 +282,7 @@ def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction
 
 def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
                    seed: int = 0, sample_count: int = 60,
-                   support_functionals: int = 8,
-                   support_width=Fraction(1, 10 ** 6)) -> CrossValidationReport:
+                   support_functionals: int = 8) -> CrossValidationReport:
     """Play the exact hull oracles against a pencil built for the same curve.
 
     Per probe: a sample-hull member must be a pencil member, and a pencil
@@ -289,9 +290,10 @@ def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
     the true hull, which the pencil set must contain): one condition seen
     twice, so a probe that breaks it is one failure.  Per functional: the
     symbolic support enclosure and the branch-and-bound pencil-side
-    enclosure must intersect, and the pencil must accept every curve point
-    the branch and bound meets (a functional whose search meets a rejected
-    point is a failure and gets no support-table row).
+    enclosure, both of width at most _SUPPORT_WIDTH, must intersect, and the
+    pencil must accept every curve point the branch and bound meets (a
+    functional whose search meets a rejected point is a failure and gets no
+    support-table row).
     """
     if lmi.n != curve.n:
         raise ValueError("pencil and curve dimensions differ")
@@ -328,9 +330,9 @@ def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
         l = [Fraction(rng.randint(-5, 5)) for _ in range(curve.n)]
         if all(c == 0 for c in l):
             l[0] = Fraction(1)
-        curve_enc = support_min_exact(l, curve, support_width)
+        curve_enc = support_min_exact(l, curve, _SUPPORT_WIDTH)
         try:
-            lmi_enc = lmi_support_enclosure(lmi, curve, l, support_width)
+            lmi_enc = lmi_support_enclosure(lmi, curve, l, _SUPPORT_WIDTH)
         except CurvePointRejected as exc:
             report.failures.append(f"{exc} for l = {[str(c) for c in l]}")
             continue

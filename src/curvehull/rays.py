@@ -287,27 +287,22 @@ def verify_extreme(system: LinearSystem, f: UniPoly, s: Interval) -> ExtremeRepo
                          extreme=extreme)
 
 
-def chebyshev_det_sign(system: LinearSystem, points, mults, s: Interval) -> int:
+def chebyshev_det_sign(system: LinearSystem, pattern: ZeroPattern, s: Interval) -> int:
     """Exact sign of the full confluent evaluation determinant.
 
-    Rows are the derivative evaluations p_j^(k)(xi_i), k < mult_i, with the
-    multiplicities summing to n+1.  On an interval passing validation this
-    determinant never vanishes; a zero sign falsifies the validation.
+    Rows are the derivative evaluations p_j^(k)(xi_i), k < b_i, at the
+    pattern's points in increasing order, with the multiplicities summing to
+    n+1.  On an interval passing validation this determinant never vanishes;
+    a zero sign falsifies the validation.
     """
-    points = [_q(x) for x in points]
-    mults = [_positive_int(b, "multiplicity") for b in mults]
-    if len(points) != len(mults):
-        raise ValueError("points and multiplicities must pair up")
-    if len(set(points)) != len(points):
-        raise ValueError("points must be pairwise distinct")
-    if any(not s.contains(x) for x in points):
+    if any(not s.contains(x) for x in pattern.points):
         raise ValueError("points must lie in the interval")
-    if any(x == 0 for x in points):
+    if any(x == 0 for x in pattern.points):
         raise ValueError("points must differ from the base point")
-    if sum(mults) != system.dim:
+    if pattern.total != system.dim:
         raise ValueError(f"multiplicities must sum to {system.dim}")
-    det = det_frac(_derivative_rows(system.basis, points, mults)[0])  # scales are positive
-    return (det > 0) - (det < 0)
+    det = det_frac(_derivative_rows(system.basis, pattern.points, pattern.mults)[0])
+    return (det > 0) - (det < 0)  # the row scales are positive
 
 
 # -- interval validation -------------------------------------------------------

@@ -327,8 +327,7 @@ def test_criterion_12_cross_validation():
     failures = []
     for n in (2, 4):
         report = cross_validate(moment_curve(n, UNIT), interval_moment_lmi(n, UNIT),
-                                trials=50, seed=12, support_functionals=8,
-                                support_width=F(1, 10 ** 6))
+                                trials=50, seed=12, support_functionals=8)
         if not report.all_pass:
             failures.extend((n, f) for f in report.failures)
         if not all(row["intersects"] for row in report.support_table):

@@ -292,6 +292,8 @@ class TestInputLimits:
             assert "1..64" in out
             if verb == "cross-validate":
                 assert "1..10000" in out
+            if verb == "support":
+                assert "at least 1/10^100" in out
 
 
 class TestPolynomialAndSchurLimits:
@@ -358,7 +360,7 @@ class TestPolynomialAndSchurLimits:
     def test_limits_are_in_the_help(self, capsys):
         for verb, limits in (("schur", ("1..5", "0..8")),
                              ("verify-schur", ("0..4", "0..8")),
-                             ("verify-diagonal", ("0..1000",)),
+                             ("verify-diagonal", ("0..1000", "1..5", "degree at most 10")),
                              ("extreme", ("0..1000",)),
                              ("verify-extreme", ("0..1000",))):
             with pytest.raises(SystemExit):
@@ -374,6 +376,10 @@ class TestOutputBytes:
     def output(self, capsys, argv, expect):
         assert run(argv) == expect
         return capsys.readouterr().out
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("work started before the input limits were checked")
 
     def test_text_usage_error(self, capsys, tmp_path):
         argv = ["--format", "text", "member", "--lmi", str(tmp_path / "x.json"),
@@ -406,6 +412,35 @@ class TestOutputBytes:
     def test_interval_kind_without_interval(self, capsys):
         assert self.output(capsys, ["lmi", "--kind", "interval", "--n", "2"], 2) == (
             '{"error": "--interval is required for the interval kind", "usage": true}\n')
+
+    @pytest.mark.parametrize("basis, message", [
+        ("t^5,t^4,t^3,t^2,t,1", "--basis length must be in 1..5, got 6"),
+        ("t^11+t,1", "--basis degrees must be in 0..10, got 11"),
+        ("t^1000,1", "--basis degrees must be in 0..10, got 1000"),
+    ])
+    def test_verify_diagonal_limits(self, capsys, monkeypatch, basis, message):
+        from curvehull import cli
+        monkeypatch.setattr(cli.diagonal, "factor_taylor_determinant", self.refuse)
+        argv = ["verify-diagonal", "--basis", basis, "--blocks", "1,1"]
+        assert self.output(capsys, argv, 1) == json.dumps({"error": message}) + "\n"
+
+    def test_verify_diagonal_limits_themselves_are_accepted(self, capsys):
+        argv = ["verify-diagonal", "--basis", "t^10,t^7,t^4,t^2,1", "--blocks", "5"]
+        assert json.loads(self.output(capsys, argv, 0))["checked"] is True
+        # the zero polynomial (degree -1) passes the degree limit
+        argv = ["verify-diagonal", "--basis", "0", "--blocks", "1"]
+        assert self.output(capsys, argv, 1) == '{"error": "linearly dependent basis"}\n'
+
+    def test_support_width_limit(self, capsys, monkeypatch):
+        from curvehull import cli
+        argv = ["support", "--n", "4", "--interval", "0,1", "--l=1,-2,0,1", "--width"]
+        least = "1/1" + "0" * 100
+        assert F(json.loads(self.output(capsys, argv + [least], 0))["width"]) <= F(least)
+        assert self.output(capsys, argv + ["0"], 1) == '{"error": "width must be positive"}\n'
+        monkeypatch.setattr(cli.hull, "support_min_exact", self.refuse)
+        small = least + "0"
+        assert self.output(capsys, argv + [small], 1) == (
+            f'{{"error": "--width must be at least 1/10^100, got {small}"}}\n')
 
     def test_json_domain_error(self, capsys):
         argv = ["lmi", "--kind", "hankel", "--n", "3"]

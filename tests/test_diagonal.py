@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from curvehull import diagonal, multipoly
 from curvehull.diagonal import (BlockPartition, DivisibilityError,
                                 SchurMonomialIdeal, divide_diagonals,
-                                evaluation_matrix, factor_taylor_determinant,
-                                normalize_basis_orders, taylor_process,
+                                TensorMatrix, evaluation_matrix,
+                                factor_taylor_determinant, normalize_basis_orders,
                                 taylor_remainder_check, vandermonde_cofactor)
 from curvehull.linalg import det_frac
 from curvehull.multipoly import MultiPoly, poly_det
@@ -302,7 +302,7 @@ class TestNormalization:
 
 class TestTaylorProcess:
     def test_block_of_two(self):
-        m = taylor_process(evaluation_matrix((mono(2), mono(1), mono(0))), (1, 2))
+        m = TensorMatrix((mono(2), mono(1), mono(0)), (1, 2))
         assert m.arity == 2
         expected = [
             [MultiPoly.inject(p, 2, 0) for p in (mono(2), mono(1), mono(0))],
@@ -313,20 +313,20 @@ class TestTaylorProcess:
         assert m.partition.sizes == (1, 2)
 
     def test_single_block(self):
-        m = taylor_process(evaluation_matrix((mono(2), mono(1), mono(0))), (3,))
+        m = TensorMatrix((mono(2), mono(1), mono(0)), (3,))
         assert m.arity == 1
         rows = [[e for e in r] for r in m.entries]
         assert rows[2] == [MultiPoly.constant(1, 2), MultiPoly.zero(1), MultiPoly.zero(1)]
 
     def test_trivial_blocks_identity(self):
         base = evaluation_matrix((mono(2), mono(1), mono(0)))
-        m = taylor_process(base, (1, 1, 1))
+        m = TensorMatrix((mono(2), mono(1), mono(0)), (1, 1, 1))
         assert m.entries == base.entries
         assert m.reference_scale() == 1
 
     def test_block_sum_checked(self):
-        with pytest.raises(ValueError):
-            taylor_process(evaluation_matrix((mono(2), mono(1), mono(0))), (1, 1))
+        with pytest.raises(ValueError, match="block sizes must sum to the basis size"):
+            TensorMatrix((mono(2), mono(1), mono(0)), (1, 1))
 
 
 class TestFactorTaylorDeterminant:
@@ -419,15 +419,9 @@ class TestTensorDeterminant:
     def test_matches_the_square_route(self, case):
         basis, blocks = case
         m = evaluation_matrix(basis)
-        taylor = taylor_process(m, blocks)
+        taylor = TensorMatrix(basis, blocks)
         for matrix in (m, taylor):
             assert matrix.det() == poly_det([list(r) for r in matrix.entries])
-
-    def test_taylor_output_is_not_reprocessed(self):
-        m = taylor_process(evaluation_matrix((mono(2), mono(1), mono(0))), (1, 2))
-        assert m.basis == (mono(2), mono(1), mono(0))
-        with pytest.raises(ValueError):
-            taylor_process(m, (1, 2))
 
 
 class TestDivideDiagonals:
@@ -436,7 +430,7 @@ class TestDivideDiagonals:
     def test_multiple_divides_and_perturbation_does_not(self, case, k):
         basis, blocks = case
         r1 = len(blocks)
-        cof = taylor_process(evaluation_matrix(basis), blocks).entries[0][0]
+        cof = TensorMatrix(basis, blocks).entries[0][0]
         if cof.is_zero:
             cof = MultiPoly.constant(r1, 1)
         x = [MultiPoly.variable(r1, i) for i in range(r1)]

@@ -46,6 +46,14 @@ class TestHankel:
         for i, rows in expected.items():
             assert blk.coeff[i - 1] == SymMatrix(rows)
 
+    def test_a_moment_beyond_the_ambient_dimension_is_refused(self):
+        # entry (0, 1) of a size-2 block weighted by t^2 is x_3, the first
+        # moment beyond x_2; with n = 3 it is x_4 at entry (1, 1)
+        with pytest.raises(ValueError, match="moment index 3 exceeds ambient dimension 2"):
+            lmi._hankel_block(2, 2, t * t)
+        with pytest.raises(ValueError, match="moment index 4 exceeds ambient dimension 3"):
+            lmi._hankel_block(3, 2, t * t)
+
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
             hankel_lmi(3)

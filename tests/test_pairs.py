@@ -44,6 +44,16 @@ def test_nine_of_ten_and_a_median_shift_beyond_the_parents_iqr():
     assert pairs.summarize(spread, END_TO_END)[0].endswith("4/4: unresolved")
 
 
+def test_a_gain_needs_ten_pairs():
+    won = [(record(0.60 + k / 100, 1.0), record(0.80 + k / 100, 1.0)) for k in range(10)]
+    for count, verdict in ((10, "gain"), (9, "too few pairs"), (4, "too few pairs")):
+        line = pairs.summarize(won[:count], END_TO_END)[0]
+        assert line.endswith(f"change better in {count}/{count}: {verdict}")
+    # a regression needs no tenth pair
+    assert pairs.summarize([(record(0.6, 1.0), record(0.4, 1.0))] * 4,
+                           END_TO_END)[0].endswith("0/4: regression")
+
+
 def test_a_median_worse_beyond_the_bound_is_a_regression():
     # 0.60 -> 0.47 is worse by 0.13 > 0.2 * 0.60; 1.0 -> 1.21 by 0.21 > 0.2 * 1.0
     worse = [(record(0.60, 1.0), record(0.47, 1.21)) for _ in range(4)]
@@ -82,7 +92,8 @@ def test_failed_runs_leave_their_pair_out_and_fail_the_tool(tmp_path, monkeypatc
     assert pairs.ok(record(0.6, 1.0)) and not pairs.ok(None)
     assert not pairs.ok(record(0.6, 1.0, failed=1))
     line = pairs.summarize(list(zip(results["parent"], results["change"])), END_TO_END)[0]
-    assert line.endswith("change better in 1/1: gain")  # only the first pair counts
+    # only the first pair counts, and one pair is too few for a gain
+    assert line.endswith("change better in 1/1: too few pairs")
 
 
 @pytest.mark.parametrize("stdout, code, expected", [

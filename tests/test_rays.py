@@ -245,19 +245,21 @@ class TestUndecidedOverQ:
         assert len(factor_args) == 1  # the divisor's only
 
 
+QUARTERS = ZeroPattern((F(1, 4), F(1, 2), F(3, 4)), (1, 1, 1))
+
+
 class TestChebyshevSign:
     def test_distinct_points(self):
         v = moment_system(2)
-        sign = chebyshev_det_sign(v, (F(1, 4), F(1, 2), F(3, 4)), (1, 1, 1), UNIT)
+        sign = chebyshev_det_sign(v, QUARTERS, UNIT)
         assert sign == -1  # Vandermonde with increasing nodes, decreasing powers
         # the base point is local 0, not the left endpoint
-        assert chebyshev_det_sign(v, (F(1, 4), F(1, 2), F(3, 4)), (1, 1, 1),
-                                  Interval(F(1, 4), 1)) == -1
+        assert chebyshev_det_sign(v, QUARTERS, Interval(F(1, 4), 1)) == -1
 
     def test_confluent(self):
         v = moment_system(2)
         # det [[1/4,1/2,1],[1,1,0],[2,0,0]] = -2
-        assert chebyshev_det_sign(v, (F(1, 2),), (3,), UNIT) == -1
+        assert chebyshev_det_sign(v, ZeroPattern((F(1, 2),), (3,)), UNIT) == -1
 
     def test_never_zero_on_validated_interval(self):
         v = moment_system(3)
@@ -265,7 +267,7 @@ class TestChebyshevSign:
         import itertools
         for mults in ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)):
             for combo in itertools.combinations(pts, len(mults)):
-                assert chebyshev_det_sign(v, combo, mults, UNIT) != 0
+                assert chebyshev_det_sign(v, ZeroPattern(combo, mults), UNIT) != 0
 
     def test_never_zero_n4(self):
         v = moment_system(4)
@@ -273,24 +275,26 @@ class TestChebyshevSign:
         import itertools
         for mults in ((1, 1, 1, 1, 1), (2, 2, 1), (3, 2), (5,), (2, 1, 1, 1)):
             for combo in itertools.combinations(pts, len(mults)):
-                assert chebyshev_det_sign(v, combo, mults, UNIT) != 0
+                assert chebyshev_det_sign(v, ZeroPattern(combo, mults), UNIT) != 0
 
     def test_errors(self):
         v = moment_system(2)
-        with pytest.raises(ValueError):
-            chebyshev_det_sign(v, (F(1, 2), F(1, 2)), (1, 2), UNIT)
-        with pytest.raises(ValueError):
-            chebyshev_det_sign(v, (F(0),), (3,), UNIT)  # base point
+        with pytest.raises(ValueError, match="points must be strictly increasing"):
+            chebyshev_det_sign(v, ZeroPattern((F(1, 2), F(1, 2)), (1, 2)), UNIT)
         with pytest.raises(ValueError, match="base point"):
-            chebyshev_det_sign(v, (F(-1, 2), F(0), F(1, 2)), (1, 1, 1), Interval(-1, 1))
+            chebyshev_det_sign(v, ZeroPattern((F(0),), (3,)), UNIT)
+        with pytest.raises(ValueError, match="base point"):
+            chebyshev_det_sign(v, ZeroPattern((F(-1, 2), F(0), F(1, 2)), (1, 1, 1)),
+                               Interval(-1, 1))
+        with pytest.raises(ValueError, match="points must lie in the interval"):
+            chebyshev_det_sign(v, ZeroPattern((F(1, 2), F(3, 2)), (1, 2)), UNIT)
         # a left endpoint other than 0 is not the base point
-        assert chebyshev_det_sign(v, (F(1, 4), F(1, 2), F(3, 4)), (1, 1, 1),
-                                  Interval(F(1, 4), 1)) != 0
-        with pytest.raises(ValueError):
-            chebyshev_det_sign(v, (F(1, 2),), (2,), UNIT)  # wrong total
+        assert chebyshev_det_sign(v, QUARTERS, Interval(F(1, 4), 1)) != 0
+        with pytest.raises(ValueError, match="multiplicities must sum to 3"):
+            chebyshev_det_sign(v, ZeroPattern((F(1, 2),), (2,)), UNIT)
         for mults in ((1.5, 1.5), (True, 2), (0, 3)):
             with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
-                chebyshev_det_sign(v, (F(1, 4), F(1, 2)), mults, UNIT)
+                chebyshev_det_sign(v, ZeroPattern((F(1, 4), F(1, 2)), mults), UNIT)
 
 
 class TestValidateInterval:

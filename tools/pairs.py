@@ -12,7 +12,8 @@ quartiles, the parent's interquartile range, and the pairs the change wins
 out of N in the metric's "better" direction; ties count for neither side.
 A gain may be claimed when the change wins at least nine tenths of the
 pairs and the medians differ, in its favour, by more than the parent's
-interquartile range: such a metric is marked "gain".  With the metric's
+interquartile range: such a metric is marked "gain", or "too few pairs"
+when there are fewer than ten, too few to claim one.  With the metric's
 relative `bound`, a change median worse than the parent's by more than
 bound * |parent median| is marked "regression"; a parent interquartile
 range wider than that amount, unless every change run beats every parent
@@ -33,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 25
+CLAIM_PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int):
@@ -82,7 +84,7 @@ def summarize(pairs, end_to_end) -> list:
         if -better > tolerance:
             verdict = "regression"
         elif better > parent[2] - parent[0] and 10 * wins >= 9 * len(both):
-            verdict = "gain"
+            verdict = "gain" if len(both) >= CLAIM_PAIRS else "too few pairs"
         elif parent[2] - parent[0] > tolerance and not beats_all:
             verdict = "unresolved"
         else:
