@@ -11,6 +11,7 @@ the --basis of verify-diagonal has 1..5 polynomials, each of degree at most
 10, the --width of support is at least 1/10^100, and every exponent of t in
 a polynomial argument is in 0..1000; a value outside them is a domain error,
 reported before any work is done.
+Each handler imports the modules its verb runs, so a verb loads no others.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
-from . import diagonal, hull, lmi, rays, schur
 from .unipoly import Interval, UniPoly
 
 
@@ -134,7 +134,9 @@ def parse_point(s: str):
     return tuple(parse_rational(x) for x in s.split(","))
 
 
-def parse_zeros(s: str) -> rays.ZeroPattern:
+def parse_zeros(s: str):
+    """Parse "point:mult,..." into a rays.ZeroPattern."""
+    from .rays import ZeroPattern
     points, mults = [], []
     for part in s.split(","):
         bits = part.split(":")
@@ -145,13 +147,14 @@ def parse_zeros(s: str) -> rays.ZeroPattern:
             mults.append(int(bits[1]))
         except ValueError:
             raise UsageError(f"bad multiplicity in {part!r}") from None
-    return rays.ZeroPattern(tuple(points), tuple(mults))
+    return ZeroPattern(tuple(points), tuple(mults))
 
 
 # -- verb handlers ---------------------------------------------------------------
 
 
 def _cmd_schur(args) -> dict:
+    from . import schur
     m = parse_seq(args.seq)
     _check_range("--seq length", len(m), 1, MAX_SCHUR_N + 1)
     for x in m:
@@ -167,6 +170,7 @@ def _cmd_schur(args) -> dict:
 
 
 def _cmd_verify_schur(args) -> dict:
+    from . import schur
     max_n, max_entry = args.max_n, args.max_entry
     _check_range("--max-n", max_n, 0, MAX_SCHUR_N)
     _check_range("--max-entry", max_entry, 0, MAX_SCHUR_ENTRY)
@@ -195,6 +199,7 @@ def _cmd_verify_schur(args) -> dict:
 
 
 def _cmd_verify_diagonal(args) -> dict:
+    from . import diagonal
     basis = parse_basis(args.basis)
     _check_range("--basis length", len(basis), 1, MAX_SCHUR_N + 1)
     degree = max(0, *(p.degree for p in basis))  # the zero polynomial's is -1
@@ -219,6 +224,7 @@ def _cmd_verify_diagonal(args) -> dict:
 
 
 def _system_from_args(args) -> tuple:
+    from . import rays
     basis = parse_basis(args.basis)
     s = parse_interval(args.interval)
     system = rays.profile_and_normalize(basis, s.lo)
@@ -227,6 +233,7 @@ def _system_from_args(args) -> tuple:
 
 
 def _cmd_extreme(args) -> dict:
+    from . import rays
     system, s, local = _system_from_args(args)
     pattern = parse_zeros(args.zeros)
     local_pattern = rays.ZeroPattern(tuple(x - s.lo for x in pattern.points),
@@ -244,12 +251,16 @@ def _cmd_extreme(args) -> dict:
 
 
 def _cmd_verify_extreme(args) -> dict:
+    from . import rays
     f = parse_poly(args.poly)
     system, s, local = _system_from_args(args)
     return {"poly": args.poly, **asdict(rays.verify_extreme(system, f.shift(s.lo), local))}
 
 
 def _cmd_lmi(args) -> dict:
+    from . import lmi
+    if args.objective is not None and not args.sdpa:
+        raise UsageError("--objective is used only with --sdpa")
     _check_n(args.n)
     if args.kind == "hankel":
         pencil = lmi.hankel_lmi(args.n)
@@ -278,6 +289,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_member(args) -> dict:
+    from . import lmi
     point = parse_point(args.point)
     try:
         with open(args.lmi) as fh:
@@ -288,6 +300,7 @@ def _cmd_member(args) -> dict:
 
 
 def _cmd_support(args) -> dict:
+    from . import hull
     _check_n(args.n)
     s = parse_interval(args.interval)
     curve = hull.moment_curve(args.n, s)
@@ -301,6 +314,7 @@ def _cmd_support(args) -> dict:
 
 
 def _cmd_cross_validate(args) -> dict:
+    from . import hull, lmi
     _check_n(args.n)
     _check_range("--trials", args.trials, 1, MAX_TRIALS)
     s = parse_interval(args.interval)
@@ -358,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("hankel", "interval"), required=True)
     p.add_argument("--n", type=int, required=True, help=f"ambient dimension, 1..{MAX_N}")
     p.add_argument("--interval")
-    p.add_argument("--objective")
+    p.add_argument("--objective", help="SDPA objective, one rational per coordinate; "
+                   "needs --sdpa")
     p.add_argument("--json")
     p.add_argument("--sdpa")
     p.set_defaults(handler=_cmd_lmi)

@@ -48,8 +48,12 @@ def _seq(m) -> DecreasingSeq:
     return m if isinstance(m, DecreasingSeq) else DecreasingSeq(tuple(m))
 
 
+MAX_TABLEAU_CELLS = 500  # the fillings are searched one recursion level per cell
+
+
 def schur_via_tableaux(m) -> MultiPoly:
-    """sigma_m(x_0, ..., x_n) as the generating sum over admissible fillings."""
+    """sigma_m(x_0, ..., x_n) as the generating sum over admissible fillings;
+    a diagram of more than MAX_TABLEAU_CELLS cells is refused."""
     return _tableaux_sum(_seq(m).entries)
 
 
@@ -65,6 +69,8 @@ def _tableaux_sum(entries: tuple) -> MultiPoly:
     holding v, and its tuple is the filling's weight.
     """
     shape = _seq(entries).shape()
+    if sum(shape) > MAX_TABLEAU_CELLS:
+        raise ValueError(f"diagram of {sum(shape)} cells, more than {MAX_TABLEAU_CELLS}")
     n = len(shape) - 1
     cells = [(row, col) for col in range(max(shape)) for row in range(n + 1)
              if shape[row] > col]

@@ -240,13 +240,13 @@ class TestInputLimits:
     def no_work(self, monkeypatch):
         """Any curve, pencil or cross validation built after the limit check
         fails the test."""
-        from curvehull import cli
+        from curvehull import hull, lmi
 
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the input limits were checked")
 
-        for owner, name in ((cli.hull, "moment_curve"), (cli.hull, "cross_validate"),
-                            (cli.lmi, "interval_moment_lmi"), (cli.lmi, "hankel_lmi")):
+        for owner, name in ((hull, "moment_curve"), (hull, "cross_validate"),
+                            (lmi, "interval_moment_lmi"), (lmi, "hankel_lmi")):
             monkeypatch.setattr(owner, name, refuse)
 
     @pytest.mark.parametrize("argv, message", [
@@ -265,7 +265,7 @@ class TestInputLimits:
         assert json.loads(capsys.readouterr().out) == {"error": message}
 
     def test_the_limits_themselves_are_accepted(self, capsys, monkeypatch):
-        from curvehull import cli
+        from curvehull import hull, lmi
         seen = {}
 
         class Report:
@@ -276,8 +276,8 @@ class TestInputLimits:
             seen.update(n=curve.n, trials=trials)
             return Report()
 
-        monkeypatch.setattr(cli.lmi, "interval_moment_lmi", lambda n, s: None)
-        monkeypatch.setattr(cli.hull, "cross_validate", fake_cross_validate)
+        monkeypatch.setattr(lmi, "interval_moment_lmi", lambda n, s: None)
+        monkeypatch.setattr(hull, "cross_validate", fake_cross_validate)
         for n, trials in ((64, 10000), (1, 1)):
             assert run(["cross-validate", "--n", str(n), "--interval", "0,1",
                         "--trials", str(trials)]) == 0
@@ -301,14 +301,14 @@ class TestPolynomialAndSchurLimits:
     def no_work(self, monkeypatch):
         """Any polynomial, system or Schur polynomial built after the limit
         check fails the test."""
-        from curvehull import cli
+        from curvehull import cli, rays, schur
 
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the input limits were checked")
 
-        for owner, name in ((cli, "UniPoly"), (cli.rays, "profile_and_normalize"),
-                            (cli.schur, "schur_via_tableaux"),
-                            (cli.schur, "schur_via_bialternant")):
+        for owner, name in ((cli, "UniPoly"), (rays, "profile_and_normalize"),
+                            (schur, "schur_via_tableaux"),
+                            (schur, "schur_via_bialternant")):
             monkeypatch.setattr(owner, name, refuse)
 
     @pytest.mark.parametrize("argv, message", [
@@ -333,15 +333,15 @@ class TestPolynomialAndSchurLimits:
         assert json.loads(capsys.readouterr().out) == {"error": message}
 
     def test_the_limits_themselves_are_accepted(self, capsys, monkeypatch):
-        from curvehull import cli
+        from curvehull import schur
         assert parse_poly("t^1000 + t^0007").degree == 1000
         assert parse_poly("t^1000 + t^0007").coeff(7) == 1
         seen = []
-        monkeypatch.setattr(cli.schur, "schur_via_tableaux", lambda m: seen.append(m) or 0)
-        monkeypatch.setattr(cli.schur, "schur_via_bialternant", lambda m: 0)
-        monkeypatch.setattr(cli.schur, "proper_dominance_check",
+        monkeypatch.setattr(schur, "schur_via_tableaux", lambda m: seen.append(m) or 0)
+        monkeypatch.setattr(schur, "schur_via_bialternant", lambda m: 0)
+        monkeypatch.setattr(schur, "proper_dominance_check",
                             lambda a, b: SimpleNamespace(ok=True))
-        monkeypatch.setattr(cli.schur, "subsequence_divisibility_check",
+        monkeypatch.setattr(schur, "subsequence_divisibility_check",
                             lambda a, idx: SimpleNamespace(ok=True))
         for max_n, max_entry in ((4, 8), (0, 0)):
             seen.clear()
@@ -413,14 +413,21 @@ class TestOutputBytes:
         assert self.output(capsys, ["lmi", "--kind", "interval", "--n", "2"], 2) == (
             '{"error": "--interval is required for the interval kind", "usage": true}\n')
 
+    def test_objective_without_sdpa(self, capsys):
+        # with --sdpa this objective is refused: it has length 1, the pencil n = 2
+        argv = ["lmi", "--kind", "interval", "--n", "2", "--interval", "0,1",
+                "--objective", "1"]
+        assert self.output(capsys, argv, 2) == (
+            '{"error": "--objective is used only with --sdpa", "usage": true}\n')
+
     @pytest.mark.parametrize("basis, message", [
         ("t^5,t^4,t^3,t^2,t,1", "--basis length must be in 1..5, got 6"),
         ("t^11+t,1", "--basis degrees must be in 0..10, got 11"),
         ("t^1000,1", "--basis degrees must be in 0..10, got 1000"),
     ])
     def test_verify_diagonal_limits(self, capsys, monkeypatch, basis, message):
-        from curvehull import cli
-        monkeypatch.setattr(cli.diagonal, "factor_taylor_determinant", self.refuse)
+        from curvehull import diagonal
+        monkeypatch.setattr(diagonal, "factor_taylor_determinant", self.refuse)
         argv = ["verify-diagonal", "--basis", basis, "--blocks", "1,1"]
         assert self.output(capsys, argv, 1) == json.dumps({"error": message}) + "\n"
 
@@ -432,12 +439,12 @@ class TestOutputBytes:
         assert self.output(capsys, argv, 1) == '{"error": "linearly dependent basis"}\n'
 
     def test_support_width_limit(self, capsys, monkeypatch):
-        from curvehull import cli
+        from curvehull import hull
         argv = ["support", "--n", "4", "--interval", "0,1", "--l=1,-2,0,1", "--width"]
         least = "1/1" + "0" * 100
         assert F(json.loads(self.output(capsys, argv + [least], 0))["width"]) <= F(least)
         assert self.output(capsys, argv + ["0"], 1) == '{"error": "width must be positive"}\n'
-        monkeypatch.setattr(cli.hull, "support_min_exact", self.refuse)
+        monkeypatch.setattr(hull, "support_min_exact", self.refuse)
         small = least + "0"
         assert self.output(capsys, argv + [small], 1) == (
             f'{{"error": "--width must be at least 1/10^100, got {small}"}}\n')
@@ -505,6 +512,48 @@ class TestFloatPencilEntries:
     def test_a_string_entry_is_exact(self, capsys, tmp_path, entry):
         # the pencil 3/10 + x is 0 at x = -3/10
         assert self.member(capsys, tmp_path, entry, 0) == {"member": True}
+
+
+MEMBER_PENCIL = {"n": 1, "blocks": [{"size": 1, "A": ["3/10"], "B": [["1"]]}]}
+SCHUR_MODULES = {"curvehull", "cli", "unipoly", "linalg", "multipoly", "schur", "diagonal"}
+LMI_MODULES = {"curvehull", "cli", "unipoly", "linalg", "lmi"}
+
+
+VERB_MODULES = [
+    (["schur", "--seq", "5,4,3,2,0"], SCHUR_MODULES),
+    (["verify-schur", "--max-n", "1", "--max-entry", "2"], SCHUR_MODULES),
+    (["verify-diagonal", "--basis", "t^3,t,1", "--blocks", "1,2"], SCHUR_MODULES),
+    (["extreme", "--basis", "t^2,t,1", "--interval", "0,1", "--zeros", "1/2:2"],
+     SCHUR_MODULES | {"rays"}),
+    (["verify-extreme", "--basis", "t^2,t,1", "--interval", "0,1", "--poly", "1"],
+     SCHUR_MODULES | {"rays"}),
+    (["lmi", "--kind", "hankel", "--n", "2"], LMI_MODULES),
+    (["member", "--lmi", "PENCIL", "--point=-3/10"], LMI_MODULES),
+    (["support", "--n", "2", "--interval", "0,1", "--l=-1,1"], LMI_MODULES | {"hull"}),
+    (["cross-validate", "--n", "2", "--interval", "0,1", "--trials", "2"],
+     LMI_MODULES | {"hull"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", VERB_MODULES, ids=[a[0] for a, _ in VERB_MODULES])
+def test_each_verb_loads_only_its_modules(tmp_path, argv, modules):
+    """The curvehull modules in sys.modules after one verb in a fresh
+    interpreter; importing the package alone loads none of its modules."""
+    pencil = tmp_path / "pencil.json"
+    pencil.write_text(json.dumps(MEMBER_PENCIL))
+    argv = [str(pencil) if a == "PENCIL" else a for a in argv]
+    src = str(Path(curvehull.__file__).resolve().parent.parent)
+    script = ("import contextlib, io, sys\n"
+              "import curvehull\n"
+              "print(sorted(k for k in sys.modules if k.startswith('curvehull.')))\n"
+              "from curvehull.cli import run\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = run({argv!r})\n"
+              "print(code, sorted(k.partition('.')[2] or k for k in sys.modules\n"
+              "                   if k.split('.')[0] == 'curvehull'))")
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == ["[]", f"0 {sorted(modules)}"]
 
 
 def test_import_leaves_sympy_unloaded():

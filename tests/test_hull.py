@@ -355,9 +355,8 @@ class TestEnclosure:
         assert not RationalEnclosure(0, 1).intersects(RationalEnclosure(2, 3))
 
     def test_one_type_under_every_name(self):
-        import curvehull
-        from curvehull import unipoly
-        assert RationalEnclosure is unipoly.RationalEnclosure is curvehull.RationalEnclosure
+        from curvehull import hull
+        assert RationalEnclosure is hull.RationalEnclosure is unipoly.RationalEnclosure
         assert RationalEnclosure(F(1, 2), F(1, 2)).width == 0
 
 

@@ -49,18 +49,22 @@ def test_a_gain_needs_ten_pairs():
     for count, verdict in ((10, "gain"), (9, "too few pairs"), (4, "too few pairs")):
         line = pairs.summarize(won[:count], END_TO_END)[0]
         assert line.endswith(f"change better in {count}/{count}: {verdict}")
-    # a regression needs no tenth pair
-    assert pairs.summarize([(record(0.6, 1.0), record(0.4, 1.0))] * 4,
-                           END_TO_END)[0].endswith("0/4: regression")
+
+
+def test_a_regression_needs_ten_pairs():
+    lost = [(record(0.6, 1.0), record(0.4, 1.0))] * 10
+    for count, verdict in ((10, "regression"), (9, "too few pairs"), (4, "too few pairs")):
+        line = pairs.summarize(lost[:count], END_TO_END)[0]
+        assert line.endswith(f"change better in 0/{count}: {verdict}")
 
 
 def test_a_median_worse_beyond_the_bound_is_a_regression():
     # 0.60 -> 0.47 is worse by 0.13 > 0.2 * 0.60; 1.0 -> 1.21 by 0.21 > 0.2 * 1.0
-    worse = [(record(0.60, 1.0), record(0.47, 1.21)) for _ in range(4)]
+    worse = [(record(0.60, 1.0), record(0.47, 1.21)) for _ in range(10)]
     assert [line.split(": ")[-1] for line in pairs.summarize(worse, END_TO_END)] == [
         "regression", "regression"]
     # 0.60 -> 0.49 and 1.0 -> 1.19 stay within the bound
-    within = [(record(0.60, 1.0), record(0.49, 1.19)) for _ in range(4)]
+    within = [(record(0.60, 1.0), record(0.49, 1.19)) for _ in range(10)]
     assert [line.split(": ")[-1] for line in pairs.summarize(within, END_TO_END)] == [
         "no claim", "no claim"]
 

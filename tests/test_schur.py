@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from curvehull.multipoly import MultiPoly
-from curvehull.schur import (DecreasingSeq, proper_dominance_check,
+from curvehull.schur import (MAX_TABLEAU_CELLS, DecreasingSeq, proper_dominance_check,
                              schur_via_bialternant, schur_via_tableaux,
                              subsequence_divisibility_check)
 
@@ -98,6 +98,16 @@ class TestConstructions:
     def test_constructions_agree_exhaustively(self):
         for m in decreasing_sequences(4, 6):
             assert schur_via_tableaux(m) == schur_via_bialternant(m), m
+
+    def test_the_cell_limit(self):
+        # (501, 0) has one row of 500 cells: sigma is h_500(x0, x1)
+        top = MAX_TABLEAU_CELLS
+        assert schur_via_tableaux((top + 1, 0)) == MultiPoly(
+            2, {(k, top - k): 1 for k in range(top + 1)})
+        with pytest.raises(ValueError, match="diagram of 501 cells, more than 500"):
+            schur_via_tableaux((top + 2, 0))
+        with pytest.raises(ValueError, match="diagram of 999 cells"):
+            schur_via_tableaux((1000, 0))
 
     def test_rejects_non_decreasing(self):
         with pytest.raises(ValueError):

@@ -12,15 +12,15 @@ quartiles, the parent's interquartile range, and the pairs the change wins
 out of N in the metric's "better" direction; ties count for neither side.
 A gain may be claimed when the change wins at least nine tenths of the
 pairs and the medians differ, in its favour, by more than the parent's
-interquartile range: such a metric is marked "gain", or "too few pairs"
-when there are fewer than ten, too few to claim one.  With the metric's
+interquartile range: such a metric is marked "gain".  With the metric's
 relative `bound`, a change median worse than the parent's by more than
 bound * |parent median| is marked "regression"; a parent interquartile
 range wider than that amount, unless every change run beats every parent
 run, is marked "unresolved": the runs spread too widely to tell a
-regression from noise.  Other metrics read "no claim".  Exits 1 if any run
-was not `correct`, had a failed case or printed no result.  Standard
-library only.
+regression from noise.  A gain or a regression needs ten pairs: on fewer,
+either reads "too few pairs".  Other metrics read "no claim".  Exits 1 if
+any run was not `correct`, had a failed case or printed no result.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def summarize(pairs, end_to_end) -> list:
         tolerance = spec["bound"] * abs(parent[1])
         beats_all = cs[-1] < ps[0] if lower else cs[0] > ps[-1]
         if -better > tolerance:
-            verdict = "regression"
+            verdict = "regression" if len(both) >= CLAIM_PAIRS else "too few pairs"
         elif better > parent[2] - parent[0] and 10 * wins >= 9 * len(both):
             verdict = "gain" if len(both) >= CLAIM_PAIRS else "too few pairs"
         elif parent[2] - parent[0] > tolerance and not beats_all:
