@@ -8,9 +8,12 @@ Input limits: --n of lmi, support and cross-validate is in 1..64,
 --trials of cross-validate in 1..10000, --max-n of verify-schur in 0..4 and
 its --max-entry in 0..8, the --seq of schur has 1..5 entries, each in 0..8,
 the --basis of verify-diagonal has 1..5 polynomials, each of degree at most
-10, the --width of support is at least 1/10^100, and every exponent of t in
-a polynomial argument is in 0..1000; a value outside them is a domain error,
-reported before any work is done.
+10, the --basis of extreme and verify-extreme has 1..17 polynomials, each of
+degree at most 32, as has the --poly of verify-extreme, the --width of
+support is at least 1/10^100, and every exponent of t in a polynomial
+argument is in 0..1000; a value outside them is a domain error, reported
+before any work is done.  A rational is never written with an exponent, on
+the command line or in a pencil file.
 Each handler imports the modules its verb runs, so a verb loads no others.
 """
 
@@ -24,7 +27,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
-from .unipoly import Interval, UniPoly
+from .unipoly import _RATIONAL_RE, _UNSIGNED_RATIONAL, Interval, UniPoly
 
 
 class UsageError(Exception):
@@ -47,6 +50,8 @@ MAX_EXPONENT = 1000
 MAX_SCHUR_N = 4
 MAX_SCHUR_ENTRY = 8
 _MAX_DIAGONAL_DEGREE = 10
+_MAX_EXTREME_BASIS = 17
+_MAX_EXTREME_DEGREE = 32
 _MIN_WIDTH_EXPONENT = 100
 
 
@@ -63,13 +68,20 @@ def _check_range(option: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{option} must be in {lo}..{hi}, got {value}")
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+|\.\d+)?$")
+def _check_degree(option: str, polys, most: int) -> None:
+    # the zero polynomial's degree is -1
+    _check_range(option, max(0, *(p.degree for p in polys)), 0, most)
+
+
+def _check_basis(basis, length: int, degree: int) -> None:
+    _check_range("--basis length", len(basis), 1, length)
+    _check_degree("--basis degrees", basis, degree)
 
 
 def parse_rational(s: str) -> Fraction:
     """Parse "p/q", an integer, or a terminating decimal, exactly."""
     s = s.strip()
-    if not _RATIONAL_RE.match(s):
+    if not _RATIONAL_RE.fullmatch(s):
         raise UsageError(f"cannot parse rational: {s!r}")
     try:
         return Fraction(s)
@@ -78,7 +90,7 @@ def parse_rational(s: str) -> Fraction:
 
 
 _TERM_RE = re.compile(
-    r"^(?P<sign>[+-])?(?P<coef>\d+(?:/\d+|\.\d+)?)?\*?(?P<var>t(?:\^(?P<exp>\d+))?)?$")
+    rf"^(?P<sign>[+-])?(?P<coef>{_UNSIGNED_RATIONAL})?\*?(?P<var>t(?:\^(?P<exp>\d+))?)?$")
 
 
 def parse_poly(s: str) -> UniPoly:
@@ -201,9 +213,7 @@ def _cmd_verify_schur(args) -> dict:
 def _cmd_verify_diagonal(args) -> dict:
     from . import diagonal
     basis = parse_basis(args.basis)
-    _check_range("--basis length", len(basis), 1, MAX_SCHUR_N + 1)
-    degree = max(0, *(p.degree for p in basis))  # the zero polynomial's is -1
-    _check_range("--basis degrees", degree, 0, _MAX_DIAGONAL_DEGREE)
+    _check_basis(basis, MAX_SCHUR_N + 1, _MAX_DIAGONAL_DEGREE)
     blocks = parse_seq(args.blocks)
     try:
         result = diagonal.factor_taylor_determinant(basis, blocks)
@@ -226,6 +236,7 @@ def _cmd_verify_diagonal(args) -> dict:
 def _system_from_args(args) -> tuple:
     from . import rays
     basis = parse_basis(args.basis)
+    _check_basis(basis, _MAX_EXTREME_BASIS, _MAX_EXTREME_DEGREE)
     s = parse_interval(args.interval)
     system = rays.profile_and_normalize(basis, s.lo)
     local = Interval(0, s.hi - s.lo)
@@ -253,6 +264,7 @@ def _cmd_extreme(args) -> dict:
 def _cmd_verify_extreme(args) -> dict:
     from . import rays
     f = parse_poly(args.poly)
+    _check_degree("--poly degree", (f,), _MAX_EXTREME_DEGREE)
     system, s, local = _system_from_args(args)
     return {"poly": args.poly, **asdict(rays.verify_extreme(system, f.shift(s.lo), local))}
 
@@ -325,6 +337,8 @@ def _cmd_cross_validate(args) -> dict:
 
 
 BASIS_HELP = f"comma-separated polynomials in t, exponents 0..{MAX_EXPONENT}"
+EXTREME_BASIS_HELP = (f"{BASIS_HELP}; 1..{_MAX_EXTREME_BASIS} of them, "
+                      f"each of degree at most {_MAX_EXTREME_DEGREE}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,16 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_diagonal)
 
     p = sub.add_parser("extreme", help="build and verify an extreme-ray candidate")
-    p.add_argument("--basis", required=True, help=BASIS_HELP)
+    p.add_argument("--basis", required=True, help=EXTREME_BASIS_HELP)
     p.add_argument("--interval", required=True)
     p.add_argument("--zeros", required=True)
     p.set_defaults(handler=_cmd_extreme)
 
     p = sub.add_parser("verify-extreme", help="extremality report for a member")
-    p.add_argument("--basis", required=True, help=BASIS_HELP)
+    p.add_argument("--basis", required=True, help=EXTREME_BASIS_HELP)
     p.add_argument("--interval", required=True)
-    p.add_argument("--poly", required=True,
-                   help=f"polynomial in t, exponents 0..{MAX_EXPONENT}")
+    p.add_argument("--poly", required=True, help=f"polynomial in t, exponents "
+                   f"0..{MAX_EXPONENT}, of degree at most {_MAX_EXTREME_DEGREE}")
     p.set_defaults(handler=_cmd_verify_extreme)
 
     p = sub.add_parser("lmi", help="build a pencil; optionally write JSON/SDPA files")

@@ -134,9 +134,8 @@ def divide_diagonals(f: MultiPoly, sizes=None):
         raise ValueError(f"need one block size per variable ({n1}), got {len(sizes)}")
     for i in range(n1):
         for j in range(i + 1, n1):
-            binom = MultiPoly.variable(n1, i) - MultiPoly.variable(n1, j)
             for _ in range(sizes[i] * sizes[j]):
-                f = f.exact_divide(binom)
+                f = f.exact_divide(i, j)
                 if f is None:
                     return None
     return f

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: symmetric matrices, semidefiniteness by
+"""Exact rational linear algebra: semidefiniteness of symmetric rows by
 fraction-free symmetric elimination, determinants, nullspaces and solves."""
 
 from __future__ import annotations
@@ -17,36 +17,6 @@ def _check_symmetric(rows):
         for j in range(i):
             if rows[i][j] != rows[j][i]:
                 raise ValueError(f"not symmetric at ({i},{j})")
-
-
-class SymMatrix:
-    """Symmetric matrix of Fractions; symmetry is checked exactly."""
-
-    __slots__ = ("dim", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(_q(x) for x in r) for r in rows)
-        _check_symmetric(rows)
-        object.__setattr__(self, "dim", len(rows))
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("SymMatrix is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, SymMatrix):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def scale(self, c) -> "SymMatrix":
-        c = _q(c)
-        return SymMatrix([[c * x for x in r] for r in self.rows])
-
-    def __repr__(self):
-        return f"SymMatrix({[[str(x) for x in r] for r in self.rows]})"
 
 
 def _symmetric_pivots(m):
@@ -76,13 +46,10 @@ def _symmetric_pivots(m):
 
 
 def psd_check_exact(a) -> bool:
-    """Exact PSD test of a SymMatrix or of square symmetric rows of ints or
-    Fractions, checked exactly, cleared to integers by their positive lcm and
-    reduced by `_symmetric_pivots`: no floating point."""
-    if isinstance(a, SymMatrix):
-        a = a.rows
-    else:
-        _check_symmetric(a)
+    """Exact PSD test of square symmetric rows of ints or Fractions, checked
+    exactly, cleared to integers by their positive lcm and reduced by
+    `_symmetric_pivots`: no floating point."""
+    _check_symmetric(a)
     if not all(type(x) is int for r in a for x in r):
         d = len(a)
         ints, _ = _over_lcm([_q(x) for r in a for x in r])

@@ -16,28 +16,34 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
-from .linalg import SymMatrix, psd_check_exact
-from .unipoly import Interval, UniPoly, _over_lcm, _positive_int, _q
+from .linalg import _check_symmetric, psd_check_exact
+from .unipoly import _RATIONAL_RE, Interval, UniPoly, _over_lcm, _positive_int, _q
 
 
 @dataclass(frozen=True)
 class Block:
-    """One pencil block A + sum_i x_i B_i of symmetric matrices."""
+    """One pencil block A + sum_i x_i B_i of symmetric matrices, each held
+    as a tuple of Fraction rows."""
 
     size: int
-    a0: SymMatrix
-    coeff: tuple  # one SymMatrix per ambient variable
+    a0: tuple
+    coeff: tuple  # one matrix per ambient variable
     # (i, j, L * A_ij, ((v, L * B_v,ij) for each nonzero)) for i <= j, over
     # one positive lcm L of every denominator in the block
     _entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _positive_int(self.size, "size")
-        if self.a0.dim != self.size or any(b.dim != self.size for b in self.coeff):
-            raise ValueError("block matrices must share the block size")
-        upper = [(i, j) for i in range(self.size) for j in range(i, self.size)]
+        size = _positive_int(self.size, "size")
+        mats = [tuple(tuple(_q(x) for x in r) for r in m) for m in (self.a0, *self.coeff)]
+        for m in mats:
+            _check_symmetric(m)
+            if len(m) != size:
+                raise ValueError("block matrices must share the block size")
+        object.__setattr__(self, "a0", mats[0])
+        object.__setattr__(self, "coeff", tuple(mats[1:]))
+        upper = [(i, j) for i in range(size) for j in range(i, size)]
         k = len(upper)
-        ints, _ = _over_lcm([m.rows[i][j] for m in (self.a0, *self.coeff) for i, j in upper])
+        ints, _ = _over_lcm([m[i][j] for m in mats for i, j in upper])
         object.__setattr__(self, "_entries", tuple(
             (i, j, ints[e], tuple((v, b) for v, b in enumerate(ints[e + k::k]) if b))
             for e, (i, j) in enumerate(upper)))
@@ -88,8 +94,7 @@ def _hankel_block(n: int, size: int, weight: UniPoly) -> Block:
                     coeff[k - 1][i][j] += wd
                 else:
                     raise ValueError(f"moment index {k} exceeds ambient dimension {n}")
-    return Block(size=size, a0=SymMatrix(a0),
-                 coeff=tuple(SymMatrix(m) for m in coeff))
+    return Block(size=size, a0=a0, coeff=tuple(coeff))
 
 
 def hankel_lmi(n: int) -> BlockLMI:
@@ -226,10 +231,10 @@ def emit_sdpa(lmi: BlockLMI, objective) -> str:
 
     for matno in range(lmi.n + 1):
         for blkno, blk in enumerate(lmi.blocks, start=1):
-            mat = blk.a0.scale(-1) if matno == 0 else blk.coeff[matno - 1]
+            mat = blk.a0 if matno == 0 else blk.coeff[matno - 1]
             for i in range(blk.size):
                 for j in range(i, blk.size):
-                    v = mat.rows[i][j]
+                    v = -mat[i][j] if matno == 0 else mat[i][j]
                     if v != 0:
                         entries.append(f"{matno} {blkno} {i + 1} {j + 1} {fmt(v)}")
     lines = [
@@ -248,15 +253,19 @@ def emit_sdpa(lmi: BlockLMI, objective) -> str:
 # -- JSON wire format -----------------------------------------------------------
 
 
-def _matrix_to_strings(m: SymMatrix):
-    return [str(x) for row in m.rows for x in row]
+def _matrix_to_strings(m):
+    return [str(x) for row in m for x in row]
 
 
-def _matrix_from_strings(vals, size: int) -> SymMatrix:
+def _matrix_from_strings(vals, size: int):
+    """The rows of a row-major payload; a string entry must be an integer,
+    "p/q" or a terminating decimal."""
     if len(vals) != size * size:
         raise ValueError("matrix payload has the wrong length")
-    rows = [[_q(v) for v in vals[i * size:(i + 1) * size]] for i in range(size)]
-    return SymMatrix(rows)
+    for v in vals:  # refused before Fraction expands an exponent such as 1e30000000
+        if isinstance(v, str) and not _RATIONAL_RE.fullmatch(v):
+            raise ValueError(f"malformed pencil payload: cannot parse rational: {v!r}")
+    return [vals[i * size:(i + 1) * size] for i in range(size)]
 
 
 def lmi_to_json(lmi: BlockLMI) -> dict:

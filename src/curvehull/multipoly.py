@@ -7,11 +7,10 @@ numerators, and the Fraction coefficients `terms` are computed on each
 read.  The arity is fixed per instance.  Two kernels carry the determinant
 identities:
 
-* `MultiPoly.exact_divide` divides by t_i - t_j synthetically (additions on
-  the integer form) and so decides divisibility, so
+* `MultiPoly.exact_divide(i, j)` divides by t_i - t_j synthetically
+  (additions on the integer form) and so decides divisibility, so
   `diagonal.divide_diagonals`, which divides a diagonal product
-  prod (t_i - t_j)^k one binomial at a time, makes no Fraction.  Any other
-  divisor is refused.
+  prod (t_i - t_j)^k one binomial at a time, makes no Fraction.
 * `poly_det` expands det(D * C) for a wide polynomial D and a rational C by
   Cauchy-Binet, reading every maximal minor of D off one column-subset
   recursion and each one of C off its int rows, the columns of C cleared by
@@ -189,13 +188,6 @@ class MultiPoly(_Poly):
         return Fraction(sum(v * prod(x ** e for x, e in zip(point, exp) if e)
                             for exp, v in nums.items()), den)
 
-    def set_trailing_to_one(self, keep: int) -> "MultiPoly":
-        """Substitute t_keep = ... = t_{arity-1} = 1 and drop those variables."""
-        if _positive_int(keep, "keep") > self.arity:
-            raise ValueError("bad variable count")
-        nums, den = self.integer_form()
-        return MultiPoly._trusted(keep, _collect((e[:keep], v) for e, v in nums.items()), den)
-
     def merge_variables(self, target: list, new_arity: int) -> "MultiPoly":
         """Map variable i to variable target[i], adding exponents (the block
         collapse map: exponents of merged variables accumulate)."""
@@ -216,39 +208,21 @@ class MultiPoly(_Poly):
 
     # -- division ------------------------------------------------------------
 
-    def _binomial_slots(self):
-        """(i, j) when self is exactly t_i - t_j, otherwise None."""
-        nums, den = self.integer_form()
-        if len(nums) != 2 or den != 1:
-            return None
-        (e1, c1), (e2, c2) = nums.items()
-        if c1 + c2 or abs(c1) != 1 or sum(e1) != 1 or sum(e2) != 1:
-            return None
-        i, j = e1.index(1), e2.index(1)
-        return (i, j) if c1 > 0 else (j, i)
-
-    def exact_divide(self, g: "MultiPoly"):
-        """Exact quotient self/g for g = t_i - t_j, or None when self is not a
-        multiple of g; any other nonzero divisor raises ValueError, and a
-        divisor that is not a MultiPoly or a rational raises TypeError.
+    def exact_divide(self, i: int, j: int):
+        """Exact quotient of self by t_i - t_j, or None when self is not a
+        multiple of it; slots outside 0..arity-1, or i == j, raise
+        ValueError.
 
         Synthetic division on the integer form nums / den of self.  Group
         the terms by the exponents of the other variables and by
         d = e_i + e_j; in each group the quotient numerator of
         t_i^(k-1) t_j^(d-k) is the suffix sum c_d + ... + c_k of the group's
         numerators, and the group leaves a zero remainder iff its numerators
-        sum to zero.  Additions only: g has unit coefficients, so the
+        sum to zero.  Additions only: t_i - t_j has unit coefficients, so the
         quotient numerators are over the same den.
         """
-        if not isinstance(g, (MultiPoly, int, Fraction)):
-            raise TypeError(f"cannot divide a MultiPoly by {type(g).__name__}")
-        g = self._coerce(g)
-        if g.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        slots = g._binomial_slots()
-        if slots is None:
-            raise ValueError(f"exact_divide divides only by t_i - t_j, not {g.to_string()}")
-        i, j = slots
+        if _slot(i, self.arity) == _slot(j, self.arity):
+            raise ValueError(f"exact_divide needs two different slots, got {i} and {j}")
         nums, den = self.integer_form()
         groups = {}
         for exp, c in nums.items():

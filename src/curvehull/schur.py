@@ -179,7 +179,8 @@ def subsequence_divisibility_check(a, indices) -> DivisibilityReport:
     if any(i >= j for i, j in zip(indices, indices[1:])):
         raise ValueError("indices must be strictly increasing")
     b = DecreasingSeq(tuple(a[i] for i in indices))
-    r = len(b) - 1
-    substituted = schur_via_tableaux(a).set_trailing_to_one(r + 1)
-    return _scan(schur_via_tableaux(b).monomials(),
-                 substituted.monomials(), proper=False)
+    # the coefficients of sigma_a count fillings, so are positive and no two
+    # terms cancel when x_{r+1} = ... = x_n = 1: the monomials of the
+    # substitution are those of sigma_a cut to their first r + 1 exponents
+    substituted = {e[:len(b)] for e in schur_via_tableaux(a).monomials()}
+    return _scan(schur_via_tableaux(b).monomials(), substituted, proper=False)

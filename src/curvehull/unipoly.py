@@ -17,6 +17,7 @@ its interior roots by one Sturm count on its cached chain.  Domains are
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -35,6 +36,13 @@ def _q(x) -> Fraction:
     if type(x) is int and -16 <= x <= 16:
         return _SMALL[x + 16]
     return Fraction(x)
+
+
+# The text of a rational in the CLI arguments and the pencil files: an
+# integer, "p/q" or a terminating decimal.  It has no exponent, so its length
+# bounds the size of the Fraction it spells.
+_UNSIGNED_RATIONAL = r"\d+(?:/\d+|\.\d+)?"
+_RATIONAL_RE = re.compile(rf"[+-]?{_UNSIGNED_RATIONAL}")
 
 
 def _positive_int(value, name: str) -> int:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -361,8 +362,8 @@ class TestPolynomialAndSchurLimits:
         for verb, limits in (("schur", ("1..5", "0..8")),
                              ("verify-schur", ("0..4", "0..8")),
                              ("verify-diagonal", ("0..1000", "1..5", "degree at most 10")),
-                             ("extreme", ("0..1000",)),
-                             ("verify-extreme", ("0..1000",))):
+                             ("extreme", ("0..1000", "1..17", "degree at most 32")),
+                             ("verify-extreme", ("0..1000", "1..17", "degree at most 32"))):
             with pytest.raises(SystemExit):
                 run([verb, "--help"])
             out = " ".join(capsys.readouterr().out.split())
@@ -438,6 +439,37 @@ class TestOutputBytes:
         argv = ["verify-diagonal", "--basis", "0", "--blocks", "1"]
         assert self.output(capsys, argv, 1) == '{"error": "linearly dependent basis"}\n'
 
+    @pytest.mark.parametrize("argv, message", [
+        (["extreme", "--basis", ",".join(["t"] * 18), "--interval", "0,1", "--zeros", "1/2:1"],
+         "--basis length must be in 1..17, got 18"),
+        (["extreme", "--basis", "t^33,t,1", "--interval", "0,1", "--zeros", "1/2:2"],
+         "--basis degrees must be in 0..32, got 33"),
+        (["verify-extreme", "--basis", "t^1000,t,1", "--interval", "0,1", "--poly", "t"],
+         "--basis degrees must be in 0..32, got 1000"),
+        (["verify-extreme", "--basis", "t^2,t,1", "--interval", "0,1", "--poly", "t^33 + 1"],
+         "--poly degree must be in 0..32, got 33"),
+        (["verify-extreme", "--basis", "t^300,t,1", "--interval", "0,1",
+          "--poly", "t^300 - 3*t + 1"], "--poly degree must be in 0..32, got 300"),
+    ])
+    def test_extreme_limits(self, capsys, monkeypatch, argv, message):
+        from curvehull import rays
+        for name in ("profile_and_normalize", "extreme_candidate", "verify_extreme"):
+            monkeypatch.setattr(rays, name, self.refuse)
+        assert self.output(capsys, argv, 1) == json.dumps({"error": message}) + "\n"
+
+    def test_extreme_limits_themselves_are_accepted(self, capsys):
+        # 17 polynomials of degree at most 32, and a --poly of degree 32
+        top = ",".join(f"t^{k}" for k in range(32, 15, -1))
+        zeros = ",".join(f"{k}/9:2" for k in range(1, 9))
+        argv = ["extreme", "--basis", top, "--interval", "0,1", "--zeros", zeros]
+        assert json.loads(self.output(capsys, argv, 0))["report"] == {
+            "nonneg": True, "zero_count": 16, "face_dim": 1, "extreme": True}
+        even = ",".join(f"t^{k}" for k in range(32, -1, -2))
+        argv = ["verify-extreme", "--basis", even, "--interval", "0,1", "--poly", "t^32 + 1"]
+        assert self.output(capsys, argv, 0) == (
+            '{"poly": "t^32 + 1", "nonneg": true, "zero_count": 0, "face_dim": 17, '
+            '"extreme": false}\n')
+
     def test_support_width_limit(self, capsys, monkeypatch):
         from curvehull import hull
         argv = ["support", "--n", "4", "--interval", "0,1", "--l=1,-2,0,1", "--width"]
@@ -512,6 +544,33 @@ class TestFloatPencilEntries:
     def test_a_string_entry_is_exact(self, capsys, tmp_path, entry):
         # the pencil 3/10 + x is 0 at x = -3/10
         assert self.member(capsys, tmp_path, entry, 0) == {"member": True}
+
+
+class TestPencilEntryGrammar:
+    """A string entry of a pencil file is an integer, "p/q" or a terminating
+    decimal, as on the command line."""
+
+    def member(self, capsys, tmp_path, text, expect):
+        path = tmp_path / "pencil.json"
+        path.write_text(text)
+        assert run(["member", "--lmi", str(path), "--point", "1/3"]) == expect
+        return json.loads(capsys.readouterr().out)
+
+    def test_an_exponent_is_refused_before_fraction_expands_it(self, capsys, tmp_path):
+        # Fraction("1e30000000") builds a 30-million-digit integer
+        text = '{"n":1,"blocks":[{"size":1,"A":["1"],"B":[["1e30000000"]]}]}'
+        assert len(text) == 60
+        start = time.perf_counter()
+        data = self.member(capsys, tmp_path, text, 1)
+        assert time.perf_counter() - start < 0.5
+        assert data == {"error": "cannot load pencil: malformed pencil payload: "
+                                 "cannot parse rational: '1e30000000'"}
+
+    def test_an_asymmetric_pencil_is_refused(self, capsys, tmp_path):
+        text = json.dumps({"n": 1, "blocks": [{"size": 2, "A": ["1", "0", "1/2", "1"],
+                                               "B": [["0", "0", "0", "0"]]}]})
+        assert self.member(capsys, tmp_path, text, 1) == {
+            "error": "cannot load pencil: not symmetric at (1,0)"}
 
 
 MEMBER_PENCIL = {"n": 1, "blocks": [{"size": 1, "A": ["3/10"], "B": [["1"]]}]}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 import sympy
@@ -460,11 +461,12 @@ class TestDivideDiagonals:
         poly_det, and read no Fraction terms."""
         det = evaluation_matrix(criterion_05_basis()).det()
         assert len(det.terms) > 7000
-        quotients, reads, lcms = [], [], []
+        quotients, slots, reads, lcms = [], [], [], []
         divide, read, over_lcm = MultiPoly.exact_divide, MultiPoly.terms.fget, multipoly._over_lcm
 
-        def recording_divide(self, g):
-            quotients.append(divide(self, g))
+        def recording_divide(self, i, j):
+            slots.append((i, j))
+            quotients.append(divide(self, i, j))
             return quotients[-1]
 
         monkeypatch.setattr(MultiPoly, "exact_divide", recording_divide)
@@ -472,6 +474,7 @@ class TestDivideDiagonals:
         monkeypatch.setattr(multipoly, "_over_lcm", lambda v: lcms.append(v) or over_lcm(v))
         cof = vandermonde_cofactor(det)
         assert len(quotients) == 10 and quotients[-1] is cof
+        assert slots == list(combinations(range(5), 2))
         assert reads == [] and lcms == []
         assert SchurMonomialIdeal.from_sequence((7, 6, 5, 3, 1)).contains(cof).ok
 

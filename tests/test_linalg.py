@@ -6,9 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvehull.linalg import (SymMatrix, _bareiss_pivot, _symmetric_pivots, det_frac,
-                              nullspace_frac, psd_check_exact, solve_frac)
+from curvehull.linalg import (_bareiss_pivot, _symmetric_pivots, det_frac, nullspace_frac,
+                              psd_check_exact, solve_frac)
 from curvehull.unipoly import UniPoly, _over_lcm
+
+
+def sym(rows):
+    """Square symmetric rows as a tuple of Fraction tuples."""
+    rows = tuple(tuple(F(x) for x in r) for r in rows)
+    assert all(len(r) == len(rows) for r in rows)
+    assert all(x == rows[j][i] for i, r in enumerate(rows) for j, x in enumerate(r))
+    return rows
+
+
+def scale(a, c):
+    return tuple(tuple(c * x for x in r) for r in a)
 
 
 def rand_sym(rng, d):
@@ -16,12 +28,12 @@ def rand_sym(rng, d):
     for i in range(d):
         for j in range(i, d):
             entries[i][j] = entries[j][i] = F(rng.randint(-5, 5), rng.randint(1, 3))
-    return SymMatrix(entries)
+    return sym(entries)
 
 
-def leading_principal_minors(a: SymMatrix):
+def leading_principal_minors(a):
     """The d leading principal minors of a, exactly."""
-    return [det_frac([r[: k + 1] for r in a.rows[: k + 1]]) for k in range(a.dim)]
+    return [det_frac([r[: k + 1] for r in a[: k + 1]]) for k in range(len(a))]
 
 
 def rank_oracle(rows) -> int:
@@ -40,12 +52,12 @@ def rank_oracle(rows) -> int:
     return rank
 
 
-def char_poly_oracle(a: SymMatrix):
+def char_poly_oracle(a):
     """Independent route: expand det(lambda*I - A) as a univariate polynomial
     by the permutation sum."""
-    d = a.dim
+    d = len(a)
     lam = UniPoly.t()
-    entries = [[(lam if i == j else UniPoly.zero()) - UniPoly.constant(a.rows[i][j])
+    entries = [[(lam if i == j else UniPoly.zero()) - UniPoly.constant(a[i][j])
                 for j in range(d)] for i in range(d)]
     total = UniPoly.zero()
     for perm in permutations(range(d)):
@@ -61,23 +73,23 @@ def char_poly_oracle(a: SymMatrix):
     return tuple(total.coeff(k) for k in range(d + 1))
 
 
-def psd_by_char_poly_oracle(a: SymMatrix) -> bool:
+def psd_by_char_poly_oracle(a) -> bool:
     """A real symmetric matrix has a real-rooted characteristic polynomial
     lambda^d + c_{d-1} lambda^{d-1} + ... + c_0; all roots are >= 0 iff
     (-1)^(d-k) c_k >= 0 for every k."""
     c = char_poly_oracle(a)
-    return all((-1) ** (a.dim - k) * c[k] >= 0 for k in range(a.dim))
+    return all((-1) ** (len(a) - k) * c[k] >= 0 for k in range(len(a)))
 
 
-def psd_inputs(a: SymMatrix):
-    """The forms psd_check_exact takes for a: the SymMatrix, its rows as
-    lists of Fractions, and its rows cleared to integers by a positive lcm."""
-    d = a.dim
-    ints, _ = _over_lcm([x for r in a.rows for x in r])
-    return a, [list(r) for r in a.rows], [list(ints[i * d:(i + 1) * d]) for i in range(d)]
+def psd_inputs(a):
+    """The forms psd_check_exact takes for a: its rows as tuples and as lists
+    of Fractions, and cleared to integers by a positive lcm."""
+    d = len(a)
+    ints, _ = _over_lcm([x for r in a for x in r])
+    return a, [list(r) for r in a], [list(ints[i * d:(i + 1) * d]) for i in range(d)]
 
 
-def assert_psd_matches_oracle(a: SymMatrix):
+def assert_psd_matches_oracle(a):
     expected = psd_by_char_poly_oracle(a)
     for form in psd_inputs(a):
         assert psd_check_exact(form) == expected, form
@@ -91,7 +103,7 @@ class TestPsd:
                 assert_psd_matches_oracle(rand_sym(rng, d))
 
     def test_char_poly_oracle_known_cases(self):
-        swap, ones = SymMatrix([[0, 1], [1, 0]]), SymMatrix([[1, 1], [1, 1]])
+        swap, ones = sym([[0, 1], [1, 0]]), sym([[1, 1], [1, 1]])
         assert char_poly_oracle(swap) == (F(-1), F(0), F(1))
         assert char_poly_oracle(ones) == (F(0), F(-2), F(1))
         assert not psd_by_char_poly_oracle(swap)
@@ -100,13 +112,13 @@ class TestPsd:
         assert_psd_matches_oracle(ones)
 
     def test_identity(self):
-        assert psd_check_exact(SymMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        assert psd_check_exact(sym([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
     def test_indefinite(self):
-        assert not psd_check_exact(SymMatrix([[0, 1], [1, 0]]))
+        assert not psd_check_exact(sym([[0, 1], [1, 0]]))
 
     def test_rank_one_gram(self):
-        assert psd_check_exact(SymMatrix([[1, 1], [1, 1]]))
+        assert psd_check_exact(sym([[1, 1], [1, 1]]))
 
     def test_gram_matrices_are_psd(self):
         rng = random.Random(41)
@@ -115,7 +127,7 @@ class TestPsd:
                 g = [[F(rng.randint(-4, 4)) for _ in range(d)] for _ in range(d)]
                 gram = [[sum(g[k][i] * g[k][j] for k in range(d)) for j in range(d)]
                         for i in range(d)]
-                assert psd_check_exact(SymMatrix(gram))
+                assert psd_check_exact(sym(gram))
 
     @pytest.mark.parametrize("rows", [[[0.5]], [[1, 0.25], [0.25, 1]]])
     def test_float_entries_are_refused(self, rows):
@@ -123,8 +135,8 @@ class TestPsd:
             psd_check_exact(rows)
 
     def test_negative_shift_fails(self):
-        assert not psd_check_exact(SymMatrix([[1, 0], [0, -F(1, 10 ** 9)]]))
-        assert psd_check_exact(SymMatrix([[1, 0], [0, 0]]))
+        assert not psd_check_exact(sym([[1, 0], [0, -F(1, 10 ** 9)]]))
+        assert psd_check_exact(sym([[1, 0], [0, 0]]))
 
     def test_minor_probe_consistency(self):
         # probe: PSD implies all leading principal minors of A + eps*I positive;
@@ -134,8 +146,8 @@ class TestPsd:
         for d in (2, 3):
             for _ in range(25):
                 a = rand_sym(rng, d)
-                shifted = SymMatrix([[x + eps * (i == j) for j, x in enumerate(r)]
-                                     for i, r in enumerate(a.rows)])
+                shifted = sym([[x + eps * (i == j) for j, x in enumerate(r)]
+                                     for i, r in enumerate(a)])
                 minors_ok = all(m > 0 for m in leading_principal_minors(shifted))
                 if psd_check_exact(a):
                     assert minors_ok
@@ -170,18 +182,18 @@ class TestDense:
         assert solve_frac([[1, 1], [1, 1]], [0, 1]) is None
 
     def test_symmetry_enforced(self):
-        with pytest.raises(ValueError):
-            SymMatrix([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=r"not symmetric at \(1,0\)"):
+            psd_check_exact([[1, 2], [3, 4]])
 
 
 # -- the fraction-free symmetric elimination kernel against independent oracles --
 
 
-def psd_ldl_oracle(a: SymMatrix) -> bool:
+def psd_ldl_oracle(a) -> bool:
     """Symmetric pivoted LDL^T over Q.  A negative diagonal entry refutes
     PSD; a positive one is eliminated by its Schur complement; with an
     all-zero diagonal a PSD matrix must be zero."""
-    m = [list(r) for r in a.rows]
+    m = [list(r) for r in a]
     while m:
         diag = [m[i][i] for i in range(len(m))]
         if any(x < 0 for x in diag):
@@ -204,7 +216,7 @@ def sym_matrices(draw, max_dim=4, entries=wide_rationals):
     for i in range(d):
         for j in range(i, d):
             rows[i][j] = rows[j][i] = draw(entries)
-    return SymMatrix(rows)
+    return sym(rows)
 
 
 @st.composite
@@ -223,32 +235,32 @@ def psd_candidates(draw):
     if kind == "lowered":
         i = draw(st.integers(0, d - 1))
         gram[i][i] -= F(1, 10 ** draw(st.integers(1, 30)))
-    return SymMatrix(gram)
+    return sym(gram)
 
 
 class TestIntegerKernel:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(sym_matrices(), psd_candidates()))
-    @example(SymMatrix([[F(7, 999999)]]))
-    @example(SymMatrix([[F(-1, 10 ** 6)]]))
-    @example(SymMatrix([[0]]))
-    @example(SymMatrix([[0, 0], [0, 0]]))
-    @example(SymMatrix([[0] * 3] * 3))
-    @example(SymMatrix([[0, 1], [1, 0]]))
-    @example(SymMatrix([[1, 1, 1], [1, 1, 0], [1, 0, 1]]))  # zero diagonal left
+    @example(sym([[F(7, 999999)]]))
+    @example(sym([[F(-1, 10 ** 6)]]))
+    @example(sym([[0]]))
+    @example(sym([[0, 0], [0, 0]]))
+    @example(sym([[0] * 3] * 3))
+    @example(sym([[0, 1], [1, 0]]))
+    @example(sym([[1, 1, 1], [1, 1, 0], [1, 0, 1]]))  # zero diagonal left
     def test_psd_matches_char_poly_sign_rule(self, a):
         assert_psd_matches_oracle(a)
 
     @settings(max_examples=300, deadline=None)
     @given(psd_candidates())
-    @example(SymMatrix([[0, 0], [0, 0]]))
-    @example(SymMatrix([[F(-1, 10 ** 6)]]))
+    @example(sym([[0, 0], [0, 0]]))
+    @example(sym([[F(-1, 10 ** 6)]]))
     def test_psd_matches_pivoted_ldl(self, a):
         assert psd_check_exact(a) == psd_ldl_oracle(a)
 
     @settings(max_examples=200, deadline=None)
     @given(psd_candidates())
-    @example(SymMatrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+    @example(sym([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
     def test_pivots_are_principal_minors(self, a):
         # a PSD matrix has one pivot per unit of rank; a positive definite one
         # pivots in index order, so pivot k is its k-th leading principal minor
@@ -257,37 +269,37 @@ class TestIntegerKernel:
         assert (pivots is not None) == psd_by_char_poly_oracle(a)
         if pivots is not None:
             assert len(pivots) == rank_oracle(m)
-            if len(pivots) == a.dim:
-                assert pivots == leading_principal_minors(SymMatrix(m))
+            if len(pivots) == len(a):
+                assert pivots == leading_principal_minors(sym(m))
 
     def test_psd_of_a_scaled_matrix(self):
         # det(lambda I - A/L) = sum_k c_k L^(k-d) lambda^k for c the
         # characteristic polynomial of A; PSD survives positive scaling only
-        a = SymMatrix([[2, 3, 0], [3, -1, 5], [0, 5, 4]])
-        scaled = a.scale(F(1, 10 ** 6))
+        a = sym([[2, 3, 0], [3, -1, 5], [0, 5, 4]])
+        scaled = scale(a, F(1, 10 ** 6))
         assert char_poly_oracle(scaled) == tuple(
             c * F(1, 10 ** 6) ** (3 - k) for k, c in enumerate(char_poly_oracle(a)))
-        gram = SymMatrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+        gram = sym([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
         for m in (a, gram):
             for c in (F(1, 10 ** 6), F(-1, 10 ** 6)):
-                assert_psd_matches_oracle(m.scale(c))
-        assert psd_check_exact(gram.scale(F(1, 10 ** 6)))
-        assert not psd_check_exact(gram.scale(F(-1, 10 ** 6)))
+                assert_psd_matches_oracle(scale(m, c))
+        assert psd_check_exact(scale(gram, F(1, 10 ** 6)))
+        assert not psd_check_exact(scale(gram, F(-1, 10 ** 6)))
 
     @settings(max_examples=100, deadline=None)
     @given(sym_matrices(), st.data())
     def test_rows_must_be_square_and_symmetric(self, a, data):
-        rows = [list(r) for r in a.rows]
+        rows = [list(r) for r in a]
         ragged = [r[:-1] if i == len(rows) - 1 else r for i, r in enumerate(rows)]
         bad = [[r[:-1] for r in rows], ragged, rows + [rows[-1]]]
-        if a.dim > 1:
+        if len(a) > 1:
             bad.append(rows[:-1])
-            i = data.draw(st.integers(1, a.dim - 1))
+            i = data.draw(st.integers(1, len(a) - 1))
             j = data.draw(st.integers(0, i - 1))
             asymmetric = [list(r) for r in rows]
             asymmetric[i][j] += data.draw(wide_rationals.filter(bool))
             bad.append(asymmetric)
-            ints = psd_inputs(SymMatrix(rows))[2]
+            ints = psd_inputs(sym(rows))[2]
             ints[j][i] -= 1
             bad.append(ints)
         for m in bad:

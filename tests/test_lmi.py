@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvehull import lmi
-from curvehull.linalg import SymMatrix
 from curvehull.lmi import (Block, BlockLMI, emit_sdpa, hankel_lmi,
                            interval_moment_lmi, lmi_from_json, lmi_membership,
                            lmi_to_json, sosx_certificate)
 from curvehull.rays import ZeroPattern
-from curvehull.unipoly import Interval, UniPoly, _over_lcm
+from curvehull.unipoly import _RATIONAL_RE, Interval, UniPoly, _over_lcm
 
 t = UniPoly.t()
 UNIT = Interval(0, 1)
@@ -25,18 +24,23 @@ def moment_vector(x, n):
     return tuple(x ** k for k in range(1, n + 1))
 
 
+def mat(rows):
+    """Rows as a Block holds them: a tuple of Fraction tuples."""
+    return tuple(tuple(F(x) for x in r) for r in rows)
+
+
 class TestHankel:
     def test_n2_entries(self):
         blk = hankel_lmi(2).blocks[0]
         assert blk.size == 2
-        assert blk.a0 == SymMatrix([[1, 0], [0, 0]])
-        assert blk.coeff[0] == SymMatrix([[0, 1], [1, 0]])
-        assert blk.coeff[1] == SymMatrix([[0, 0], [0, 1]])
+        assert blk.a0 == mat([[1, 0], [0, 0]])
+        assert blk.coeff[0] == mat([[0, 1], [1, 0]])
+        assert blk.coeff[1] == mat([[0, 0], [0, 1]])
 
     def test_n4_entries(self):
         blk = hankel_lmi(4).blocks[0]
         assert blk.size == 3
-        assert blk.a0 == SymMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        assert blk.a0 == mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
         expected = {
             1: [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
             2: [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
@@ -44,7 +48,7 @@ class TestHankel:
             4: [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
         }
         for i, rows in expected.items():
-            assert blk.coeff[i - 1] == SymMatrix(rows)
+            assert blk.coeff[i - 1] == mat(rows)
 
     def test_a_moment_beyond_the_ambient_dimension_is_refused(self):
         # entry (0, 1) of a size-2 block weighted by t^2 is x_3, the first
@@ -69,34 +73,34 @@ class TestIntervalMoment:
         pencil = interval_moment_lmi(1, UNIT)
         assert [b.size for b in pencil.blocks] == [1, 1]
         # blocks [x_1] and [1 - x_1]
-        assert pencil.blocks[0].a0 == SymMatrix([[0]])
-        assert pencil.blocks[0].coeff[0] == SymMatrix([[1]])
-        assert pencil.blocks[1].a0 == SymMatrix([[1]])
-        assert pencil.blocks[1].coeff[0] == SymMatrix([[-1]])
+        assert pencil.blocks[0].a0 == mat([[0]])
+        assert pencil.blocks[0].coeff[0] == mat([[1]])
+        assert pencil.blocks[1].a0 == mat([[1]])
+        assert pencil.blocks[1].coeff[0] == mat([[-1]])
 
     def test_n2_blocks(self):
         pencil = interval_moment_lmi(2, UNIT)
         assert [b.size for b in pencil.blocks] == [2, 1]
         loc = pencil.blocks[1]
         # localized block of t(1-t): x_1 - x_2
-        assert loc.a0 == SymMatrix([[0]])
-        assert loc.coeff[0] == SymMatrix([[1]])
-        assert loc.coeff[1] == SymMatrix([[-1]])
+        assert loc.a0 == mat([[0]])
+        assert loc.coeff[0] == mat([[1]])
+        assert loc.coeff[1] == mat([[-1]])
 
     def test_n3_blocks(self):
         pencil = interval_moment_lmi(3, UNIT)
         assert [b.size for b in pencil.blocks] == [2, 2]
         first, second = pencil.blocks
         # [[x1, x2], [x2, x3]]
-        assert first.a0 == SymMatrix([[0, 0], [0, 0]])
-        assert first.coeff[0] == SymMatrix([[1, 0], [0, 0]])
-        assert first.coeff[1] == SymMatrix([[0, 1], [1, 0]])
-        assert first.coeff[2] == SymMatrix([[0, 0], [0, 1]])
+        assert first.a0 == mat([[0, 0], [0, 0]])
+        assert first.coeff[0] == mat([[1, 0], [0, 0]])
+        assert first.coeff[1] == mat([[0, 1], [1, 0]])
+        assert first.coeff[2] == mat([[0, 0], [0, 1]])
         # [[1 - x1, x1 - x2], [x1 - x2, x2 - x3]]
-        assert second.a0 == SymMatrix([[1, 0], [0, 0]])
-        assert second.coeff[0] == SymMatrix([[-1, 1], [1, 0]])
-        assert second.coeff[1] == SymMatrix([[0, -1], [-1, 1]])
-        assert second.coeff[2] == SymMatrix([[0, 0], [0, -1]])
+        assert second.a0 == mat([[1, 0], [0, 0]])
+        assert second.coeff[0] == mat([[-1, 1], [1, 0]])
+        assert second.coeff[1] == mat([[0, -1], [-1, 1]])
+        assert second.coeff[2] == mat([[0, 0], [0, -1]])
 
     def test_block_bound(self):
         for n in range(1, 11):
@@ -165,7 +169,7 @@ class TestEvaluate:
                 for j in range(i, d):
                     rows[i][j] = rows[j][i] = (F(rng.randint(-9, 9), rng.randint(1, 50))
                                                if rng.random() < 0.6 else F(0))
-            return SymMatrix(rows)
+            return rows
 
         for _ in range(60):
             d, n = rng.randint(1, 5), rng.randint(1, 6)
@@ -176,8 +180,8 @@ class TestEvaluate:
             rows = blk.integer_rows(xs, q)
             # rows == c * (A + sum x_i B_i) for one c > 0
             flat = [v for r in rows for v in r]
-            want = [a + sum(xi * b.rows[i][j] for xi, b in zip(x, blk.coeff))
-                    for i, r in enumerate(blk.a0.rows) for j, a in enumerate(r)]
+            want = [a + sum(xi * b[i][j] for xi, b in zip(x, blk.coeff))
+                    for i, r in enumerate(blk.a0) for j, a in enumerate(r)]
             assert all(type(v) is int for v in flat)
             nonzero = [(v, w) for v, w in zip(flat, want) if w]
             c = F(nonzero[0][0], nonzero[0][1]) if nonzero else F(1)
@@ -185,12 +189,12 @@ class TestEvaluate:
             assert flat == [c * w for w in want]
 
     def test_membership_counts(self):
-        # a k-block pencil builds no SymMatrix and calls psd_check_exact once
-        # per block up to the first block that rejects the point
+        # a k-block pencil builds no Block and calls psd_check_exact once per
+        # block up to the first block that rejects the point
         good = hankel_lmi(4).blocks[0]
-        a0 = [list(r) for r in good.a0.rows]
+        a0 = [list(r) for r in good.a0]
         a0[1][1] -= F(1, 10 ** 30)
-        bad = Block(size=good.size, a0=SymMatrix(a0), coeff=good.coeff)
+        bad = Block(size=good.size, a0=a0, coeff=good.coeff)
         point = moment_vector(F(2, 3), 4)
         k = 4
         for reject in (*range(k), None):
@@ -198,8 +202,8 @@ class TestEvaluate:
                                                 for i in range(k)))
             with mock.patch.object(lmi, "psd_check_exact",
                                    wraps=lmi.psd_check_exact) as psd, \
-                    mock.patch.object(SymMatrix, "__init__", autospec=True,
-                                      side_effect=SymMatrix.__init__) as built:
+                    mock.patch.object(Block, "__post_init__", autospec=True,
+                                      side_effect=Block.__post_init__) as built:
                 assert lmi_membership(pencil, point) == (reject is None)
             assert psd.call_count == (k if reject is None else reject + 1)
             assert built.call_count == 0
@@ -213,9 +217,9 @@ class TestEvaluate:
         assert lmi_membership(hankel_lmi(4), point)
         eps = F(1, 10 ** 30)
         for i in range(blk.size):
-            a0 = [list(r) for r in blk.a0.rows]
+            a0 = [list(r) for r in blk.a0]
             a0[i][i] -= eps
-            lowered = Block(size=blk.size, a0=SymMatrix(a0), coeff=blk.coeff)
+            lowered = Block(size=blk.size, a0=a0, coeff=blk.coeff)
             assert not lmi_membership(BlockLMI(n=4, blocks=(lowered,)), point)
 
 
@@ -277,13 +281,13 @@ class TestSdpa:
             emit_sdpa(hankel_lmi(2), (0,))
 
     def test_lossy_flag(self):
-        block = Block(1, SymMatrix([[F(1, 3)]]), (SymMatrix([[1]]),))
+        block = Block(1, [[F(1, 3)]], ([[1]],))
         text = emit_sdpa(BlockLMI(1, (block,)), (0,))
         assert "inexact" in text.splitlines()[2]
         assert "0.333333333333333333333333333333" in text
 
     def test_terminating_decimals_exact(self):
-        block = Block(1, SymMatrix([[F(-3, 8)]]), (SymMatrix([[F(1, 2)]]),))
+        block = Block(1, [[F(-3, 8)]], ([[F(1, 2)]],))
         text = emit_sdpa(BlockLMI(1, (block,)), (F(1, 4),))
         lines = text.splitlines()
         assert lines[2] == "* entries: exact"
@@ -307,8 +311,8 @@ def read_sdpa(text):
         matno, blkno, i, j, value = line.split()
         m = mats[int(matno)][int(blkno) - 1]
         m[int(i) - 1][int(j) - 1] = m[int(j) - 1][int(i) - 1] = F(value)
-    blocks = tuple(Block(size=d, a0=SymMatrix(mats[0][b]).scale(-1),
-                         coeff=tuple(SymMatrix(mats[v][b]) for v in range(1, n + 1)))
+    blocks = tuple(Block(size=d, a0=[[-x for x in r] for r in mats[0][b]],
+                         coeff=tuple(mats[v][b] for v in range(1, n + 1)))
                    for b, d in enumerate(sizes))
     return header, BlockLMI(n=n, blocks=blocks), objective
 
@@ -329,7 +333,7 @@ def decimal_pencils(draw):
         for i in range(d):
             for j in range(i, d):
                 rows[i][j] = rows[j][i] = draw(decimal_rationals)
-        return SymMatrix(rows)
+        return rows
 
     blocks = []
     for d in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
@@ -358,15 +362,15 @@ class TestSdpaRoundTrip:
         j = data.draw(st.integers(i, blk.size - 1))
         entry = F(3 * data.draw(st.integers(0, 10 ** 6)) + 1,
                   3 * 2 ** data.draw(st.integers(0, 6)))
-        rows = [list(r) for r in blk.coeff[0].rows]
+        rows = [list(r) for r in blk.coeff[0]]
         rows[i][j] = rows[j][i] = entry
-        coeff = (SymMatrix(rows), *blk.coeff[1:])
+        coeff = (rows, *blk.coeff[1:])
         blocks = list(pencil.blocks)
         blocks[b] = Block(size=blk.size, a0=blk.a0, coeff=coeff)
         text = emit_sdpa(BlockLMI(n=pencil.n, blocks=tuple(blocks)), objective)
         header, back, _ = read_sdpa(text)
         assert header[2] == "* entries: inexact (rounded to 30 significant digits)"
-        got = back.blocks[b].coeff[0].rows[i][j]
+        got = back.blocks[b].coeff[0][i][j]
         assert abs(got - entry) <= entry / 10 ** 29
 
 
@@ -376,14 +380,38 @@ class TestConstruction:
         (lambda one: BlockLMI(n=0, blocks=(Block(1, one, ()),)), "n must be a positive"),
         (lambda one: BlockLMI(n=True, blocks=(Block(1, one, (one,)),)), "n must be a positive"),
         (lambda one: BlockLMI(n=1.0, blocks=(Block(1, one, (one,)),)), "n must be a positive"),
-        (lambda one: Block(size=0, a0=SymMatrix([]), coeff=()), "size must be a positive"),
+        (lambda one: Block(size=0, a0=[], coeff=()), "size must be a positive"),
         (lambda one: Block(size=True, a0=one, coeff=(one,)), "size must be a positive"),
     ])
     def test_direct_construction_checks_the_same_counts(self, make, message):
         # the checks live in the classes, so a pencil that is never
         # serialized is held to them too
         with pytest.raises(ValueError, match=message):
-            make(SymMatrix([[1]]))
+            make([[1]])
+
+    @pytest.mark.parametrize("a0, coeff, message", [
+        ([[1, 0], [0, 1]], ([[1]],), "block matrices must share the block size"),
+        ([[1]], ([[1, 0], [0, 1]],), "block matrices must share the block size"),
+        ([[1, 0]], ([[1]],), "matrix is not square"),
+        ([[1]], ([[1, 2], [3]],), "matrix is not square"),
+        ([[1]], ([[1, 0], [2, 1]],), r"not symmetric at \(1,0\)"),
+    ])
+    def test_a_block_checks_its_matrices(self, a0, coeff, message):
+        with pytest.raises(ValueError, match=message):
+            Block(size=1, a0=a0, coeff=coeff)
+
+    @pytest.mark.parametrize("a0, coeff", [([[0.5]], ([[1]],)), ([[1]], ([[F(1, 2)]], [[0.5]]))])
+    def test_a_block_refuses_float_entries(self, a0, coeff):
+        with pytest.raises(TypeError, match="a float is not an exact rational"):
+            Block(size=1, a0=a0, coeff=coeff)
+
+    def test_a_block_holds_fraction_rows_and_compares_by_value(self):
+        blk = Block(size=2, a0=[[1, F(1, 2)], [F(1, 2), 0]], coeff=([[0, 1], [1, 0]],))
+        assert blk.a0 == ((F(1), F(1, 2)), (F(1, 2), F(0)))
+        assert all(type(x) is F for m in (blk.a0, *blk.coeff) for r in m for x in r)
+        twin = Block(size=2, a0=((1, F(1, 2)), (F(1, 2), 0)), coeff=(((0, 1), (1, 0)),))
+        assert blk == twin and hash(blk) == hash(twin) and len({blk, twin}) == 1
+        assert blk != Block(size=2, a0=blk.a0, coeff=([[0, 1], [1, 1]],))
 
 
 class TestJson:
@@ -438,11 +466,28 @@ class TestJson:
         with pytest.raises(ValueError, match="malformed pencil payload: TypeError"):
             lmi_from_json({"n": 1, "blocks": blocks})
 
+    @pytest.mark.parametrize("entry", ["1e3", "1E3", "1e30000000", "1.5e-3", " 1", "1/3 ",
+                                       ".5", "5.", "0x10", "1_000", "inf", "nan", "", "+",
+                                       "1/-3", "1//3"])
+    def test_a_string_entry_outside_the_rational_grammar_is_refused(self, entry):
+        # an integer, "p/q" or a terminating decimal, as on the command line:
+        # Fraction would expand the exponent of "1e30000000" digit by digit
+        with pytest.raises(ValueError, match="malformed pencil payload: cannot parse rational"):
+            lmi_from_json({"n": 1, "blocks": [{"size": 1, "A": ["1"], "B": [[entry]]}]})
+
     def test_string_and_integer_entries_load_exactly(self):
         pencil = lmi_from_json({"n": 1, "blocks": [{"size": 2, "A": ["0.3", "3/10", "3/10", 1],
                                                     "B": [["1", 0, 0, "-2"]]}]})
-        assert pencil.blocks[0].a0 == SymMatrix([[F(3, 10), F(3, 10)], [F(3, 10), 1]])
-        assert pencil.blocks[0].coeff[0] == SymMatrix([[1, 0], [0, -2]])
+        assert pencil.blocks[0].a0 == mat([[F(3, 10), F(3, 10)], [F(3, 10), 1]])
+        assert pencil.blocks[0].coeff[0] == mat([[1, 0], [0, -2]])
+
+    def test_written_entries_follow_the_rational_grammar(self):
+        for pencil in (hankel_lmi(4), interval_moment_lmi(5, Interval(F(-7, 3), F(1, 9)))):
+            payload = lmi_to_json(pencil)
+            entries = [v for blk in payload["blocks"] for m in (blk["A"], *blk["B"]) for v in m]
+            assert all(_RATIONAL_RE.fullmatch(v) for v in entries)
+            assert any("/" in v for v in entries) or pencil == hankel_lmi(4)
+            assert lmi_from_json(json.dumps(payload)) == pencil
 
     def test_schema_shape(self):
         payload = lmi_to_json(hankel_lmi(2))

@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from curvehull import schur
 from curvehull.multipoly import MultiPoly
 from curvehull.schur import (MAX_TABLEAU_CELLS, DecreasingSeq, proper_dominance_check,
                              schur_via_bialternant, schur_via_tableaux,
@@ -82,7 +83,7 @@ class TestConstructions:
     def test_two_variable_case(self):
         # oracle for (2,0): (x0^2 - x1^2)/(x0 - x1) = x0 + x1
         x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-        oracle = (x0 * x0 - x1 * x1).exact_divide(x0 - x1)
+        oracle = (x0 * x0 - x1 * x1).exact_divide(0, 1)
         assert schur_via_tableaux((2, 0)) == oracle == x0 + x1
 
     def test_first_power_sum_case(self):
@@ -221,6 +222,32 @@ class TestSubsequence:
         for idx in ((0.5, 1.7), (0, 1.0), (False, True), (0, F(2))):
             with pytest.raises(ValueError, match="indices must be integers"):
                 subsequence_divisibility_check((3, 2, 0), idx)
+
+    def test_the_generators_are_the_substituted_monomials(self, monkeypatch):
+        """For every (a, indices) of `verify-schur --max-n 4 --max-entry 8`,
+        the generators scanned are the monomials of sigma_a at
+        x_{r+1} = ... = x_n = 1, r + 1 the length of the subsequence."""
+        def substituted(p, keep):
+            sums = {}  # terms collected by their cut exponent, zero sums dropped
+            for e, c in p.terms.items():
+                sums[e[:keep]] = sums.get(e[:keep], 0) + c
+            return {e for e, c in sums.items() if c}
+
+        scanned = []
+        scan = schur._scan
+        monkeypatch.setattr(schur, "_scan", lambda targets, generators, proper: (
+            scanned.append(set(generators)) or scan(targets, generators, proper)))
+        cases = 0
+        for a in decreasing_sequences(5, 8):
+            oracle = {}
+            for r in range(1, len(a) + 1):
+                for idx in combinations(range(len(a)), r):
+                    cases += 1
+                    assert subsequence_divisibility_check(a, idx).ok
+                    if r not in oracle:
+                        oracle[r] = substituted(schur_via_tableaux(a), r)
+                    assert scanned.pop() == oracle[r], (a, idx)
+        assert cases == 6501
 
     def test_exhaustive_small(self):
         for a in decreasing_sequences(3, 5):

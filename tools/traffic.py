@@ -10,8 +10,10 @@ the files of src/curvehull, records the lines that ran; it is on before
 `curvehull` is imported, so lines that run at import count as run.  A
 statement line is a line that starts a statement and carries bytecode.  The
 report gives, module by module, the statement lines that did not run, with
-runs of consecutive statement lines joined as ranges.  Standard library
-only, no options; the workloads write only under `.bench_out/`.
+runs of consecutive statement lines joined as ranges, and ends with one
+total line: the statement lines not run out of all of them, and the
+physical line count of src/curvehull.  Standard library only, no options;
+the workloads write only under `.bench_out/`.
 """
 
 from __future__ import annotations
@@ -64,10 +66,13 @@ def statement_lines(path: Path) -> list:
 def report(directory: Path, ran: dict) -> list:
     """One line per module of directory: its statement lines that are not in
     ran[path], runs of lines consecutive among the statement lines joined
-    as "a-b"."""
+    as "a-b"; then one total line over the modules, with their physical
+    line count (as `wc -l` gives it)."""
     out = []
+    missed_total = statements_total = lines_total = 0
     for path in sorted(directory.glob("*.py")):
         statements = statement_lines(path)
+        lines_total += path.read_bytes().count(b"\n")
         hit = ran.get(str(path), set())
         missed = [k for k, line in enumerate(statements) if line not in hit]
         groups = []  # runs of consecutive indices into statements
@@ -80,6 +85,10 @@ def report(directory: Path, ran: dict) -> list:
                          else f"{statements[g[0]]}-{statements[g[-1]]}" for g in groups)
         out.append(f"{path.name}: {len(missed)} of {len(statements)} statement lines not run"
                    + (f": {text}" if text else ""))
+        missed_total += len(missed)
+        statements_total += len(statements)
+    out.append(f"total: {missed_total} of {statements_total} statement lines not run, "
+               f"{lines_total} lines")
     return out
 
 
