@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import _bareiss_pivot
-from .lmi import BlockLMI, lmi_membership
-from .unipoly import (Interval, RationalEnclosure, UniPoly, _order, _over_lcm,
-                      _positive_int, _q, derivative_bound, isolate_roots,
-                      refine_isolating_interval, squarefree_part)
+from .lmi import BlockLMI, compose_curve, curve_membership, lmi_membership
+from .unipoly import (Interval, RationalEnclosure, UniPoly, _derivative, _horner, _order,
+                      _over_lcm, _positive_int, _q, _taylor, derivative_bound,
+                      isolate_roots, refine_isolating_interval, squarefree_part)
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,9 @@ def support_min_exact(l, curve: CurveSegment, width) -> RationalEnclosure:
 
 
 def _leaving_row(tab, basis, enter):
-    """Bland's leaving row: the least ratio rhs / entry over the positive
-    entries of the entering column, ties to the least basis index, or None.
+    """The leaving row of either pricing rule: the least ratio rhs / entry
+    over the positive entries of the entering column, ties to the least
+    basis index (Bland's leaving rule), or None.
 
     Every row of the integer tableau shares the positive denominator, so the
     ratios compare by cross-multiplication with positive entries.
@@ -116,7 +117,7 @@ def _leaving_row(tab, basis, enter):
 
 
 def _phase1_feasible(matrix, rhs) -> bool:
-    """Exact phase-1 simplex with Bland's rule for {x >= 0 : matrix x = rhs}.
+    """Exact phase-1 simplex for {x >= 0 : matrix x = rhs}.
 
     The rows [A | b] are scaled by the lcm of their denominators (by minus
     that where b is negative) and pivoted in integers by
@@ -125,6 +126,16 @@ def _phase1_feasible(matrix, rhs) -> bool:
     sums, the artificials' labels n..n+m-1 only break `_leaving_row` ties,
     and only real columns enter.  This restricted phase 1 still ends at 0
     exactly when the system is feasible, as a feasible x gives it (x, 0).
+
+    Pricing is Dantzig's rule, the largest positive reduced cost (the rows
+    share one positive denominator, so their ints compare directly; ties go
+    to the lowest index), up to the first degenerate pivot, whose leaving
+    row has right-hand side 0; that pivot is made, and Bland's rule, the
+    lowest index with a positive reduced cost, prices the rest of the solve.
+    It terminates: before the switch every pivot has a positive step, so
+    the phase-1 objective strictly decreases and no basis repeats, and there
+    are finitely many bases; after it, Bland's rule cannot cycle from any
+    feasible basis (Bland, Math. Oper. Res. 2, 1977).
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
@@ -134,15 +145,20 @@ def _phase1_feasible(matrix, rhs) -> bool:
         tab.append([-x for x in ints] if ints[-1] < 0 else ints)
     basis = list(range(n, n + m))
     tab.append([sum(col) for col in zip(*tab)])  # reduced costs of min(sum of artificials)
-    den = 1
+    den, bland = 1, False
     while True:
         obj = tab[m]
-        enter = next((j for j in range(n) if obj[j] > 0), None)  # Bland: lowest index
+        if bland:
+            enter = next((j for j in range(n) if obj[j] > 0), None)
+        else:
+            top = max(obj[:n], default=0)
+            enter = obj.index(top) if top > 0 else None
         if enter is None:
             break
         leave = _leaving_row(tab[:m], basis, enter)
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded (impossible)")
+        bland = bland or tab[leave][-1] == 0
         den = _bareiss_pivot(tab, den, leave, enter)
         basis[leave] = enter
     return obj[-1] == 0
@@ -181,45 +197,63 @@ def lmi_support_enclosure(lmi: BlockLMI, curve: CurveSegment, l, tol) -> Rationa
 
     Branch and bound over the curve parameter with exact Lipschitz lower
     bounds per cell; incumbents are curve points confirmed members by the
-    exact PSD check.  The objective is evaluated once per point: a cell
-    carries its endpoint values, and a confirmed midpoint's value is handed
-    to both children.  Sound for hulls of curve segments, where linear
+    exact PSD check.  Sound for hulls of curve segments, where linear
     functionals attain their minima on the curve; the cross-validation
-    report records this as a one-sided check.  Raises CurvePointRejected
-    when the pencil rejects a curve point it meets.
+    report records this as a one-sided check.  Raises CurvePointRejected,
+    with the parameter t, when the pencil rejects a curve point it meets.
+
+    It runs on ints.  With t = a + (b - a) s on [a, b], the objective is
+    g(s) = sum nums_k s^k / gden of degree d, and cell k of level j is
+    [k/2^j, (k + 1)/2^j].  A cell carries its endpoint values as
+    `unipoly._horner` ints over gden * 2^(j d), and a confirmed midpoint's
+    value is handed to both children.  The cell's lower bound, the smaller
+    end value less the Taylor bound of |g'| at the midpoint
+    (`derivative_bound`) times the half width, is
+    2^d min(V_u, V_v) - sum |b_i| over gden * 2^((j+1) d), with
+    b = _taylor(g', 2k + 1, 2^(j+1)).  The substitution scales |g'|'s bound
+    by b - a and the half width by 1/(b - a), so the bounds, the cells met
+    and the enclosure are those of the same search on t.  The pencil is
+    composed with the substituted curve once (`lmi.compose_curve`), and
+    each point is checked on its int rows (`lmi.curve_membership`).
     """
     if lmi.n != curve.n:
         raise ValueError("dimension mismatch")
     tol = _q(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    objective = curve.objective(l)
     a, b = curve.domain.lo, curve.domain.hi
+    w = b - a
+    nums, gden = curve.objective(l).affine(a, w).integer_form()
+    composed = compose_curve(lmi, [p.affine(a, w) for p in curve.components])
+    d = max(len(nums) - 1, 0)
+    slope = _derivative(nums)
 
-    def confirmed_value(t) -> Fraction:
-        point = curve.point_at(t)
-        if not lmi_membership(lmi, point):
-            raise CurvePointRejected(t)
-        return objective(t)
+    def confirmed_value(p: int, q: int) -> int:
+        if not curve_membership(composed, p, q):
+            raise CurvePointRejected(a + w * Fraction(p, q))
+        return _horner(nums, p, q, d)
 
-    fa, fb = confirmed_value(a), confirmed_value(b)
+    fa, fb = confirmed_value(0, 1), confirmed_value(1, 1)
     incumbent = min(fa, fb)
-    cells = [(a, fa, b, fb)]  # (u, objective(u), v, objective(v))
+    cells = [(0, fa, fb)]  # (k, value at k/2^j, value at (k+1)/2^j) over gden * 2^(j d)
+    q = 1
     while True:
+        q *= 2  # values from here on are over gden * q^d, q = 2^(j+1)
+        incumbent <<= d
         best_lower = incumbent
         next_cells = []
-        for u, fu, v, fv in cells:
-            slope = derivative_bound(objective, u, v)
-            lower = min(fu, fv) - slope * (v - u) / 2
+        for k, fu, fv in cells:
+            fu, fv = fu << d, fv << d
+            lower = min(fu, fv) - sum(map(abs, _taylor(slope, 2 * k + 1, q)))
             if lower >= incumbent:
                 continue  # cell cannot beat the incumbent
-            mid = (u + v) / 2
-            fm = confirmed_value(mid)
+            fm = confirmed_value(2 * k + 1, q)
             incumbent = min(incumbent, fm)
-            next_cells.extend([(u, fu, mid, fm), (mid, fm, v, fv)])
+            next_cells.extend([(2 * k, fu, fm), (2 * k + 1, fm, fv)])
             best_lower = min(best_lower, lower)
-        if incumbent - best_lower <= tol or not next_cells:
-            return RationalEnclosure(best_lower, incumbent)
+        den = gden * q ** d
+        if (incumbent - best_lower) * tol.denominator <= tol.numerator * den or not next_cells:
+            return RationalEnclosure(Fraction(best_lower, den), Fraction(incumbent, den))
         cells = next_cells
 
 

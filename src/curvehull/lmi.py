@@ -17,7 +17,8 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 from .linalg import _check_symmetric, psd_check_exact
-from .unipoly import _RATIONAL_RE, Interval, UniPoly, _over_lcm, _positive_int, _q
+from .unipoly import (_RATIONAL_RE, Interval, UniPoly, _combine, _horner, _over_lcm,
+                      _polys_over_lcm, _positive_int, _q)
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,44 @@ def lmi_membership(lmi: BlockLMI, x) -> bool:
         raise ValueError(f"point has dimension {len(x)}, pencil has {lmi.n}")
     xs, q = _over_lcm(x)
     return all(psd_check_exact(blk.integer_rows(xs, q)) for blk in lmi.blocks)
+
+
+def compose_curve(lmi: BlockLMI, components) -> tuple:
+    """The pencil along the curve t -> (p_1(t), ..., p_n(t)), p_i UniPolys:
+    per block, the symmetric rows of UniPolys c * (A + sum_i p_i(t) B_i)
+    with integer coefficients, for c > 0 the lcm of the block's
+    denominators times that of the curve's.  A positive scale keeps every
+    PSD verdict."""
+    if len(components) != lmi.n:
+        raise ValueError(f"curve has dimension {len(components)}, pencil has {lmi.n}")
+    nums, den = _polys_over_lcm(components)
+    composed = []
+    for blk in lmi.blocks:
+        upper = {}
+        for i, j, a, terms in blk._entries:
+            entry = (a * den,)
+            for v, b in terms:
+                entry = _combine(entry, 1, nums[v], b)
+            upper[i, j] = UniPoly(entry)
+        composed.append(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(blk.size))
+                              for i in range(blk.size)))
+    return tuple(composed)
+
+
+def curve_membership(composed, p: int, q: int) -> bool:
+    """Exact membership of the curve point at t = p/q, for ints p and q > 0,
+    in a pencil composed with its curve by `compose_curve`: each block's
+    entries at t are q^d times their values by one integer Horner
+    (`unipoly._horner`), d the block's largest degree, and the int rows go
+    through `psd_check_exact`."""
+    for block in composed:
+        forms = [[e.integer_form()[0] for e in row[i:]] for i, row in enumerate(block)]
+        d = max(max(map(len, row)) for row in forms) - 1
+        upper = [[_horner(f, p, q, d) for f in row] for row in forms]
+        rows = [[upper[j][i - j] for j in range(i)] + r for i, r in enumerate(upper)]
+        if not psd_check_exact(rows):
+            return False
+    return True
 
 
 # -- square certificates -------------------------------------------------------

@@ -35,6 +35,8 @@ def _q(x) -> Fraction:
         raise TypeError(f"a float is not an exact rational: {x!r}")
     if type(x) is int and -16 <= x <= 16:
         return _SMALL[x + 16]
+    if isinstance(x, bool):  # JSON true/false are not the numbers 1 and 0
+        raise TypeError(f"a bool is not an exact rational: {x!r}")
     return Fraction(x)
 
 
@@ -81,6 +83,14 @@ def _over_lcm(values):
     their denominators and values[k] == ints[k] / den."""
     den = lcm(*(x.denominator for x in values))
     return tuple(x.numerator * (den // x.denominator) for x in values), den
+
+
+def _polys_over_lcm(polys):
+    """(nums, den) for a sequence of polynomials: den is the positive lcm of
+    their denominators and polys[k] has the int coefficients nums[k] / den."""
+    forms = [p.integer_form() for p in polys]
+    den = lcm(*(d for _, d in forms))
+    return [tuple(x * (den // d) for x in n) for n, d in forms], den
 
 
 @dataclass(frozen=True)
@@ -453,15 +463,21 @@ class UniPoly(_Poly):
         return UniPoly._trusted(_derivative(nums, k), den)
 
     def shift(self, a) -> "UniPoly":
-        """Return q with q(t) = self(t + a): for a = mu/nu, self(t + a) is
-        sum b_k nu^k t^k / (den nu^d) with b from `_taylor`."""
-        a = _q(a)
-        if not a or self.is_zero:
+        """Return q with q(t) = self(t + a)."""
+        return self.affine(a, 1)
+
+    def affine(self, a, w) -> "UniPoly":
+        """Return q with q(s) = self(a + w s): for a = mu/nu and w = g/h,
+        q(s) is sum b_k (nu g)^k h^(d-k) s^k / (den (nu h)^d) with b from
+        `_taylor`."""
+        a, w = _q(a), _q(w)
+        if (not a and w == 1) or self.is_zero:
             return self
         nums, den = self.integer_form()
-        nu, d = a.denominator, len(nums) - 1
+        nu, g, h, d = a.denominator, w.numerator, w.denominator, len(nums) - 1
         b = _taylor(nums, a.numerator, nu)
-        return UniPoly._trusted(tuple(c * nu ** k for k, c in enumerate(b)), den * nu ** d)
+        scaled = [c * (nu * g) ** k * h ** (d - k) for k, c in enumerate(b)]
+        return UniPoly._trusted(_strip(scaled), den * (nu * h) ** d)
 
     def monic(self) -> "UniPoly":
         return _monic(self.integer_form()[0])

@@ -540,6 +540,13 @@ class TestFloatPencilEntries:
         data = self.member(capsys, tmp_path, 0.3, 1)
         assert data["error"].startswith("cannot load pencil: malformed pencil payload")
 
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_a_bool_entry_is_a_json_error(self, capsys, tmp_path, entry):
+        # JSON true/false used to load as the numbers 1 and 0
+        data = self.member(capsys, tmp_path, entry, 1)
+        assert data == {"error": "cannot load pencil: malformed pencil payload: TypeError: "
+                                 f"a bool is not an exact rational: {entry!r}"}
+
     @pytest.mark.parametrize("entry", ["3/10", "0.3"])
     def test_a_string_entry_is_exact(self, capsys, tmp_path, entry):
         # the pencil 3/10 + x is 0 at x = -3/10

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from curvehull import unipoly
 from curvehull.hull import (CurvePointRejected, CurveSegment, RationalEnclosure,
-                            _leaving_row, cross_validate, finite_hull_membership,
-                            lmi_support_enclosure, moment_curve, sample_curve,
-                            support_min_exact)
+                            _leaving_row, _phase1_feasible, cross_validate,
+                            finite_hull_membership, lmi_support_enclosure, moment_curve,
+                            sample_curve, support_min_exact)
 from curvehull.linalg import _bareiss_pivot
-from curvehull.lmi import interval_moment_lmi, lmi_membership
+from curvehull.lmi import curve_membership, interval_moment_lmi, lmi_membership
 from curvehull.unipoly import Interval, UniPoly, derivative_bound
 
 UNIT = Interval(0, 1)
@@ -224,15 +224,17 @@ class TestLmiSupport:
         # with tol = 0 the search on t^2 - t would split forever around t = 1/2,
         # so the check must come before the first membership test
         member = mock.Mock(side_effect=AssertionError("membership tested"))
-        with mock.patch("curvehull.hull.lmi_membership", member), \
+        with mock.patch("curvehull.hull.curve_membership", member), \
                 pytest.raises(ValueError, match="tol must be positive"):
             lmi_support_enclosure(interval_moment_lmi(2, UNIT), moment_curve(2, UNIT),
                                   (-1, 1), tol)
+        member.assert_not_called()
 
 
-def recomputing_support_enclosure(lmi, curve, l, tol, member=lmi_membership):
-    """Oracle: the branch and bound that evaluates the objective at both ends
-    of every cell (lmi_support_enclosure before cells carried their values)."""
+def recomputing_support_enclosure(lmi, curve, l, tol, checked):
+    """Oracle: the Fraction branch and bound on t that evaluates the objective
+    at both ends of every cell (lmi_support_enclosure before it ran on ints);
+    each curve point goes through lmi_membership, its t appended to checked."""
     l = [F(c) for c in l]
     tol = F(tol)
     objective = UniPoly.zero()
@@ -241,7 +243,8 @@ def recomputing_support_enclosure(lmi, curve, l, tol, member=lmi_membership):
     a, b = curve.domain.lo, curve.domain.hi
 
     def confirmed_value(t):
-        if not member(lmi, curve.point_at(t)):
+        checked.append(t)
+        if not lmi_membership(lmi, curve.point_at(t)):
             raise CurvePointRejected(t)
         return objective(t)
 
@@ -275,28 +278,40 @@ def support_cases(draw):
     l = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)
              .filter(lambda l: any(l)))
     return n, l, draw(st.sampled_from(BENCH_INTERVALS)), draw(
-        st.sampled_from((F(1, 1000), F(1, 10 ** 6))))
+        st.sampled_from((F(1, 1000), F(1, 10 ** 6)))), draw(st.booleans())
+
+
+def outcome(search):
+    """The enclosure's ends, or the parameter of the rejected curve point."""
+    try:
+        enc = search()
+    except CurvePointRejected as exc:
+        return "rejected", exc.t
+    return enc.lo, enc.hi
 
 
 class TestSupportBranchAndBound:
     @settings(max_examples=200, deadline=None)
     @given(support_cases())
     def test_same_enclosure_and_membership_calls_as_recomputing(self, case):
-        n, l, s, tol = case
-        curve, pencil = moment_curve(n, s), interval_moment_lmi(n, s)
-        seen = {"new": [], "old": []}
+        # the integer search checks the same curve points, named by their
+        # parameter t, in the same order; on a pencil built for a shorter
+        # interval both stop at the same rejected point
+        n, l, s, tol, shrunk = case
+        curve = moment_curve(n, s)
+        pencil = interval_moment_lmi(n, Interval(s.lo, s.hi - s.width / 10) if shrunk else s)
+        old, new = [], []
 
-        def counting(key):
-            def member(lmi, point):
-                seen[key].append(point)
-                return lmi_membership(lmi, point)
-            return member
+        def member(composed, p, q):
+            new.append(s.lo + s.width * F(p, q))
+            return curve_membership(composed, p, q)
 
-        expected = recomputing_support_enclosure(pencil, curve, l, tol, counting("old"))
-        with mock.patch("curvehull.hull.lmi_membership", counting("new")):
-            got = lmi_support_enclosure(pencil, curve, l, tol)
-        assert (got.lo, got.hi) == (expected.lo, expected.hi)
-        assert seen["new"] == seen["old"]
+        expected = outcome(lambda: recomputing_support_enclosure(pencil, curve, l, tol, old))
+        with mock.patch("curvehull.hull.curve_membership", member):
+            got = outcome(lambda: lmi_support_enclosure(pencil, curve, l, tol))
+        assert got == expected
+        assert new == old
+        assert (got[0] == "rejected") is shrunk
 
 
 class TestCrossValidate:
@@ -446,6 +461,57 @@ def hull_cases(draw):
     return points, probe, True
 
 
+@st.composite
+def degenerate_hull_cases(draw):
+    """Heavily degenerate LPs: at most five distinct points with entries in
+    -2..2, repeated up to twelve points, and a probe at one of them (a
+    vertex when it is extreme), at the midpoint of two of them (on an edge
+    when they span one), or at either pushed by 1/100 along a random
+    integer direction.  Returns (points, probe, known verdict or None)."""
+    dim = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-2, 2).map(F)] * dim)
+    distinct = draw(st.lists(point, min_size=1, max_size=5, unique=True))
+    points = draw(st.permutations(distinct + draw(
+        st.lists(st.sampled_from(distinct), min_size=1, max_size=12 - len(distinct)))))
+    u, v = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+    probe = u if draw(st.booleans()) else tuple((x + y) / 2 for x, y in zip(u, v))
+    if draw(st.booleans()):
+        return points, probe, True
+    c = draw(st.tuples(*[st.integers(-2, 2)] * dim).filter(any))
+    return points, tuple(x + F(ci, 100) for x, ci in zip(probe, c)), None
+
+
+# Beale's example of cycling (Beale, Naval Res. Logist. Quart. 2, 1955):
+# minimize -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 subject to the first three rows,
+# x >= 0, whose minimum is -1/20.  As a feasibility system the last row reads
+# objective + x8 = value, which has a solution exactly when value >= -1/20.
+BEALE = [[1, 0, 0, F(1, 4), -60, F(-1, 25), 9, 0],
+         [0, 1, 0, F(1, 2), -90, F(-1, 50), 3, 0],
+         [0, 0, 1, 0, 0, 1, 0, 0],
+         [0, 0, 0, F(-3, 4), 150, F(-1, 50), 6, 1]]
+
+
+def dantzig_only_bases(matrix, rhs, steps):
+    """The basis after each of `steps` pivots of `_phase1_feasible`'s tableau
+    priced by Dantzig's rule alone, with no Bland fallback."""
+    tab = []
+    for row, b in zip(matrix, rhs):
+        ints, _ = unipoly._over_lcm([F(x) for x in (*row, b)])
+        tab.append([-x for x in ints] if ints[-1] < 0 else ints)
+    m, n = len(tab), len(matrix[0])
+    basis = list(range(n, n + m))
+    tab.append([sum(col) for col in zip(*tab)])
+    den, bases = 1, []
+    for _ in range(steps):
+        enter = tab[m].index(max(tab[m][:n]))
+        leave = _leaving_row(tab[:m], basis, enter)
+        assert tab[leave][-1] == 0  # every step is degenerate
+        den = _bareiss_pivot(tab, den, leave, enter)
+        basis[leave] = enter
+        bases.append(tuple(basis))
+    return bases
+
+
 class TestPhase1Kernel:
     @settings(max_examples=400, deadline=None)
     @given(hull_cases())
@@ -455,6 +521,56 @@ class TestPhase1Kernel:
         assert verdict == fraction_hull_membership(points, probe)
         if known is not None:
             assert verdict is known
+
+    @settings(max_examples=300, deadline=None)
+    @given(degenerate_hull_cases())
+    def test_agrees_with_the_fraction_simplex_on_degenerate_inputs(self, case):
+        points, probe, known = case
+        verdict = finite_hull_membership(points, probe)
+        assert verdict == fraction_hull_membership(points, probe)
+        if known is not None:
+            assert verdict is known
+
+    def test_dantzig_pricing_alone_cycles_on_beales_example(self):
+        # six degenerate pivots bring the basis back: without the Bland
+        # fallback the solve would never end
+        bases = dantzig_only_bases(BEALE, [0, 0, 1, F(-51, 1000)], 14)
+        assert bases[2:8] == bases[8:14]
+        assert len(set(bases[2:8])) == 6
+
+    @pytest.mark.parametrize("value, feasible", [(F(-1, 20), True), (F(-51, 1000), False),
+                                                 (0, True)])
+    def test_beales_example_terminates_with_the_right_verdict(self, value, feasible):
+        pivots = []
+
+        def capped(*args):
+            pivots.append(args[2:])
+            assert len(pivots) <= 30, "phase 1 cycles"
+            return _bareiss_pivot(*args)
+
+        with mock.patch("curvehull.hull._bareiss_pivot", capped):
+            assert _phase1_feasible(BEALE, [0, 0, 1, value]) is feasible
+        assert fraction_phase1_feasible(BEALE, [0, 0, 1, value]) is feasible
+
+    def test_pivot_counts_of_a_crossval_case(self):
+        # the four probe LPs of the n = 6, [0, 1] crossval shape at seed 0;
+        # Bland's rule alone takes 32, 3, 47 and 21 pivots
+        counts = []
+
+        def counting(*args):
+            counts[-1] += 1
+            return _bareiss_pivot(*args)
+
+        def lp(points, x):
+            counts.append(0)
+            return finite_hull_membership(points, x)
+
+        with mock.patch("curvehull.hull._bareiss_pivot", counting), \
+                mock.patch("curvehull.hull.finite_hull_membership", lp):
+            report = cross_validate(moment_curve(6, UNIT), interval_moment_lmi(6, UNIT),
+                                    trials=4, seed=0, sample_count=20, support_functionals=0)
+        assert counts == [13, 1, 25, 2]
+        assert (report.hull_members_checked, report.lmi_nonmembers_checked) == (2, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvehull import lmi
-from curvehull.lmi import (Block, BlockLMI, emit_sdpa, hankel_lmi,
-                           interval_moment_lmi, lmi_from_json, lmi_membership,
+from curvehull.hull import moment_curve
+from curvehull.lmi import (Block, BlockLMI, compose_curve, curve_membership, emit_sdpa,
+                           hankel_lmi, interval_moment_lmi, lmi_from_json, lmi_membership,
                            lmi_to_json, sosx_certificate)
 from curvehull.rays import ZeroPattern
 from curvehull.unipoly import _RATIONAL_RE, Interval, UniPoly, _over_lcm
@@ -157,6 +158,51 @@ class TestMembership:
                 probe = list(moment_vector(x, n))
                 probe[-1] -= eps
                 assert not lmi_membership(pencil, tuple(probe)), (n, x)
+
+
+PENCILS_FOR_THE_UNIT_CURVE = {
+    "right": lambda n: interval_moment_lmi(n, UNIT),
+    "too small": lambda n: interval_moment_lmi(n, Interval(0, F(9, 10))),
+    "hankel": lambda n: hankel_lmi(n if n % 2 == 0 else n + 1),
+}
+
+
+class TestComposeCurve:
+    """The pencil composed with its curve decides each curve point as
+    lmi_membership decides the point itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from(sorted(PENCILS_FOR_THE_UNIT_CURVE)),
+           st.integers(-30, 40), st.integers(1, 30), st.booleans())
+    def test_composed_membership_is_pencil_membership_of_the_curve_point(
+            self, n, kind, p, q, substituted):
+        pencil = PENCILS_FOR_THE_UNIT_CURVE[kind](n)
+        curve = moment_curve(pencil.n, UNIT)
+        if not substituted:
+            composed, t = compose_curve(pencil, curve.components), F(p, q)
+        else:  # t = a + (b - a) s on [a, b] = [-1/3, 2], as the support search runs
+            a, w = F(-1, 3), F(7, 3)
+            composed = compose_curve(pencil, [c.affine(a, w) for c in curve.components])
+            t = a + w * F(p, q)
+        assert curve_membership(composed, p, q) is lmi_membership(pencil, curve.point_at(t))
+
+    def test_each_block_is_a_positive_multiple_of_the_pencil_along_the_curve(self):
+        pencil = interval_moment_lmi(3, Interval(F(-1, 2), F(2, 3)))
+        curve = moment_curve(3, UNIT)
+        for blk, rows in zip(pencil.blocks, compose_curve(pencil, curve.components)):
+            assert all(e.integer_form()[1] == 1 for r in rows for e in r)
+            for x in (F(-3, 7), F(0), F(5, 2)):
+                exact = [[blk.a0[i][j] + sum(m[i][j] * c for m, c in zip(blk.coeff,
+                                                                          curve.point_at(x)))
+                          for j in range(blk.size)] for i in range(blk.size)]
+                got = [[e(x) for e in r] for r in rows]
+                scale = {g / e for r, er in zip(got, exact) for g, e in zip(r, er) if e}
+                assert len(scale) == 1 and scale.pop() > 0
+                assert all(g == 0 for r, er in zip(got, exact) for g, e in zip(r, er) if not e)
+
+    def test_a_curve_of_another_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="curve has dimension 2, pencil has 3"):
+            compose_curve(interval_moment_lmi(3, UNIT), moment_curve(2, UNIT).components)
 
 
 class TestEvaluate:
@@ -465,6 +511,15 @@ class TestJson:
         # strings or integers
         with pytest.raises(ValueError, match="malformed pencil payload: TypeError"):
             lmi_from_json({"n": 1, "blocks": blocks})
+
+    @pytest.mark.parametrize("blocks", [
+        [{"size": 1, "A": [True], "B": [["1"]]}],
+        [{"size": 1, "A": ["1"], "B": [[False]]}],
+    ])
+    def test_bool_entries_are_refused(self, blocks):
+        # JSON true/false are not the numbers 1 and 0
+        with pytest.raises(ValueError, match="malformed pencil payload: TypeError: a bool is not"):
+            lmi_from_json(json.dumps({"n": 1, "blocks": blocks}))
 
     @pytest.mark.parametrize("entry", ["1e3", "1E3", "1e30000000", "1.5e-3", " 1", "1/3 ",
                                        ".5", "5.", "0x10", "1_000", "inf", "nan", "", "+",

@@ -278,6 +278,13 @@ class TestExactCoercion:
         with pytest.raises(TypeError):
             UniPoly([1, value])
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_are_refused(self, value):
+        with pytest.raises(TypeError, match="a bool is not an exact rational"):
+            unipoly._q(value)
+        with pytest.raises(TypeError, match="a bool is not an exact rational"):
+            UniPoly([1, value])
+
     def test_numpy_floats_are_refused(self):
         np = pytest.importorskip("numpy")
         for value in (np.float64(0.3), np.float32(0.5), np.float16(1)):
@@ -876,6 +883,15 @@ class TestIntegerArithmetic:
         assert_kernel_output(a.derivative(k), frac_derivative(a, k))
         assert_kernel_output(a.monic(), frac_monic(a))
         assert_kernel_output(a.shift(x), frac_shift(a, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_polys, points, points)
+    def test_affine_matches_the_fraction_loop(self, a, x, w):
+        # a(x + w s) is a(x + t) with t = w s: its Taylor coefficients times w^k
+        expected = UniPoly([c * F(w) ** k for k, c in enumerate(frac_shift(a, x).coeffs)])
+        assert_kernel_output(a.affine(x, w), expected)
+        assert a.shift(x) == a.affine(x, 1)
+        assert a.affine(0, 1) is a
 
     @settings(max_examples=200, deadline=None)
     @given(mixed_polys, mixed_polys.filter(bool))
