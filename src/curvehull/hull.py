@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .linalg import _bareiss_pivot
 from .lmi import BlockLMI, compose_curve, curve_membership, lmi_membership
@@ -28,6 +30,8 @@ class CurveSegment:
     domain: Interval
 
     def __post_init__(self):
+        if not isinstance(self.domain, Interval):
+            raise TypeError(f"domain must be an Interval, got {self.domain!r}")
         comps = tuple(p if isinstance(p, UniPoly) else UniPoly(p) for p in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
@@ -55,12 +59,37 @@ def moment_curve(n: int, domain: Interval) -> CurveSegment:
     return CurveSegment(tuple(UniPoly.monomial(k) for k in range(1, n + 1)), domain)
 
 
-def sample_curve(curve: CurveSegment, count: int):
-    """count equally spaced curve points, endpoints included, exact."""
+class SampleRows(NamedTuple):
+    """Points as int rows: rows[d][k] / dens[d] is coordinate d of point k,
+    over dens[d] the least positive common denominator of row d."""
+
+    rows: tuple
+    dens: tuple
+
+
+def _sample_rows(curve: CurveSegment, count: int) -> SampleRows:
+    """`sample_curve` as SampleRows: with a = A/Q0 and b = B/Q0, t_k = P_k/Q
+    for P_k = A(count-1) + (B-A)k and Q = Q0(count-1); each coordinate is
+    `_horner(nums_d, P_k, Q, deg_d)` over den_d * Q^deg_d, and the row is
+    divided by gcd(den, *row), leaving den the lcm `_over_lcm` would give."""
     if _positive_int(count, "count") < 2:
         raise ValueError("need at least two samples")
-    a, b = curve.domain.lo, curve.domain.hi
-    return [curve.point_at(a + (b - a) * Fraction(k, count - 1)) for k in range(count)]
+    (lo, hi), q = _over_lcm((curve.domain.lo, curve.domain.hi))
+    ps = [lo * (count - 1) + (hi - lo) * k for k in range(count)]
+    q *= count - 1
+    cleared = []
+    for nums, den in (p.integer_form() for p in curve.components):
+        deg = max(len(nums) - 1, 0)
+        row = [_horner(nums, pk, q, deg) for pk in ps]
+        g = gcd(den * q ** deg, *row)
+        cleared.append((tuple(v // g for v in row), den * q ** deg // g))
+    return SampleRows(*zip(*cleared))
+
+
+def sample_curve(curve: CurveSegment, count: int):
+    """count equally spaced curve points, endpoints included, exact."""
+    rows, dens = _sample_rows(curve, count)
+    return [tuple(map(Fraction, col, dens)) for col in zip(*rows)]
 
 
 def support_min_exact(l, curve: CurveSegment, width) -> RationalEnclosure:
@@ -116,16 +145,15 @@ def _leaving_row(tab, basis, enter):
     return best
 
 
-def _phase1_feasible(matrix, rhs) -> bool:
-    """Exact phase-1 simplex for {x >= 0 : matrix x = rhs}.
+def _phase1(tab) -> bool:
+    """Exact phase-1 simplex for {x >= 0 : A x = b} on int rows [A | b], b >= 0.
 
-    The rows [A | b] are scaled by the lcm of their denominators (by minus
-    that where b is negative) and pivoted in integers by
-    `linalg._bareiss_pivot`; the denominator is the last pivot, positive.
-    The artificial basis is implicit: the reduced-cost row is the column
-    sums, the artificials' labels n..n+m-1 only break `_leaving_row` ties,
-    and only real columns enter.  This restricted phase 1 still ends at 0
-    exactly when the system is feasible, as a feasible x gives it (x, 0).
+    The rows are pivoted in integers by `linalg._bareiss_pivot`; the
+    denominator is the last pivot, positive.  The artificial basis is
+    implicit: the reduced-cost row is the column sums, the artificials'
+    labels n..n+m-1 only break `_leaving_row` ties, and only real columns
+    enter.  This restricted phase 1 still ends at 0 exactly when the system
+    is feasible, as a feasible x gives it (x, 0).
 
     Pricing is Dantzig's rule, the largest positive reduced cost (the rows
     share one positive denominator, so their ints compare directly; ties go
@@ -137,12 +165,7 @@ def _phase1_feasible(matrix, rhs) -> bool:
     are finitely many bases; after it, Bland's rule cannot cycle from any
     feasible basis (Bland, Math. Oper. Res. 2, 1977).
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    tab = []
-    for row, b in zip(matrix, rhs):
-        ints, _ = _over_lcm([_q(x) for x in row] + [_q(b)])
-        tab.append([-x for x in ints] if ints[-1] < 0 else ints)
+    m, n = len(tab), len(tab[0]) - 1
     basis = list(range(n, n + m))
     tab.append([sum(col) for col in zip(*tab)])  # reduced costs of min(sum of artificials)
     den, bland = 1, False
@@ -164,20 +187,39 @@ def _phase1_feasible(matrix, rhs) -> bool:
     return obj[-1] == 0
 
 
+def _phase1_feasible(matrix, rhs) -> bool:
+    """`_phase1` on the rows [A | b], each cleared by its lcm, negated where b < 0."""
+    tab = [_over_lcm([_q(x) for x in (*row, b)])[0] for row, b in zip(matrix, rhs)]
+    return _phase1([[-x for x in r] if r[-1] < 0 else r for r in tab])
+
+
 def finite_hull_membership(points, x) -> bool:
     """Exact test for x in conv(points): existence of lambda >= 0 with
-    sum lambda = 1 and sum lambda_i p_i = x, by phase-1 simplex feasibility."""
-    points = [tuple(_q(c) for c in p) for p in points]
+    sum lambda = 1 and sum lambda_i p_i = x, by phase-1 simplex feasibility.
+
+    points is a point list, cleared here, or its SampleRows, which a caller
+    with many x clears once: per x, row d is only scaled to lcm(dens[d],
+    x_d's denominator) and given its right-hand side, as `_phase1_feasible`."""
     x = tuple(_q(c) for c in x)
-    if not points:
-        raise ValueError("need at least one point")
-    dim = len(points[0])
-    if any(len(p) != dim for p in points) or len(x) != dim:
+    if not isinstance(points, SampleRows):
+        points = [tuple(_q(c) for c in p) for p in points]
+        if not points:
+            raise ValueError("need at least one point")
+        if any(len(p) != len(x) for p in points):
+            raise ValueError("dimension mismatch")
+        if not x:
+            return True  # the one point of R^0
+        points = SampleRows(*zip(*map(_over_lcm, zip(*points))))
+    elif len(x) != len(points.rows):
         raise ValueError("dimension mismatch")
-    matrix = [[p[d] for p in points] for d in range(dim)]
-    matrix.append([Fraction(1)] * len(points))
-    rhs = list(x) + [Fraction(1)]
-    return _phase1_feasible(matrix, rhs)
+    tab = []
+    for row, den, c in zip(*points, x):
+        scale = lcm(den, c.denominator)
+        b = c.numerator * (scale // c.denominator)
+        f = (scale if b >= 0 else -scale) // den
+        tab.append([v * f for v in row] + [abs(b)])
+    tab.append([1] * (len(points.rows[0]) + 1))
+    return _phase1(tab)
 
 
 # -- LMI-side support values -----------------------------------------------------
@@ -303,15 +345,7 @@ class CrossValidationReport:
 def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     """Uniform-ish rational in [lo, hi] with denominator at most 1000."""
     den = rng.randint(1, 1000)
-    lo_num = lo * den
-    hi_num = hi * den
-    num = rng.randint(int(lo_num) , int(hi_num))
-    x = Fraction(num, den)
-    if x < lo:
-        return lo
-    if x > hi:
-        return hi
-    return x
+    return min(max(Fraction(rng.randint(int(lo * den), int(hi * den)), den), lo), hi)
 
 
 def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
@@ -335,22 +369,18 @@ def cross_validate(curve: CurveSegment, lmi: BlockLMI, trials: int,
     _order(support_functionals, "support_functionals")
     rng = random.Random(seed)
     report = CrossValidationReport(n=curve.n, trials=trials)
-    samples = sample_curve(curve, sample_count)
-    lo_box = [min(p[d] for p in samples) for d in range(curve.n)]
-    hi_box = [max(p[d] for p in samples) for d in range(curve.n)]
-    pad = [(h - l) / 4 if h > l else Fraction(1) for l, h in zip(lo_box, hi_box)]
+    samples = _sample_rows(curve, sample_count)
+    box = [(Fraction(min(row), den), Fraction(max(row), den)) for row, den in zip(*samples)]
+    pad = [(h - l) / 4 if h > l else Fraction(1) for l, h in box]
     for trial in range(trials):
         if trial % 2 == 0:
-            weights = [Fraction(rng.randint(0, 100)) for _ in range(3)]
-            total = sum(weights) or Fraction(1)
-            picks = [samples[rng.randrange(len(samples))] for _ in range(3)]
-            probe = tuple(
-                sum((w * p[d] for w, p in zip(weights, picks)), Fraction(0)) / total
-                for d in range(curve.n))
+            weights = [rng.randint(0, 100) for _ in range(3)]
+            total = sum(weights) or 1
+            picks = [rng.randrange(sample_count) for _ in range(3)]
+            probe = tuple(Fraction(sum(w * row[k] for w, k in zip(weights, picks)), den * total)
+                          for row, den in zip(*samples))
         else:
-            probe = tuple(
-                _random_rational(rng, l - p, h + p)
-                for l, h, p in zip(lo_box, hi_box, pad))
+            probe = tuple(_random_rational(rng, l - p, h + p) for (l, h), p in zip(box, pad))
         in_hull = finite_hull_membership(samples, probe)
         in_lmi = lmi_membership(lmi, probe)
         if in_hull:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
-from .linalg import _check_symmetric, psd_check_exact
+from .linalg import _check_symmetric, _symmetric_pivots, psd_check_exact
 from .unipoly import (_RATIONAL_RE, Interval, UniPoly, _combine, _horner, _over_lcm,
                       _polys_over_lcm, _positive_int, _q)
 
@@ -171,14 +171,14 @@ def curve_membership(composed, p: int, q: int) -> bool:
     """Exact membership of the curve point at t = p/q, for ints p and q > 0,
     in a pencil composed with its curve by `compose_curve`: each block's
     entries at t are q^d times their values by one integer Horner
-    (`unipoly._horner`), d the block's largest degree, and the int rows go
-    through `psd_check_exact`."""
+    (`unipoly._horner`), d the block's largest degree; the int rows, mirrored
+    so symmetric by construction, go to `linalg._symmetric_pivots` directly."""
     for block in composed:
         forms = [[e.integer_form()[0] for e in row[i:]] for i, row in enumerate(block)]
         d = max(max(map(len, row)) for row in forms) - 1
         upper = [[_horner(f, p, q, d) for f in row] for row in forms]
         rows = [[upper[j][i - j] for j in range(i)] + r for i, r in enumerate(upper)]
-        if not psd_check_exact(rows):
+        if _symmetric_pivots(rows) is None:
             return False
     return True
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvehull import unipoly
-from curvehull.hull import (CurvePointRejected, CurveSegment, RationalEnclosure,
-                            _leaving_row, _phase1_feasible, cross_validate,
+from curvehull.hull import (CurvePointRejected, CurveSegment, RationalEnclosure, SampleRows,
+                            _leaving_row, _phase1_feasible, _random_rational, _sample_rows,
+                            cross_validate,
                             finite_hull_membership, lmi_support_enclosure, moment_curve,
                             sample_curve, support_min_exact)
 from curvehull.linalg import _bareiss_pivot
@@ -43,6 +44,42 @@ class TestCurve:
     def test_constant_curve_rejected(self):
         with pytest.raises(ValueError):
             CurveSegment((UniPoly.one(),), UNIT)
+
+    @pytest.mark.parametrize("domain", [(0, 1), [F(0), F(1)], None])
+    def test_domain_must_be_an_interval(self, domain):
+        # a tuple used to build, and sampling it then failed on domain.lo
+        with pytest.raises(TypeError, match="domain must be an Interval"):
+            CurveSegment((t, t * t), domain)
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@st.composite
+def polynomial_curves(draw):
+    """Curves of 1-4 polynomial components of degree at most 4, constant and
+    zero components included, on an interval [lo, lo + width] that often
+    has negative ends, and a sample count in 2..40."""
+    comps = draw(st.lists(st.lists(small_rationals, max_size=5).map(UniPoly),
+                          min_size=1, max_size=4).filter(lambda ps: any(p.degree > 0 for p in ps)))
+    lo = draw(small_rationals)
+    width = draw(st.fractions(min_value=F(1, 9), max_value=5, max_denominator=9))
+    return CurveSegment(tuple(comps), Interval(lo, lo + width)), draw(st.integers(2, 40))
+
+
+class TestSampleRows:
+    @settings(max_examples=200, deadline=None)
+    @given(polynomial_curves())
+    def test_rows_over_their_dens_are_the_curve_points(self, case):
+        curve, count = case
+        rows, dens = _sample_rows(curve, count)
+        a, b = curve.domain.lo, curve.domain.hi
+        points = [curve.point_at(a + (b - a) * F(k, count - 1)) for k in range(count)]
+        for d, (row, den) in enumerate(zip(rows, dens)):
+            assert all(type(v) is int for v in row)
+            assert [F(v, den) for v in row] == [p[d] for p in points]
+            assert (row, den) == unipoly._over_lcm([p[d] for p in points])
+        assert sample_curve(curve, count) == points
 
 
 class TestSupportMin:
@@ -139,6 +176,9 @@ class TestFiniteHull:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             finite_hull_membership([(0, 0)], (0, 0, 0))
+
+    def test_points_of_dimension_0(self):
+        assert finite_hull_membership([(), ()], ())
 
     def test_no_points_refused(self):
         with pytest.raises(ValueError, match="need at least one point"):
@@ -348,6 +388,55 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match=message):
             cross_validate(moment_curve(2, UNIT), interval_moment_lmi(2, UNIT), 2,
                            sample_count=count)
+
+    @pytest.mark.parametrize("domain", [Interval(F(-3, 2), F(-1, 2)), Interval(1, 2)])
+    def test_probes_are_the_draws_from_the_fraction_samples(self, domain):
+        # oracle: the probes drawn from sample_curve's Fraction points with
+        # the same rng calls, as cross_validate drew them before it ran on
+        # the sample rows; the padded box of x_1 ends below 0 on the first
+        # domain and starts above 0 on the second, so draws get clamped
+        curve = moment_curve(3, domain)
+        seen = []
+
+        def lp(samples, x):
+            seen.append(x)
+            return finite_hull_membership(samples, x)
+
+        with mock.patch("curvehull.hull.finite_hull_membership", lp):
+            cross_validate(curve, interval_moment_lmi(3, curve.domain), trials=40, seed=4,
+                           sample_count=20, support_functionals=0)
+        rng = random.Random(4)
+        samples = sample_curve(curve, 20)
+        box = [(min(p[d] for p in samples), max(p[d] for p in samples)) for d in range(3)]
+        expected = []
+        for trial in range(40):
+            if trial % 2 == 0:
+                weights = [F(rng.randint(0, 100)) for _ in range(3)]
+                picks = [samples[rng.randrange(20)] for _ in range(3)]
+                expected.append(tuple(sum(w * p[d] for w, p in zip(weights, picks))
+                                      / (sum(weights) or 1) for d in range(3)))
+                continue
+            probe = []
+            for lo, hi in box:
+                lo, hi = lo - (hi - lo) / 4, hi + (hi - lo) / 4
+                den = rng.randint(1, 1000)
+                x = F(rng.randint(int(lo * den), int(hi * den)), den)
+                probe.append(lo if x < lo else hi if x > hi else x)
+            expected.append(tuple(probe))
+        assert seen == expected
+
+    def test_box_draws_are_clamped_into_the_box(self):
+        # int() truncates toward 0, so on a box away from 0 the drawn numerator
+        # can fall outside it; such a draw becomes the nearer end
+        clamped = 0
+        for lo, hi in ((F(7, 3), F(5, 2)), (F(-5, 2), F(-7, 3))):
+            old, new = random.Random(3), random.Random(3)
+            for _ in range(300):
+                den = old.randint(1, 1000)
+                x = F(old.randint(int(lo * den), int(hi * den)), den)
+                clamped += not lo <= x <= hi
+                assert _random_rational(new, lo, hi) == min(max(x, lo), hi)
+        assert clamped > 0
 
     def test_json_shape(self):
         report = cross_validate(moment_curve(2, UNIT), interval_moment_lmi(2, UNIT),
@@ -620,6 +709,58 @@ class TestPhase1Kernel:
             assert finite_hull_membership(samples, vertex)
             pushed = (vertex[0], vertex[1] - eps, vertex[2])
             assert not finite_hull_membership(samples, pushed)
+
+
+def point_rows(points):
+    """The SampleRows of a point list: each coordinate row over its lcm."""
+    return SampleRows(*zip(*(unipoly._over_lcm([F(c) for c in col]) for col in zip(*points))))
+
+
+def pivoting(oracle, *args):
+    """The verdict of oracle(*args) and the (leave, enter) of each of its pivots."""
+    pivots = []
+
+    def recording(*pivot_args):
+        pivots.append(pivot_args[2:4])
+        return _bareiss_pivot(*pivot_args)
+
+    with mock.patch("curvehull.hull._bareiss_pivot", recording):
+        return oracle(*args), pivots
+
+
+class TestSharedRows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(hull_cases(), degenerate_hull_cases()))
+    def test_shared_rows_pivot_as_the_point_list_route(self, case):
+        # the rows are cleared once; a probe only scales them and adds its
+        # right-hand side, so the tableau and every pivot are those of the
+        # lcm-cleared point-list system
+        points, probe, known = case
+        rows = point_rows(points)
+        matrix = [[p[d] for p in points] for d in range(len(probe))] + [[1] * len(points)]
+        expected = pivoting(_phase1_feasible, matrix, [*probe, 1])
+        assert pivoting(finite_hull_membership, rows, probe) == expected
+        assert pivoting(finite_hull_membership, points, probe) == expected
+        assert pivoting(finite_hull_membership, rows, points[0]) == pivoting(
+            finite_hull_membership, points, points[0])
+        assert rows == point_rows(points)  # no solve writes to the shared rows
+        if known is not None:
+            assert expected[0] is known
+
+    @pytest.mark.parametrize("domain", [UNIT, Interval(F(-3, 2), F(2, 3))])
+    def test_vertex_pushed_out_through_the_shared_rows_is_refused(self, domain):
+        # as the point-list test above: x_2 - 2 t0 x_1 + t0^2 >= 0 on the
+        # moment curve, with equality only at t0, so every sample is a vertex
+        rows = _sample_rows(moment_curve(3, domain), 20)
+        eps = F(1, 10 ** 12)
+        for k in (0, 7, 19):
+            vertex = tuple(F(row[k], den) for row, den in zip(*rows))
+            assert finite_hull_membership(rows, vertex)
+            assert not finite_hull_membership(rows, (vertex[0], vertex[1] - eps, vertex[2]))
+
+    def test_rows_of_another_dimension_are_refused(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            finite_hull_membership(_sample_rows(moment_curve(3, UNIT), 5), (0, 0))
 
 
 class TestWrongPencil:

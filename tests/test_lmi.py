@@ -200,6 +200,18 @@ class TestComposeCurve:
                 assert len(scale) == 1 and scale.pop() > 0
                 assert all(g == 0 for r, er in zip(got, exact) for g, e in zip(r, er) if not e)
 
+    def test_curve_points_skip_the_psd_re_check(self):
+        # the composed rows are int and mirrored, so symmetric by construction:
+        # they go to the elimination directly, while lmi_membership validates
+        pencil = interval_moment_lmi(4, UNIT)
+        composed = compose_curve(pencil, moment_curve(4, UNIT).components)
+        with mock.patch.object(lmi, "psd_check_exact", wraps=lmi.psd_check_exact) as psd:
+            assert curve_membership(composed, 1, 3)
+            assert not curve_membership(composed, 4, 3)
+            assert psd.call_count == 0
+            assert lmi_membership(pencil, moment_curve(4, UNIT).point_at(F(1, 3)))
+            assert psd.call_count == 2
+
     def test_a_curve_of_another_dimension_is_refused(self):
         with pytest.raises(ValueError, match="curve has dimension 2, pencil has 3"):
             compose_curve(interval_moment_lmi(3, UNIT), moment_curve(2, UNIT).components)
