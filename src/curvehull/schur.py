@@ -4,7 +4,9 @@ Two independent constructions are provided: a count of the weights of
 the admissible Young-diagram fillings, and the bialternant quotient
 det((x_i^{m_j})) / prod_{i<j}(x_i - x_j).  They must agree term for term;
 the divisibility comparisons between the monomial sets of two such
-polynomials (with witnesses) live here as well.
+polynomials (with witnesses) live here as well.  They run on packed
+exponent vectors, one int per monomial with a guard bit atop each field,
+so that each divisibility test is one subtraction and one mask.
 """
 
 from __future__ import annotations
@@ -121,7 +123,9 @@ class DivisibilityReport:
     """Outcome of a monomial-set divisibility scan.
 
     witness maps each checked monomial (exponent tuple) to a dividing
-    monomial; failures lists the monomials with no divisor.
+    monomial: the least generator in lex (tuple) order that divides it, and
+    for a proper scan the least one other than the monomial itself.
+    failures lists the monomials with no divisor, in lex order.
     """
 
     ok: bool
@@ -129,18 +133,44 @@ class DivisibilityReport:
     failures: tuple
 
 
-def _divides(alpha, beta) -> bool:
-    return all(a <= b for a, b in zip(alpha, beta))
+def _pack(e, width: int) -> int:
+    """The exponent vector e as one int of len(e) fields of width bits,
+    variable 0 in the highest field."""
+    key = 0
+    for x in e:
+        key = key << width | x
+    return key
 
 
 def _scan(targets, generators, proper: bool) -> DivisibilityReport:
+    """Find, for every target, its witness among the generators; all are
+    exponent tuples of nonnegative ints and of one length.
+
+    Each field is one bit wider than the largest exponent, and its top bit
+    is a guard, which no exponent reaches.  So alpha divides beta exactly
+    when the guards survive ((pack(beta) | G) - pack(alpha)) & G: a field
+    with a_i > b_i clears its guard without borrowing from the next.  Packed
+    keys order as the tuples do and divisibility implies lex-<=, so the
+    scan of the sorted generators stops at the first key above pack(beta),
+    or at pack(beta) itself in a proper scan.
+    """
+    targets, generators = list(targets), list(generators)
+    monomials = targets + generators
+    if len({len(e) for e in monomials}) > 1:
+        raise ValueError("exponent vectors of unequal length")
+    width = max((x for e in monomials for x in e), default=0).bit_length() + 1
+    guard = _pack((1 << width - 1,) * (len(targets[0]) if targets else 0), width)
+    gens = sorted((_pack(alpha, width), alpha) for alpha in generators)
     witness = {}
     failures = []
-    gens = sorted(generators)
-    for beta in sorted(targets):
+    for key, beta in sorted((_pack(beta, width), beta) for beta in targets):
+        top = key | guard
+        last = key - 1 if proper else key  # greater keys cannot divide beta
         hit = None
-        for alpha in gens:
-            if _divides(alpha, beta) and not (proper and alpha == beta):
+        for k, alpha in gens:
+            if k > last:
+                break
+            if (top - k) & guard == guard:
                 hit = alpha
                 break
         if hit is None:

@@ -3,12 +3,14 @@ from itertools import combinations, product
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvehull import schur
 from curvehull.multipoly import MultiPoly
-from curvehull.schur import (MAX_TABLEAU_CELLS, DecreasingSeq, proper_dominance_check,
-                             schur_via_bialternant, schur_via_tableaux,
-                             subsequence_divisibility_check)
+from curvehull.schur import (MAX_TABLEAU_CELLS, DecreasingSeq, DivisibilityReport,
+                             proper_dominance_check, schur_via_bialternant,
+                             schur_via_tableaux, subsequence_divisibility_check)
 
 
 def vandermonde_poly(arity: int) -> MultiPoly:
@@ -152,6 +154,74 @@ class TestVandermonde:
             rows = [[MultiPoly.monomial(n, tuple(mj if k == i else 0 for k in range(n)))
                      for mj in m] for i in range(n)]
             assert prod == poly_det(rows)
+
+
+def brute_force_scan(targets, generators, proper) -> DivisibilityReport:
+    """Oracle: each target, in sorted order, is witnessed by the first
+    generator in sorted order that divides it componentwise and, in a proper
+    scan, is not the target itself."""
+    gens = sorted(generators)
+    witness, failures = {}, []
+    for beta in sorted(targets):
+        hit = next((alpha for alpha in gens if all(a <= b for a, b in zip(alpha, beta))
+                    and not (proper and alpha == beta)), None)
+        if hit is None:
+            failures.append(beta)
+        else:
+            witness[beta] = hit
+    return DivisibilityReport(ok=not failures, witness=witness, failures=tuple(failures))
+
+
+# small exponents, so that divisors are common, and exponents at the edges of
+# packed fields (2^k - 1, 2^k) up to and beyond 2^64
+EXPONENTS = st.one_of(
+    st.integers(0, 3),
+    st.integers(1, 70).flatmap(lambda k: st.sampled_from((2 ** k - 1, 2 ** k))),
+    st.integers(2 ** 64, 2 ** 64 + 2))
+
+
+@st.composite
+def scan_inputs(draw):
+    """(targets, generators) of one arity in 1..6, either possibly empty;
+    some targets are generators moved by -1..2 in each exponent, so that
+    hits, near misses and the targets themselves (for proper scans) occur."""
+    arity = draw(st.integers(1, 6))
+    monomial = st.tuples(*[EXPONENTS] * arity)
+    generators = draw(st.sets(monomial, max_size=8))
+    targets = draw(st.sets(monomial, max_size=8))
+    for alpha in draw(st.lists(st.sampled_from(sorted(generators)), max_size=8)
+                      if generators else st.just([])):
+        shift = draw(st.tuples(*[st.integers(-1, 2)] * arity))
+        targets.add(tuple(max(a + d, 0) for a, d in zip(alpha, shift)))
+    return targets, generators
+
+
+class TestScan:
+    @settings(max_examples=500, deadline=None)
+    @given(scan_inputs(), st.booleans())
+    def test_matches_the_brute_force_scan(self, case, proper):
+        targets, generators = case
+        got = schur._scan(targets, generators, proper)
+        assert got == brute_force_scan(targets, generators, proper)
+        assert list(got.witness) == sorted(got.witness)
+
+    def test_field_edges(self):
+        big = 2 ** 64
+        assert schur._scan({(big, 0)}, {(big - 1, 1), (big, 1), (big - 1, 0)},
+                           False).witness == {(big, 0): (big - 1, 0)}
+        assert schur._scan({(2, 1)}, {(1, 1), (2, 0)}, False).witness == {(2, 1): (1, 1)}
+        assert schur._scan({(1, 1)}, {(2, 0), (0, 2)}, False).failures == ((1, 1),)
+
+    def test_proper_skips_the_target_itself(self):
+        r = schur._scan({(1, 1), (0, 1)}, {(0, 1), (1, 1)}, proper=True)
+        assert r.witness == {(1, 1): (0, 1)} and r.failures == ((0, 1),)
+
+    def test_unequal_lengths_are_refused(self):
+        # cut to a common length, (1, 2) would be divisible by (1,)
+        for targets, generators in (({(1, 2)}, {(1,)}), ({(1,)}, {(1, 2)}),
+                                    (set(), {(1,), (1, 2)}), ({(0,), (0, 0)}, set())):
+            with pytest.raises(ValueError, match="unequal length"):
+                schur._scan(targets, generators, False)
 
 
 def check_witness(report, proper):
